@@ -1,4 +1,4 @@
-"""Process-local cache registry and stage timers.
+"""Process-local cache registry, event counters and percentiles.
 
 This is a leaf module (imports nothing from :mod:`repro`) so that the hot
 modules — :mod:`repro.arch.coupling`, :mod:`repro.ata.registry`,
@@ -16,9 +16,8 @@ deltas that :func:`repro.compile_qaoa` stores under
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List
 
 
 class _ScopeStack(threading.local):
@@ -201,25 +200,3 @@ def percentile(samples: List[float], q: float) -> float:
     rank = max(0, min(len(ordered) - 1,
                       int(round(q / 100.0 * len(ordered) + 0.5)) - 1))
     return ordered[rank]
-
-
-class StageTimer:
-    """Accumulate named wall-clock stage durations for one compilation."""
-
-    def __init__(self) -> None:
-        self.timings: Dict[str, float] = {}
-        self._started: Optional[tuple] = None
-
-    def start(self, stage: str) -> None:
-        self._started = (stage, time.perf_counter())
-
-    def stop(self) -> float:
-        """Close the open stage, accumulating into its bucket."""
-        stage, t0 = self._started
-        elapsed = time.perf_counter() - t0
-        self.timings[stage] = self.timings.get(stage, 0.0) + elapsed
-        self._started = None
-        return elapsed
-
-    def record(self, stage: str, seconds: float) -> None:
-        self.timings[stage] = self.timings.get(stage, 0.0) + seconds

@@ -4,10 +4,11 @@ The sweep workloads in ``benchmarks/`` and ``repro.analysis.sweeps`` pay
 the full pattern-generation and BFS-distance cost per instance when run
 serially.  This package provides:
 
-* :func:`compile_many` — fan :class:`BatchJob` specs out over a process
-  pool with per-job timeouts and graceful per-instance failure capture,
-  plus the resilience hooks (:mod:`repro.resilience`): retry policies,
-  crash-safe journaled resume, and worker-death pool restarts;
+* :func:`compile_many` — fan :class:`BatchJob` specs out over a
+  :class:`PersistentPool` with per-job timeouts and graceful
+  per-instance failure capture, plus the resilience hooks
+  (:mod:`repro.resilience`): retry policies, crash-safe journaled
+  resume, and worker-death recovery;
 * process-local memoization of distance matrices and ATA patterns
   (:mod:`repro.batch.cache`), with hit/miss counters surfaced both per
   job and aggregated in the :class:`BatchReport`;
@@ -19,8 +20,8 @@ See ``docs/batch.md`` for the full reference.
 from ..exceptions import JobTimeoutError
 from .cache import (cache_delta, cache_info, clear_caches,
                     measure_cache_delta)
-from .engine import (BatchReport, JobTimeout, compile_many, default_workers,
-                     execute_job, jobs_for, reset_timeout_warning)
+from .engine import (BatchReport, compile_many, default_workers,
+                     execute_job, jobs_for)
 from .jobs import METHODS, WORKLOADS, BatchJob, JobResult, resolve_compiler
 from .pool import POOL_EXECUTORS, PersistentPool
 
@@ -31,9 +32,7 @@ __all__ = [
     "BatchJob",
     "JobResult",
     "BatchReport",
-    "JobTimeout",
     "JobTimeoutError",
-    "reset_timeout_warning",
     "compile_many",
     "execute_job",
     "jobs_for",

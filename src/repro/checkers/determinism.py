@@ -16,10 +16,6 @@ Wrapping the iterable in ``sorted(...)`` (or ``min``/``max``/``sum``,
 which are order-insensitive) silences the finding, as does the vetting
 comment ``# det: ok`` on the offending line for sites where unordered
 iteration is provably harmless (e.g. building another set).
-
-This is the historic ``scripts/check_determinism.py`` checker migrated
-into the rule catalogue; the script survives as a thin shim over this
-module so its CLI contract is unchanged.
 """
 
 from __future__ import annotations
@@ -34,9 +30,7 @@ from .base import CheckerRule, ModuleContext, RuleVisitor, checker
 SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
 
 #: Path fragments the rule is restricted to under ``restrict=True`` —
-#: the compiler hot paths, mirroring the historic script's default
-#: roots (``scripts/check_determinism.py`` still exposes them as
-#: repo-relative ``DEFAULT_HOT_PATHS``).
+#: the compiler hot paths.
 HOT_PATHS: Tuple[str, ...] = (
     "repro/compiler", "repro/ata", "repro/pipeline", "repro/solver",
     "repro/resilience", "repro/bench", "repro/ir")

@@ -101,8 +101,7 @@ def check_source(source: str, path: str,
 
     ``rules`` defaults to the full catalogue; ``restrict=True`` honours
     each rule's ``hot_paths`` restriction (``False`` — used by fixture
-    tests and the determinism shim — runs every given rule on every
-    file).
+    tests — runs every given rule on every file).
     """
     active = resolve_checkers() if rules is None else tuple(rules)
     try:

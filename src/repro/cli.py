@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "completed by a previous (crashed) run")
     batch_p.add_argument("--max-pool-restarts", type=int, default=None,
                          metavar="N",
-                         help="worker-pool rebuilds tolerated after "
-                              "worker death (default: 2)")
+                         help="resubmissions of a job whose worker "
+                              "died (default: 2)")
 
     serve_p = sub.add_parser(
         "serve", help="long-lived compile daemon with a warm worker "
@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="warm pool size (default: CPU count)")
     serve_p.add_argument("--executor", default="process",
                          choices=["process", "thread"],
-                         help="worker pool flavor (thread: no per-job "
-                              "timeout enforcement; debugging)")
+                         help="worker pool flavor (thread: debugging; "
+                              "refuses --timeout)")
     serve_p.add_argument("--timeout", type=_positive_float, default=None,
                          metavar="SECONDS",
                          help="per-job wall-clock budget in the workers")
@@ -397,8 +397,6 @@ def _cmd_batch(args) -> int:
         report.rows(),
         title=f"batch: {len(jobs)} jobs on {','.join(args.arch)}"))
     print(report.summary())
-    if args.timeout and not report.timeout_enforced:
-        print("note: per-job timeout not enforced on this platform")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(report.to_json(), handle, indent=2)

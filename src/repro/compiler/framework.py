@@ -82,10 +82,3 @@ def compile_qaoa(
     return get_method(method).compile(coupling, problem, noise=noise,
                                       gamma=gamma, on_pass_end=on_pass_end,
                                       **options)
-
-
-def _sample(snapshots, max_predictions: int):
-    """Back-compat alias for :func:`repro.pipeline.prediction.sample_snapshots`."""
-    from ..pipeline.prediction import sample_snapshots
-
-    return sample_snapshots(snapshots, max_predictions)

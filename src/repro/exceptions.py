@@ -119,7 +119,3 @@ class JobTimeoutError(TransientError):
     deterministic compilation that blew its budget once will blow it
     again (opt in with ``RetryPolicy(retry_timeouts=True)``).
     """
-
-
-#: Historic name from ``repro.batch.engine``; kept for back-compat.
-JobTimeout = JobTimeoutError

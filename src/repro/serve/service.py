@@ -22,7 +22,6 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor
 from typing import Any, Deque, Dict, List, Optional
 
 from .._telemetry import count_event, percentile
@@ -59,7 +58,6 @@ class ServeStats:
         self.compiled = 0
         self.compile_failures = 0
         self.request_errors = 0
-        self.pool_recoveries = 0
         self.latencies_ms: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         #: Summed per-job cache deltas of jobs *this service* compiled —
         #: the warm-pool proof: misses concentrate in the first requests
@@ -91,7 +89,6 @@ class ServeStats:
             "compiled": self.compiled,
             "compile_failures": self.compile_failures,
             "request_errors": self.request_errors,
-            "pool_recoveries": self.pool_recoveries,
             "latency_ms": {
                 "count": len(samples),
                 "p50": round(percentile(samples, 50), 3),
@@ -140,6 +137,7 @@ class CompileService:
 
     def stats_payload(self) -> Dict[str, Any]:
         payload = self.stats.snapshot()
+        payload["pool_recoveries"] = self.pool.restarts
         payload["pool"] = self.pool.stats()
         payload["store"] = self.store.stats() if self.store is not None \
             else None
@@ -197,25 +195,12 @@ class CompileService:
                              "compiled", started)
 
     async def _execute(self, job: BatchJob) -> JobResult:
-        """Run ``job`` on the warm pool, recovering one pool breakage."""
-        try:
-            result = await asyncio.wrap_future(self.pool.submit(job))
-        except BrokenExecutor as first:
-            # A worker died mid-job (OOM, segfault, injected kill).
-            # Rebuild the pool once and retry; a job that kills its
-            # worker again becomes a structured failure, mirroring the
-            # batch engine's quarantine convergence.
-            self.pool.restart()
-            self.stats.pool_recoveries += 1
-            count_event("serve.pool_recoveries")
-            try:
-                result = await asyncio.wrap_future(self.pool.submit(job))
-            except BrokenExecutor:
-                return JobResult(
-                    job=job, ok=False,
-                    error=(f"worker died twice running this job "
-                           f"(pool rebuilt in between): {first}"),
-                    error_type=type(first).__name__)
+        """Run ``job`` on the warm pool.
+
+        A dead worker is the pool's to recover (the same policy batch
+        runs use), so the result is always a :class:`JobResult`.
+        """
+        result = await asyncio.wrap_future(self.pool.submit(job))
         if result.ok:
             self.stats.compiled += 1
             count_event("serve.compiled")

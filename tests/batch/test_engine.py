@@ -1,14 +1,18 @@
 """Tests for ``compile_many``: fan-out, caching, timeouts, failure capture."""
 
 import json
+import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.batch import (BatchJob, compile_many, default_workers,
-                         execute_job, jobs_for)
+from repro.batch import (BatchJob, PersistentPool, compile_many,
+                         default_workers, execute_job, jobs_for)
 from repro.batch.cache import clear_caches
+from repro.exceptions import SpecificationError
 
 
 def mixed_jobs(n_qubits=12, seeds=(0, 1)):
@@ -116,54 +120,136 @@ class TestTimeout:
         result = execute_job(job, timeout_s=60.0)
         assert result.ok
 
-    def test_unenforceable_timeout_warns_once_and_counts(self, monkeypatch):
-        from repro._telemetry import clear_events, event_info
-        from repro.batch import engine
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="needs SIGALRM in pool workers")
+    def test_one_ms_budget_fires_on_process_pools(self):
+        # Both pooled paths: compile_many's fan-out and a PersistentPool.
+        jobs = [BatchJob(arch="heavyhex", n_qubits=48, density=0.5,
+                         seed=seed) for seed in (0, 1)]
+        report = compile_many(jobs, workers=2, timeout_s=0.001)
+        assert report.executor == "process"
+        assert [r.error_type for r in report.results] \
+            == ["JobTimeoutError", "JobTimeoutError"]
+        with PersistentPool(workers=1, timeout_s=0.001) as pool:
+            result = pool.submit(jobs[0]).result()
+        assert result.error_type == "JobTimeoutError"
 
-        monkeypatch.setattr(engine, "_alarm_supported", lambda: False)
-        monkeypatch.setattr(engine, "_timeout_warning_emitted", False)
-        clear_events()
+    def test_thread_executors_refuse_a_timeout_up_front(self, tmp_path):
         jobs = [BatchJob(arch="line", n_qubits=4, seed=seed)
                 for seed in (0, 1)]
-        with pytest.warns(RuntimeWarning, match="SIGALRM"):
-            report = compile_many(jobs, timeout_s=5.0, executor="serial")
-        assert not report.failures
-        assert not report.timeout_enforced
-        assert "NOT enforced" in report.summary()
-        # One telemetry event per unprotected job, one warning total.
-        assert event_info().get("batch.timeout_unavailable") == 2
-        import warnings
+        journal = tmp_path / "sweep.jsonl"
+        with pytest.raises(SpecificationError, match="thread workers"):
+            compile_many(jobs, workers=2, executor="thread", timeout_s=5.0,
+                         journal=journal)
+        assert not journal.exists()  # refused before any work
+        with pytest.raises(SpecificationError, match="thread workers"):
+            PersistentPool(workers=1, executor="thread", timeout_s=5.0)
 
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            compile_many(jobs[:1], timeout_s=5.0, executor="serial")
-        assert not [w for w in captured
-                    if issubclass(w.category, RuntimeWarning)]
+    def test_serve_refuses_a_thread_timeout_with_exit_2(self, capsys):
+        from repro.cli import main
 
-    def test_reset_timeout_warning_rearms_the_warning(self, monkeypatch):
-        import warnings
+        assert main(["serve", "--stdio", "--no-store", "--executor",
+                     "thread", "--timeout", "1"]) == 2
+        assert "thread workers" in capsys.readouterr().err
 
-        from repro.batch import engine, reset_timeout_warning
-
-        monkeypatch.setattr(engine, "_alarm_supported", lambda: False)
+    def test_deadline_off_the_main_thread_raises_instead_of_running(self):
         job = BatchJob(arch="line", n_qubits=4)
-        with pytest.warns(RuntimeWarning, match="SIGALRM"):
-            reset_timeout_warning()
-            compile_many([job], timeout_s=5.0, executor="serial")
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            compile_many([job], timeout_s=5.0, executor="serial")
-        assert not [w for w in captured
-                    if issubclass(w.category, RuntimeWarning)]
-        reset_timeout_warning()
-        with pytest.warns(RuntimeWarning, match="SIGALRM"):
-            compile_many([job], timeout_s=5.0, executor="serial")
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(execute_job(job, timeout_s=5.0)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert not results[0].ok
+        assert results[0].error_type == "SpecificationError"
+        assert "main thread" in results[0].error
 
-    def test_enforced_timeout_emits_no_degradation_note(self):
-        job = BatchJob(arch="line", n_qubits=4)
-        report = compile_many([job], timeout_s=60.0, executor="serial")
-        if report.timeout_enforced:
-            assert "NOT enforced" not in report.summary()
+
+class TestPersistentPool:
+    def test_concurrent_submitters_lose_no_update(self):
+        # More submitting threads than cores, with a short switch
+        # interval, against more workers than cores.
+        job = BatchJob(arch="line", n_qubits=4, method="greedy")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with PersistentPool(workers=4, executor="thread") as pool:
+                futures = []
+
+                def submit_five():
+                    futures.extend(pool.submit(job) for _ in range(5))
+
+                threads = [threading.Thread(target=submit_five)
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.submitted == 40
+        assert len(results) == 40 and all(r.ok for r in results)
+        assert pool.restarts == 0
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the fault plan reaches workers through fork")
+    def test_a_breakage_quarantines_at_most_workers_jobs_at_once(
+            self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.batch import pool as pool_module
+        from repro.resilience.faults import FaultPlan, FaultSpec, active_plan
+
+        lock = threading.Lock()
+        private = {"live": 0, "peak": 0, "built": 0}
+
+        class CountingExecutor(ProcessPoolExecutor):
+            """Tracks how many one-worker (quarantine) pools are alive."""
+
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                self.private = max_workers == 1
+                if self.private:
+                    with lock:
+                        private["built"] += 1
+                        private["live"] += 1
+                        private["peak"] = max(private["peak"],
+                                              private["live"])
+
+            def shutdown(self, wait=True, **kwargs):
+                super().shutdown(wait=wait, **kwargs)
+                if self.private and wait:
+                    self.private = False
+                    with lock:
+                        private["live"] -= 1
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+                            CountingExecutor)
+        jobs = [BatchJob(arch="grid", n_qubits=16, seed=seed)
+                for seed in range(10)]
+        # times=99: fork re-arms the kill in every fresh worker, so the
+        # poison job kills its private worker too.
+        plan = FaultPlan([FaultSpec(site="batch.job", action="kill",
+                                    match=jobs[0].name, times=99)])
+        with PersistentPool(workers=2, executor="process") as pool:
+            with active_plan(plan):
+                futures = [pool.submit(job, max_restarts=1) for job in jobs]
+                results = [future.result(timeout=120) for future in futures]
+            # A long-lived pool sheds what the breakage left behind
+            # without waiting for close().
+            for drainer in list(pool._drainers):
+                drainer.join(timeout=60)
+            assert not pool._drainers and not pool._retired
+        assert [r.ok for r in results] == [False] + [True] * 9
+        assert "restart budget (1) is spent" in results[0].error
+        assert pool.restarts == 1
+        # More jobs were broken than there are workers, yet never more
+        # than ``workers`` private pools ran at once.
+        assert private["built"] > pool.workers
+        assert private["peak"] <= pool.workers
+        assert private["live"] == 0
 
 
 class TestHelpers:

@@ -131,7 +131,7 @@ class TestOptions:
 
 class TestPredictionSampling:
     def test_max_predictions_one_compiles(self):
-        # Regression: used to ZeroDivisionError in _sample whenever more
+        # Regression: snapshot sampling used to ZeroDivisionError whenever more
         # than one snapshot existed (ISSUE 1 satellite).
         coupling = grid(4, 4)
         problem = random_problem_graph(14, 0.35, seed=3)
@@ -146,13 +146,6 @@ class TestPredictionSampling:
     def test_max_predictions_negative_rejected(self):
         with pytest.raises(ValueError, match="max_predictions"):
             compile_qaoa(grid(3, 3), clique(4), max_predictions=-3)
-
-    def test_sample_keeps_first_snapshot(self):
-        from repro.compiler.framework import _sample
-        snapshots = list(range(10))
-        assert _sample(snapshots, 1) == [0]
-        assert _sample(snapshots, 3)[0] == 0
-        assert _sample(snapshots, 99) == snapshots
 
 
 class TestTelemetry:

@@ -1,4 +1,4 @@
-"""Direct unit tests for snapshot sampling (moved from framework._sample)."""
+"""Direct unit tests for snapshot sampling."""
 
 from repro.pipeline.prediction import sample_snapshots
 
@@ -32,9 +32,3 @@ class TestSampleSnapshots:
         for k in range(1, 6):
             sampled = sample_snapshots([0, 1, 2], k)
             assert len(sampled) == len(set(sampled))
-
-    def test_framework_alias_still_importable(self):
-        # Back-compat: the pre-pipeline private helper keeps working.
-        from repro.compiler.framework import _sample
-
-        assert _sample(SNAPSHOTS, 3) == sample_snapshots(SNAPSHOTS, 3)

@@ -6,11 +6,14 @@ telemetry are visible to the workers) and fast (no interpreter spawns).
 
 import asyncio
 import json
+import multiprocessing
 
 import pytest
 
+from repro._telemetry import clear_events, event_info
 from repro.batch.pool import PersistentPool
 from repro.resilience.faults import FaultPlan, FaultSpec, active_plan
+from repro.serve.protocol import normalize_request
 from repro.serve.service import CompileService
 from repro.serve.store import ResultStore
 
@@ -146,3 +149,37 @@ class TestRequestHandling:
         assert payload["latency_ms"]["p50"] > 0
         # Warm-pool evidence accumulates per compiled job.
         assert "cache_totals" in payload
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the fault plan reaches workers through fork")
+class TestWorkerDeath:
+    def test_poison_request_fails_alone_and_the_service_keeps_answering(
+            self):
+        poison, innocent = {**REQ, "seed": 1}, {**REQ, "seed": 2}
+        # times=99: fork re-arms the kill in every fresh worker, so the
+        # poison job kills its private workers too.
+        plan = FaultPlan([FaultSpec(site="batch.job", action="kill",
+                                    match=normalize_request(poison).name,
+                                    times=99)])
+        clear_events()
+        with PersistentPool(workers=2, executor="process") as pool:
+            service = CompileService(pool, store=None)
+
+            async def scenario():
+                return await asyncio.gather(service.handle(poison),
+                                            service.handle(innocent))
+
+            with active_plan(plan):
+                bad, good = asyncio.run(scenario())
+            after = asyncio.run(service.handle({**REQ, "seed": 3}))
+            stats = service.stats_payload()
+        assert good["ok"] is True
+        assert bad["ok"] is False
+        assert bad["result"]["error_type"] == "BrokenProcessPool"
+        assert "restart budget (2) is spent" in bad["result"]["error"]
+        assert after["ok"] is True and after["served_from"] == "compiled"
+        # One breakage, one rebuild: concurrent victims share it.
+        assert pool.restarts == 1
+        assert event_info()["batch.pool_restarts"] == 1
+        assert stats["pool_recoveries"] == 1

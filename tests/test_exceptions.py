@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import (ArchitectureError, CompilationError,
-                              JobTimeout, JobTimeoutError, ReproError,
+                              JobTimeoutError, ReproError,
                               ResourceExhaustedError, SolverError,
                               SolverExhaustedError, TransientError,
                               ValidationError)
@@ -34,9 +34,6 @@ class TestHierarchy:
         # path keyed on ResourceExhaustedError both see budget blowups.
         assert issubclass(SolverExhaustedError, SolverError)
         assert issubclass(SolverExhaustedError, ResourceExhaustedError)
-
-    def test_job_timeout_back_compat_alias(self):
-        assert JobTimeout is JobTimeoutError
 
 
 class TestRaisedFromRealPaths:
