@@ -1,12 +1,61 @@
 """Tests for initial placement strategies."""
 
-import pytest
+import random
 
-from repro.arch import NoiseModel, grid, heavyhex, line
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch import NoiseModel, grid, heavyhex, line, sycamore
+from repro.baselines import quadratic_initial_mapping
 from repro.baselines.routing import mapping_cost
 from repro.compiler.mapping import (degree_placement, noise_aware_placement,
                                     quadratic_placement, trivial_placement)
-from repro.problems import clique, random_problem_graph
+from repro.ir.mapping import Mapping
+from repro.problems import (ProblemGraph, clique, random_problem_graph,
+                            regular_problem_graph)
+
+
+def reference_quadratic_placement(coupling, problem, iterations=None,
+                                  seed=0, initial=None):
+    """The swap-and-revert search ``quadratic_placement`` must reproduce.
+
+    Each proposal sums both endpoints' edge lengths before and after
+    applying the swap and undoes it when the total grew.
+    """
+    rng = random.Random(seed)
+    mapping = (initial.copy() if initial is not None
+               else degree_placement(coupling, problem))
+    dist = coupling.distance_matrix.tolist()
+    n = problem.n_vertices
+    if iterations is None:
+        iterations = min(8 * n * n, 60_000)
+
+    adjacency = {v: problem.neighbors(v) for v in range(n)}
+    log_to_phys = mapping.log_to_phys
+
+    def vertex_cost(v, position):
+        row = dist[position]
+        return sum(row[log_to_phys[w]] for w in adjacency[v])
+
+    for _ in range(iterations):
+        a = rng.randrange(n)
+        pa = mapping.physical(a)
+        pb = rng.choice(coupling.neighbors(pa))
+        b = mapping.logical(pb)
+        before = vertex_cost(a, pa) + (vertex_cost(b, pb)
+                                       if b is not None else 0)
+        mapping.swap_physical(pa, pb)
+        after = vertex_cost(a, pb) + (vertex_cost(b, pa)
+                                      if b is not None else 0)
+        if after - before > 0:
+            mapping.swap_physical(pa, pb)  # revert
+    return mapping
+
+
+# A problem smaller than the device leaves spare qubits, so proposals
+# also move a logical qubit onto an empty site.
+ARCHITECTURES = [line(9), grid(3, 4), heavyhex(2, 6), sycamore(4, 4)]
 
 
 @pytest.fixture
@@ -53,6 +102,69 @@ class TestQuadratic:
         a = quadratic_placement(coupling, problem, seed=4)
         b = quadratic_placement(coupling, problem, seed=4)
         assert a.log_to_phys == b.log_to_phys
+
+    def test_single_qubit_architecture_keeps_start_mapping(self):
+        coupling, problem = line(1), ProblemGraph(1, [])
+        assert quadratic_placement(coupling, problem).log_to_phys == [0]
+
+    def test_single_qubit_architecture_compiles(self):
+        from repro.compiler import compile_qaoa
+        coupling, problem = line(1), ProblemGraph(1, [])
+        result = compile_qaoa(coupling, problem)
+        result.validate(coupling, problem)
+        assert result.circuit.depth() == 0
+
+
+class TestQuadraticMatchesReference:
+    """The cost-change search returns the swap-and-revert search's mapping."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           arch=st.sampled_from(ARCHITECTURES),
+           density=st.one_of(st.just(0.0), st.just(1.0),
+                             st.floats(0.0, 1.0)),
+           graph_seed=st.integers(0, 2**16),
+           seed=st.integers(0, 2**32),
+           iterations=st.sampled_from([0, 1, 25, None]),
+           with_initial=st.booleans())
+    def test_identical_mapping(self, data, arch, density, graph_seed, seed,
+                               iterations, with_initial):
+        n = data.draw(st.integers(1, arch.n_qubits), label="n")
+        problem = random_problem_graph(n, density, seed=graph_seed)
+        initial = None
+        if with_initial:
+            sites = data.draw(st.permutations(range(arch.n_qubits)),
+                              label="sites")
+            initial = Mapping(sites[:n], arch.n_qubits)
+        untouched = initial.copy() if initial is not None else None
+
+        got = quadratic_placement(arch, problem, iterations=iterations,
+                                  seed=seed, initial=initial)
+        want = reference_quadratic_placement(
+            arch, problem, iterations=iterations, seed=seed, initial=initial)
+        assert got.log_to_phys == want.log_to_phys
+        assert got.phys_to_log == want.phys_to_log
+        assert initial == untouched
+
+    @pytest.mark.parametrize("coupling, problem", [
+        (grid(8, 8), random_problem_graph(64, 0.3, seed=5)),
+        (heavyhex(4, 10), regular_problem_graph(48, 3, seed=2)),
+    ], ids=["grid-8x8-rand-0.3", "heavyhex-4x10-reg3"])
+    def test_identical_at_default_budget(self, coupling, problem):
+        got = quadratic_placement(coupling, problem, seed=3)
+        want = reference_quadratic_placement(coupling, problem, seed=3)
+        assert got == want
+
+    @pytest.mark.parametrize("coupling, problem", [
+        (sycamore(4, 4), clique(12)),
+        (heavyhex(2, 6), random_problem_graph(10, 0.5, seed=1)),
+    ], ids=["sycamore-4x4-clique", "heavyhex-2x6-rand-0.5"])
+    def test_identical_at_2qan_budget(self, coupling, problem):
+        n = problem.n_vertices
+        got = quadratic_initial_mapping(coupling, problem, seed=9)
+        want = reference_quadratic_placement(
+            coupling, problem, iterations=min(20 * n * n, 200_000), seed=9)
+        assert got == want
 
 
 class TestNoiseAware:

@@ -44,6 +44,12 @@ class TestCompile:
                      "paulihedral", "olsq", "satmap"):
             assert name in err
 
+    def test_single_qubit_architecture(self, capsys):
+        code, out = run_cli(capsys, ["compile", "--arch", "line",
+                                     "--qubits", "1"])
+        assert code == 0
+        assert "depth: 0" in out
+
     def test_noise_flag_adds_esp(self, capsys):
         code, out = run_cli(capsys, ["compile", "--arch", "grid",
                                      "--qubits", "9", "--noise"])
