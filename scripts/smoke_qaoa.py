@@ -4,9 +4,11 @@
 Compiles the NNN-Ising-16 Hamiltonian-simulation benchmark on heavy-hex
 into a p=4 program, asserts the reversed-layer cancellation closed the
 net permutation, lints the program per layer (zero errors required),
-validates the semantic contract, and drives the compile -> simulate ->
-TVD loop with a 2-iteration COBYLA optimisation — a fast end-to-end
-crossing of every layer ISSUE 7 touched.
+validates the semantic contract and checks that validation and lint
+agree on it (validation is lint's blocking rules, so a disagreement is
+a bug), and drives the compile -> simulate -> TVD loop with a
+2-iteration COBYLA optimisation — a fast end-to-end crossing of the
+layered-program path.
 
 Usage::
 
@@ -23,8 +25,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.arch import NoiseModel, architecture_for  # noqa: E402
 from repro.compiler import compile_qaoa  # noqa: E402
-from repro.ir.validate import validate_program  # noqa: E402
-from repro.lint import lint_result  # noqa: E402
+from repro.exceptions import ValidationError  # noqa: E402
+from repro.lint import BLOCKING_RULES, lint_result  # noqa: E402
 from repro.problems import nnn_ising_1d  # noqa: E402
 from repro.problems.qaoa import QaoaProblem  # noqa: E402
 from repro.sim import QaoaRunner  # noqa: E402
@@ -49,12 +51,22 @@ def main() -> int:
     elif not program.net_permutation_is_identity:
         failures.append("even-depth program did not cancel its permutation")
 
-    result.validate(coupling, problem)
-    record = validate_program(program)
-    print(f"semantic validation ok (per-layer provenance: {record['p']} "
-          "cost layers checked)")
+    try:
+        result.validate(coupling, problem)
+        validated = True
+        print(f"semantic validation ok ({len(program.layers)} layers "
+              "checked, mapping provenance included)")
+    except ValidationError as exc:
+        validated = False
+        failures.append(f"validation rejected the program: {exc}")
 
     report = lint_result(result, coupling, problem)
+    blocking = [d for d in report.diagnostics if d.code in BLOCKING_RULES]
+    if validated == bool(blocking):
+        failures.append(
+            f"result.validate {'accepted' if validated else 'rejected'} "
+            f"the program but lint_result found {len(blocking)} blocking "
+            f"diagnostic(s)")
     counts = report.counts()
     print(f"lint: {counts['error']} errors / {counts['warning']} warnings "
           f"across {len(program.layers)} layers")

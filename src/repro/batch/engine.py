@@ -208,15 +208,17 @@ def _run_job(job: BatchJob, timeout_s: Optional[float],
         result = compiler(coupling, problem, noise=noise,
                           gamma=job.gamma, **options)
         if job.lint:
-            # Lint before validating: the linter collects *all*
-            # findings, so its report must survive even when the
-            # fail-fast validator rejects the circuit next.
+            # One scan serves both: validation reads the lint report, so
+            # the payload survives a rejection.
+            from ..ir.validate import validate_lint_report
             from ..lint import lint_result, render_json
 
+            report = lint_result(result, coupling, problem)
             scratch["lint"] = render_json(
-                lint_result(result, coupling, problem),
-                max_diagnostics=MAX_LINT_DIAGNOSTICS_PER_JOB)
-        if job.validate:
+                report, max_diagnostics=MAX_LINT_DIAGNOSTICS_PER_JOB)
+            if job.validate:
+                validate_lint_report(report)
+        elif job.validate:
             result.validate(coupling, problem)
         return result.to_record()
 

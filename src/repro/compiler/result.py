@@ -10,8 +10,8 @@ from ..arch.noise import NoiseModel
 from ..ir.circuit import Circuit
 from ..ir.mapping import Mapping
 from ..ir.program import Program
-from ..ir.validate import (ValidationReport, validate_compiled,
-                           validate_program)
+from ..ir.validate import (ValidationReport, blocking_lint,
+                           validate_lint_report)
 from ..problems.graphs import ProblemGraph
 
 
@@ -83,14 +83,13 @@ class CompiledResult:
 
     def validate(self, coupling: CouplingGraph,
                  problem: ProblemGraph) -> ValidationReport:
-        """Semantic validation of the cost layer — and, when a
-        multi-layer program is attached, of its per-layer mapping
-        provenance and the even-p cancellation invariant."""
-        report = validate_compiled(self.circuit, coupling.edges,
-                                   self.initial_mapping, problem.edges)
-        if self.program is not None and self.program.p > 1:
-            validate_program(self.program)
-        return report
+        """Lint's blocking rules over the scan :func:`repro.lint.lint_result`
+        makes: the cost layer, or each layer of a multi-layer program."""
+        from ..lint.engine import build_contexts
+
+        return validate_lint_report(blocking_lint(build_contexts(
+            self.circuit, coupling.edges, self.initial_mapping,
+            problem.edges, program=self.program)))
 
     def summary(self) -> str:
         return (f"{self.method}: depth={self.depth()} "

@@ -4,7 +4,7 @@ The IR layer is deliberately small: slotted :class:`~repro.ir.gates.Op`
 values inside a :class:`~repro.ir.circuit.Circuit`, a bidirectional
 :class:`~repro.ir.mapping.Mapping`, a decomposer to the CX basis
 (:mod:`repro.ir.decompose`) and the semantic validator
-(:mod:`repro.ir.validate`).
+(:mod:`repro.ir.validate`, a view of :mod:`repro.lint`'s blocking rules).
 """
 
 from .circuit import Circuit, circuit_from_layers

@@ -1,28 +1,27 @@
-"""Semantic validation of compiled circuits.
+"""Semantic validation of compiled circuits: a view of lint's blocking rules.
 
-A compiled circuit is correct when, tracking the logical-to-physical mapping
-through every SWAP:
-
-1. every two-qubit operation acts on a coupled pair of physical qubits,
-2. every problem-graph edge is realised by exactly one CPHASE whose physical
-   qubits hold that logical pair at that moment, and
-3. no CPHASE is applied to a pair that is not a problem edge (or to an edge
-   that was already executed).
-
-This is the ground-truth check used across the test-suite for every
-compiler, baseline and structured pattern in the package.
+The correctness conditions (every two-qubit op on a coupled pair; tracking
+the mapping through every SWAP, each problem edge realised by exactly one
+CPHASE and nothing else) are the :mod:`repro.lint` rules named by
+:data:`repro.lint.rules.BLOCKING_RULES`.  Validation raises
+:class:`~repro.exceptions.ValidationError` on the first blocking diagnostic,
+else reads a :class:`ValidationReport` off the scanned context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Iterable, Optional, Sequence, Set,
+                    Tuple)
 
 from ..exceptions import ValidationError
 from .circuit import Circuit
-from .gates import CPHASE, SWAP, canonical_edge, canonical_edges
 from .mapping import Mapping
-from .program import Program, layer_permutation
+from .program import Program
+
+if TYPE_CHECKING:  # pragma: no cover - repro.lint imports repro.ir
+    from ..lint.diagnostics import LintReport
+    from ..lint.engine import LintContext
 
 
 @dataclass
@@ -40,6 +39,40 @@ class ValidationReport:
         return len(self.executed_edges)
 
 
+def validate_lint_report(report: "LintReport") -> ValidationReport:
+    """Raise on the first blocking diagnostic of ``report`` (a full lint
+    run or a blocking-only one), else summarise its first scanned
+    context — the cost layer of a layered program."""
+    from ..lint.rules import BLOCKING_RULES
+
+    for diagnostic in report.diagnostics:
+        if diagnostic.code not in BLOCKING_RULES:
+            continue
+        message = diagnostic.message
+        if diagnostic.code == "RL013":  # one count, not one line per edge
+            missing = next(c for c in report.contexts
+                           if c.layer_index == diagnostic.layer
+                           ).missing_edges()
+            message = (f"{len(missing)} problem edges never executed "
+                       f"(first few: {missing[:5]})")
+        raise ValidationError(
+            f"{diagnostic.code} at {diagnostic.location()}: {message}")
+    context = report.contexts[0]
+    return ValidationReport(
+        n_cphase=sum(len(ops) for ops in context.executed.values()),
+        n_swap=context.circuit.swap_count,
+        executed_edges=set(context.executed),
+        final_mapping=context.final_mapping)
+
+
+def blocking_lint(contexts: Sequence["LintContext"]) -> "LintReport":
+    """The report of the blocking rules alone over ``contexts``."""
+    from ..lint.engine import run_rules
+    from ..lint.rules import BLOCKING_RULES
+
+    return run_rules(contexts, select=BLOCKING_RULES)
+
+
 def validate_compiled(
     circuit: Circuit,
     coupling_edges: Iterable[Tuple[int, int]],
@@ -48,115 +81,38 @@ def validate_compiled(
     require_all_edges: bool = True,
     allow_repeats: bool = False,
 ) -> ValidationReport:
-    """Check a compiled circuit against hardware and problem constraints.
+    """Check a compiled circuit (physical-qubit ops, starting from
+    ``initial_mapping``) against the hardware edges and the logical
+    problem edges.  ``require_all_edges=False`` tolerates unexecuted
+    problem edges; ``allow_repeats=True`` admits clique patterns that
+    revisit pairs.  Raises :class:`ValidationError` naming the first
+    blocking rule's code and location."""
+    from ..lint.engine import build_context
 
-    Parameters
-    ----------
-    circuit:
-        The compiled circuit (physical-qubit operations).
-    coupling_edges:
-        Undirected hardware edges.
-    initial_mapping:
-        Placement of logical qubits at the start of the circuit.
-    problem_edges:
-        Logical problem-graph edges that must each receive one CPHASE.
-    require_all_edges:
-        When true (default) every problem edge must have been executed.
-    allow_repeats:
-        When true a problem edge may receive more than one CPHASE (needed
-        for clique patterns that revisit pairs); gate counts still reflect
-        every emitted gate.
-
-    Returns
-    -------
-    ValidationReport
-
-    Raises
-    ------
-    ValidationError
-        On any constraint violation, with a message pinpointing the op.
-    """
-    hardware: FrozenSet[Tuple[int, int]] = canonical_edges(coupling_edges)
-    required: FrozenSet[Tuple[int, int]] = canonical_edges(problem_edges)
-    mapping = initial_mapping.copy()
-    report = ValidationReport()
-
-    for index, op in enumerate(circuit):
-        if op.is_two_qubit:
-            pair = canonical_edge(*op.qubits)
-            if pair not in hardware:
-                raise ValidationError(
-                    f"op #{index} {op!r} acts on uncoupled physical pair {pair}")
-        if op.kind == CPHASE:
-            u, v = op.qubits
-            lu, lv = mapping.logical(u), mapping.logical(v)
-            if lu is None or lv is None:
-                raise ValidationError(
-                    f"op #{index} {op!r} touches a spare physical qubit "
-                    f"(logical occupants: {lu}, {lv})")
-            logical_edge = canonical_edge(lu, lv)
-            if logical_edge not in required:
-                raise ValidationError(
-                    f"op #{index} {op!r} implements {logical_edge}, which is "
-                    f"not a problem edge")
-            if logical_edge in report.executed_edges and not allow_repeats:
-                raise ValidationError(
-                    f"op #{index} {op!r} repeats problem edge {logical_edge}")
-            if op.tag is not None and canonical_edge(*op.tag) != logical_edge:
-                raise ValidationError(
-                    f"op #{index} {op!r} tag disagrees with tracked mapping "
-                    f"({logical_edge})")
-            report.executed_edges.add(logical_edge)
-            report.n_cphase += 1
-        elif op.kind == SWAP:
-            mapping.swap_physical(*op.qubits)
-            report.n_swap += 1
-
-    if require_all_edges:
-        missing = required - report.executed_edges
-        if missing:
-            sample = sorted(missing)[:5]
-            raise ValidationError(
-                f"{len(missing)} problem edges never executed "
-                f"(first few: {sample})")
-
-    report.final_mapping = mapping
-    return report
+    return validate_lint_report(blocking_lint([build_context(
+        circuit, coupling_edges, initial_mapping, problem_edges,
+        allow_repeats=allow_repeats, require_all_edges=require_all_edges)]))
 
 
-def validate_program(program: Program) -> dict:
-    """Per-layer mapping provenance plus the cancellation invariant.
+def validate_program(program: Program,
+                     coupling_edges: Iterable[Tuple[int, int]],
+                     problem_edges: Iterable[Tuple[int, int]],
+                     allow_repeats: bool = False) -> dict:
+    """Hold every layer to the blocking rules from its own recorded input
+    mapping — including provenance (RL031) and, after an even number of
+    cost layers, the reversed-layer cancellation (RL032) — and return the
+    plain-data record that lands in ``extra["validate"]["program"]``."""
+    from ..lint.engine import program_contexts
 
-    Each layer's recorded output mapping is re-derived from its circuit's
-    SWAPs (a wrong record means the assembler and the circuit disagree),
-    and after an even number of cost layers the reversed-layer
-    optimization must have cancelled the net permutation exactly.
-    Returns the plain-data record that lands in
-    ``extra["validate"]["program"]``.
-    """
-    layer_records = []
-    for index, layer in enumerate(program.layers):
-        scanned = layer_permutation(
-            layer.circuit, layer.input_mapping(program.n_qubits))
-        if tuple(scanned.log_to_phys) != layer.output_log_to_phys:
-            raise ValidationError(
-                f"program layer {index} ({layer.role}) records output "
-                f"mapping {list(layer.output_log_to_phys)} but its "
-                f"SWAPs produce {list(scanned.log_to_phys)}")
-        layer_records.append({
-            "role": layer.role,
-            "final_log_to_phys": list(layer.output_log_to_phys),
-        })
-    if program.p % 2 == 0 and not program.net_permutation_is_identity:
-        raise ValidationError(
-            f"program has an even number of cost layers ({program.p}) "
-            f"but the net permutation is not the identity: "
-            f"{list(program.final_log_to_phys)} != "
-            f"{list(program.initial_mapping.log_to_phys)} — the "
-            f"reversed-layer cancellation was not applied correctly")
+    contexts = program_contexts(program, coupling_edges, problem_edges,
+                                allow_repeats=allow_repeats)
+    validate_lint_report(blocking_lint(contexts))
     return {
         "p": program.p,
-        "layers": layer_records,
+        "layers": [{"role": layer.role,
+                    "final_log_to_phys":
+                        list(context.final_mapping.log_to_phys)}
+                   for layer, context in zip(program.layers, contexts)],
         "final_log_to_phys": list(program.final_log_to_phys),
         "net_permutation_identity": program.net_permutation_is_identity,
     }

@@ -1,10 +1,14 @@
 """Circuit lint: a diagnostics-based static analyzer for compiled circuits.
 
-Where :func:`repro.ir.validate.validate_compiled` raises on the first
-violation, :func:`lint_circuit` replays the same mapping bookkeeping in
+:func:`lint_circuit` tracks the logical mapping through every SWAP in
 one tolerant scan and reports **every** finding as a structured
 :class:`Diagnostic` (rule code, severity, op index, cycle, qubits,
 message, fix hint) collected into a :class:`LintReport`.
+
+It is the one definition of a correct circuit: validation
+(:mod:`repro.ir.validate`, ``CompiledResult.validate``, ``ValidatePass``,
+``BatchJob(validate=True)``) raises on the first diagnostic of a rule in
+:data:`BLOCKING_RULES` — every error-severity rule plus RL032.
 
 Rule groups (full catalogue in ``docs/linting.md``):
 
@@ -13,7 +17,9 @@ Rule groups (full catalogue in ``docs/linting.md``):
 * ``RL01x`` semantic integrity — spare-qubit gates, non-problem edges,
   repeated/missing edges, tag/mapping disagreement (errors);
 * ``RL02x`` quality — cancelling SWAP pairs, metric-accounting drift,
-  idle-heavy schedules (warnings/info).
+  idle-heavy schedules (warnings/info);
+* ``RL03x`` layered programs — mapping continuity and provenance
+  (errors), uncancelled even-p permutation (warning).
 
 Entry points:
 
@@ -31,8 +37,8 @@ from .engine import LintContext, OpView, build_context, lint_circuit, \
     lint_result
 from .program import lint_program
 from .reporters import JSON_SCHEMA_VERSION, render_json, render_text
-from .rules import (LintRule, all_rules, get_rule, register_rule,
-                    resolve_rules, rule, rule_table)
+from .rules import (BLOCKING_RULES, LintRule, all_rules, get_rule,
+                    register_rule, resolve_rules, rule, rule_table)
 
 __all__ = [
     "lint_program",
@@ -49,6 +55,7 @@ __all__ = [
     "lint_circuit",
     "lint_result",
     "build_context",
+    "BLOCKING_RULES",
     "render_text",
     "render_json",
     "rule",

@@ -1,18 +1,21 @@
 """Structured diagnostics for the circuit lint subsystem.
 
-Where :func:`repro.ir.validate.validate_compiled` raises on the *first*
-violation, the linter collects **every** finding in one scan as
+The linter collects **every** finding in one scan as
 :class:`Diagnostic` records — rule code, severity, offending op index and
 cycle, the physical (and, where known, logical) qubits involved, a
 message and a fix hint — aggregated into a :class:`LintReport`.  The
 records are plain data so they serialise into batch reports, CI output
-and ``CompiledResult.extra`` without further ceremony.
+and ``CompiledResult.extra`` without further ceremony.  Validation
+(:mod:`repro.ir.validate`) raises on a report's first blocking diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from .engine import LintContext
 
 #: Severity levels, most severe first.
 ERROR = "error"
@@ -126,6 +129,9 @@ class LintReport:
     """Every diagnostic one lint run produced, in op order."""
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
+    #: The scanned contexts the rules ran over (empty for static findings).
+    contexts: List["LintContext"] = field(default_factory=list,
+                                          repr=False, compare=False)
 
     @property
     def errors(self) -> List[Diagnostic]:

@@ -1,11 +1,11 @@
 """The lint engine: one tolerant scan, then every registered rule.
 
-:func:`lint_circuit` generalises :func:`repro.ir.validate.validate_compiled`
-from fail-fast exceptions to a full report.  The engine makes **one** pass
-over the circuit building a :class:`LintContext` — per-op ASAP cycle,
-the logical occupants each CPHASE touches under the tracked mapping, the
-executed-edge index, per-cycle activity — and each rule then reads those
-precomputed tables, so a full multi-rule lint stays ``O(ops)``.
+The engine makes **one** pass over the circuit building a
+:class:`LintContext` — per-op ASAP cycle, the logical occupants each
+CPHASE touches under the tracked mapping, the executed-edge index,
+per-cycle activity — and each rule then reads those precomputed tables,
+so a full multi-rule lint stays ``O(ops)``.  Semantic validation
+(:mod:`repro.ir.validate`) is this scan plus the blocking rules.
 
 Unlike :class:`repro.ir.circuit.Circuit` construction, the scan is
 *tolerant*: out-of-range or duplicated qubit indices (a corrupted or
@@ -16,20 +16,21 @@ strict constructors would refuse to build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Dict, FrozenSet, Iterable, List, Mapping as TypingMapping,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from ..ir.circuit import Circuit
-from ..ir.gates import CPHASE, SWAP, Op, canonical_edge, canonical_edges
+from ..ir.gates import CPHASE, SWAP, Op, canonical_edges
 from ..ir.mapping import Mapping
 from ..ir.program import Program
 from .diagnostics import Diagnostic, LintReport
+from .rules import resolve_rules
 
 Edge = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OpView:
     """One op plus everything the scan learned about it."""
 
@@ -61,33 +62,41 @@ class LintContext:
     hardware: FrozenSet[Edge]
     problem_edges: FrozenSet[Edge]
     initial_mapping: Mapping
+    #: The layout after the circuit's SWAPs.
+    final_mapping: Mapping
     allow_repeats: bool = False
     require_all_edges: bool = True
     #: Recorded metrics (``depth``/``cx``/``swaps``/``ops``) to cross-check
     #: against recomputation — the batch/serialisation accounting rule.
     expected: Optional[TypingMapping[str, float]] = None
     views: List[OpView] = field(default_factory=list)
+    #: The views of malformed ops (out-of-range or duplicated qubits).
+    malformed: List[OpView] = field(default_factory=list)
     #: Problem-or-not logical edge -> op indices of the CPHASEs that
     #: implemented it, in program order.
     executed: Dict[Edge, List[int]] = field(default_factory=dict)
-    final_mapping: Optional[Mapping] = None
-    n_cycles: int = 0
+    #: Canonical physical pairs of the well-formed two-qubit ops.
+    pairs: Set[Edge] = field(default_factory=set)
     #: Number of distinct in-range qubits busy in each cycle.
     cycle_active: List[int] = field(default_factory=list)
-    #: Set by :func:`repro.lint.program.lint_program`: the layered
-    #: program being linted and the index of the layer this context
-    #: covers.  Plain single-circuit runs leave both ``None``, which is
-    #: what keeps the RL03x program rules silent for them.
+    #: Set by :func:`program_contexts`: the layered program being linted
+    #: and the index of the layer this context covers.  Plain
+    #: single-circuit runs leave both ``None``, which is what keeps the
+    #: RL03x program rules silent for them.
     program: Optional[Program] = None
     layer_index: Optional[int] = None
 
     @property
-    def has_malformed(self) -> bool:
-        return any(view.malformed for view in self.views)
+    def n_cycles(self) -> int:
+        return len(self.cycle_active)
 
-    def executed_problem_edges(self) -> FrozenSet[Edge]:
-        return frozenset(edge for edge in self.executed
-                         if edge in self.problem_edges)
+    @property
+    def has_malformed(self) -> bool:
+        return bool(self.malformed)
+
+    def missing_edges(self) -> List[Edge]:
+        """The problem edges no CPHASE executed, sorted."""
+        return sorted(self.problem_edges - self.executed.keys())
 
 
 def build_context(
@@ -100,61 +109,143 @@ def build_context(
     expected: Optional[TypingMapping[str, float]] = None,
 ) -> LintContext:
     """One tolerant scan of ``circuit`` into a :class:`LintContext`."""
+    mapping = initial_mapping.copy()
     context = LintContext(
         circuit=circuit,
         hardware=canonical_edges(coupling_edges),
         problem_edges=canonical_edges(problem_edges),
         initial_mapping=initial_mapping,
+        final_mapping=mapping,
         allow_repeats=allow_repeats,
         require_all_edges=require_all_edges,
         expected=expected,
     )
     n_qubits = circuit.n_qubits
-    mapping = initial_mapping.copy()
-    busy_until: Dict[int, int] = {}
-    cycle_active: List[int] = []
+    phys_to_log = mapping.phys_to_log
+    # Physical qubits the mapping does not cover hold no logical qubit.
+    phys_to_log.extend([None] * (n_qubits - len(phys_to_log)))
+    # ASAP bookkeeping: in-range qubits in a list, the rest (only ever
+    # named by malformed ops) in a dict.
+    busy = [0] * n_qubits
+    busy_out: Dict[int, int] = {}
+    cycle_active = context.cycle_active
+    executed = context.executed
+    add_pair = context.pairs.add
+    add_view = context.views.append
 
     for index, op in enumerate(circuit.ops):
         qubits = op.qubits
-        seen: List[int] = []
-        duplicated_list: List[int] = []
-        for q in qubits:
-            if q in seen:
-                duplicated_list.append(q)
-            else:
-                seen.append(q)
-        duplicated = tuple(duplicated_list)
-        out_of_range = tuple(q for q in seen if not 0 <= q < n_qubits)
-        start = max((busy_until.get(q, 0) for q in seen), default=0)
-        for q in seen:
-            busy_until[q] = start + 1
-        while len(cycle_active) <= start:
-            cycle_active.append(0)
-        cycle_active[start] += sum(1 for q in seen if 0 <= q < n_qubits)
-
-        logical: Optional[Tuple[Optional[int], Optional[int]]] = None
-        logical_edge: Optional[Edge] = None
-        well_formed_pair = (len(qubits) == 2 and not duplicated
-                            and not out_of_range)
-        if op.kind == CPHASE and well_formed_pair:
+        if len(qubits) == 2:  # fast path: a well-formed two-qubit op
             u, v = qubits
-            lu, lv = mapping.logical(u), mapping.logical(v)
-            logical = (lu, lv)
-            if lu is not None and lv is not None:
-                logical_edge = canonical_edge(lu, lv)
-                context.executed.setdefault(logical_edge, []).append(index)
-        elif op.kind == SWAP and well_formed_pair:
-            mapping.swap_physical(*qubits)
+            if u != v and 0 <= u < n_qubits and 0 <= v < n_qubits:
+                start = busy[u] if busy[u] >= busy[v] else busy[v]
+                busy[u] = busy[v] = start + 1
+                if start == len(cycle_active):
+                    cycle_active.append(2)
+                else:
+                    cycle_active[start] += 2
+                add_pair((u, v) if u < v else (v, u))
+                if op.kind == CPHASE:
+                    lu, lv = phys_to_log[u], phys_to_log[v]
+                    edge: Optional[Edge] = None
+                    if lu is not None and lv is not None:
+                        edge = (lu, lv) if lu <= lv else (lv, lu)
+                        executed.setdefault(edge, []).append(index)
+                    add_view(OpView(index, op, start, (), (), (lu, lv), edge))
+                    continue
+                if op.kind == SWAP:
+                    mapping.swap_physical(u, v)
+                add_view(OpView(index, op, start))
+                continue
 
-        context.views.append(OpView(
-            index=index, op=op, cycle=start,
-            out_of_range=out_of_range, duplicated=duplicated,
-            logical=logical, logical_edge=logical_edge))
-
-    context.final_mapping = mapping
-    context.n_cycles = len(cycle_active)
-    context.cycle_active = cycle_active
+        # Any other op never moves the mapping or runs a problem gate.
+        seen: List[int] = []
+        duplicated: List[int] = []
+        for q in qubits:
+            (duplicated if q in seen else seen).append(q)
+        in_range = [q for q in seen if 0 <= q < n_qubits]
+        out_of_range = tuple(q for q in seen if not 0 <= q < n_qubits)
+        start = max([busy[q] for q in in_range]
+                    + [busy_out.get(q, 0) for q in out_of_range], default=0)
+        for q in in_range:
+            busy[q] = start + 1
+        for q in out_of_range:
+            busy_out[q] = start + 1
+        if start == len(cycle_active):
+            cycle_active.append(0)
+        cycle_active[start] += len(in_range)
+        view = OpView(index, op, start, out_of_range, tuple(duplicated))
+        add_view(view)
+        if view.malformed:
+            context.malformed.append(view)
     return context
+
+
+def program_contexts(
+    program: Program,
+    coupling_edges: Iterable[Edge],
+    problem_edges: Iterable[Edge],
+    allow_repeats: bool = False,
+) -> List[LintContext]:
+    """One context per program layer, scanned from the layer's recorded
+    input mapping; mixer walls are exempt from the all-edges requirement.
+    Layers sharing a circuit object and input mapping (the cost layers of
+    a cancelled program) share one scan."""
+    hardware = canonical_edges(coupling_edges)
+    problem = canonical_edges(problem_edges)
+    scanned: Dict[Tuple[int, Tuple[int, ...], bool], LintContext] = {}
+    contexts = []
+    for index, layer in enumerate(program.layers):
+        key = (id(layer.circuit), layer.input_log_to_phys, layer.is_cost)
+        if key not in scanned:
+            scanned[key] = build_context(
+                layer.circuit, hardware,
+                layer.input_mapping(program.n_qubits), problem,
+                allow_repeats=allow_repeats, require_all_edges=layer.is_cost)
+        contexts.append(replace(scanned[key], program=program,
+                                layer_index=index))
+    return contexts
+
+
+def build_contexts(
+    circuit: Circuit,
+    coupling_edges: Iterable[Edge],
+    initial_mapping: Mapping,
+    problem_edges: Iterable[Edge],
+    program: Optional[Program] = None,
+    allow_repeats: bool = False,
+    require_all_edges: bool = True,
+    expected: Optional[TypingMapping[str, float]] = None,
+) -> List[LintContext]:
+    """The scan of one compiled result: per layer when it carries a
+    multi-layer program (``p > 1``; a flat scan would trip RL012 on every
+    repeated cost layer), else the cost-layer circuit alone, to which
+    ``require_all_edges`` and ``expected`` apply."""
+    if program is not None and program.p > 1:
+        return program_contexts(program, coupling_edges, problem_edges,
+                                allow_repeats=allow_repeats)
+    return [build_context(circuit, coupling_edges, initial_mapping,
+                          problem_edges, allow_repeats=allow_repeats,
+                          require_all_edges=require_all_edges,
+                          expected=expected)]
+
+
+def run_rules(contexts: Sequence[LintContext],
+              select: Optional[Sequence[str]] = None,
+              ignore: Optional[Sequence[str]] = None) -> LintReport:
+    """Every registered (or selected) rule over every context, findings
+    sorted; layer contexts stamp their layer index on what they find."""
+    rules = resolve_rules(select=select, ignore=ignore)
+    diagnostics: List[Diagnostic] = []
+    for context in contexts:
+        layer = context.layer_index
+        for lint_rule in rules:
+            for diagnostic in lint_rule.check(context):
+                if layer is not None and diagnostic.layer is None:
+                    diagnostic = replace(diagnostic, layer=layer)
+                diagnostics.append(diagnostic)
+    diagnostics.sort(key=Diagnostic.sort_key)
+    return LintReport(diagnostics=diagnostics, contexts=list(contexts))
 
 
 def lint_circuit(
@@ -180,44 +271,26 @@ def lint_circuit(
         Rule codes to run exclusively / to skip.  Unknown codes raise
         ``ValueError`` naming the registered set.
     """
-    from .rules import resolve_rules
-
-    context = build_context(
+    return run_rules([build_context(
         circuit, coupling_edges, initial_mapping, problem_edges,
         allow_repeats=allow_repeats, require_all_edges=require_all_edges,
-        expected=expected)
-    diagnostics: List[Diagnostic] = []
-    for rule in resolve_rules(select=select, ignore=ignore):
-        diagnostics.extend(rule.check(context))
-    diagnostics.sort(key=Diagnostic.sort_key)
-    return LintReport(diagnostics=diagnostics)
+        expected=expected)], select, ignore)
 
 
 def lint_result(result: object, coupling: object, problem: object,
+                select: Optional[Sequence[str]] = None,
+                ignore: Optional[Sequence[str]] = None,
                 **kwargs: object) -> LintReport:
-    """Lint a :class:`repro.compiler.result.CompiledResult`.
-
-    Accepts the same keyword arguments as :func:`lint_circuit`; the
-    circuit and initial mapping come from ``result``, the hardware and
-    problem edges from ``coupling``/``problem``.  Results carrying a
-    multi-layer program (``layers > 1``) are linted per layer through
-    :func:`repro.lint.program.lint_program`; single-layer results keep
-    the historic flat-circuit lint byte for byte.
+    """Lint a :class:`repro.compiler.result.CompiledResult` over the scan
+    of :func:`build_contexts`: per layer for a multi-layer program, else
+    the historic flat-circuit lint byte for byte.  Keyword arguments are
+    those of :func:`lint_circuit`; the circuit, initial mapping and
+    program come from ``result``, the edges from ``coupling``/``problem``.
     """
-    program = getattr(result, "program", None)
-    if program is not None and program.p > 1:
-        from .program import lint_program
-
-        kwargs.pop("require_all_edges", None)
-        kwargs.pop("expected", None)
-        return lint_program(
-            program,
-            coupling.edges,        # type: ignore[attr-defined]
-            problem.edges,         # type: ignore[attr-defined]
-            **kwargs)              # type: ignore[arg-type]
-    return lint_circuit(
-        result.circuit,            # type: ignore[attr-defined]
-        coupling.edges,            # type: ignore[attr-defined]
-        result.initial_mapping,    # type: ignore[attr-defined]
-        problem.edges,             # type: ignore[attr-defined]
-        **kwargs)                  # type: ignore[arg-type]
+    return run_rules(build_contexts(
+        result.circuit,                      # type: ignore[attr-defined]
+        coupling.edges,                      # type: ignore[attr-defined]
+        result.initial_mapping,              # type: ignore[attr-defined]
+        problem.edges,                       # type: ignore[attr-defined]
+        program=getattr(result, "program", None),
+        **kwargs), select, ignore)           # type: ignore[arg-type]

@@ -1,35 +1,26 @@
-"""Program-aware linting: per-layer rule runs plus the RL03x group.
-
-A layered :class:`~repro.ir.program.Program` cannot be linted as one
-flat circuit — every cost layer re-executes the full problem edge set,
-so RL012 (repeated-edge) would fire on each repetition and RL013 would
-never see a mixer wall cleanly.  :func:`lint_program` instead runs the
-whole rule catalogue **once per layer**, each layer against its own
-recorded input mapping (cost layers must implement exactly the problem;
-mixer walls are exempt from the all-edges requirement), stamping every
-diagnostic with its layer index.
-
-The RL03x rules check what only a program can get wrong:
+"""Program-aware linting: :func:`lint_program` runs the rule catalogue
+once per layer (:func:`~repro.lint.engine.program_contexts`), stamping
+each diagnostic with its layer index, plus the RL03x rules for what only
+a program can get wrong:
 
 * **RL030 layer-mapping-discontinuity** (error) — a layer's recorded
   input mapping disagrees with the previous layer's recorded output;
 * **RL031 layer-permutation-drift** (error) — a layer's recorded output
   mapping disagrees with what its SWAPs actually produce;
-* **RL032 uncancelled-permutation** (warning) — an even number of cost
-  layers whose net permutation is *not* the identity, i.e. the
-  reversed-layer cancellation was available but not applied.
+* **RL032 uncancelled-permutation** (warning, but a blocking rule for
+  validation) — an even number of cost layers whose net permutation is
+  *not* the identity: the reversed-layer cancellation was not applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import (Iterable, Iterator, List, Mapping as TypingMapping,
                     Optional, Sequence, Tuple)
 
 from ..ir.program import Program
 from .diagnostics import ERROR, WARNING, Diagnostic, LintReport
-from .engine import LintContext, build_context
-from .rules import resolve_rules, rule
+from .engine import LintContext, program_contexts, run_rules
+from .rules import get_rule, rule
 
 Edge = Tuple[int, int]
 
@@ -66,8 +57,6 @@ def check_layer_permutation(context: "LintContext") -> Iterator[Diagnostic]:
         return
     layer = program.layers[index]
     scanned = context.final_mapping
-    if scanned is None:
-        return
     if tuple(scanned.log_to_phys) != layer.output_log_to_phys:
         yield this.diagnostic(
             f"layer {index} ({layer.role}) records output mapping "
@@ -116,33 +105,19 @@ def lint_program(
     ``swaps``, e.g. from ``CompiledResult.extra["program"]``) against
     recomputation, the program-level analogue of RL021.
     """
-    rules = resolve_rules(select=select, ignore=ignore)
-    diagnostics: List[Diagnostic] = []
-    for index, layer in enumerate(program.layers):
-        context = build_context(
-            layer.circuit, coupling_edges,
-            layer.input_mapping(program.n_qubits), problem_edges,
-            allow_repeats=allow_repeats,
-            require_all_edges=layer.is_cost)
-        context.program = program
-        context.layer_index = index
-        for lint_rule in rules:
-            for diagnostic in lint_rule.check(context):
-                if diagnostic.layer is None:
-                    diagnostic = replace(diagnostic, layer=index)
-                diagnostics.append(diagnostic)
+    report = run_rules(
+        program_contexts(program, coupling_edges, problem_edges,
+                         allow_repeats=allow_repeats), select, ignore)
     if expected:
-        diagnostics.extend(_check_program_totals(program, expected))
-    diagnostics.sort(key=Diagnostic.sort_key)
-    return LintReport(diagnostics=diagnostics)
+        report.diagnostics.extend(_check_program_totals(program, expected))
+        report.diagnostics.sort(key=Diagnostic.sort_key)
+    return report
 
 
 def _check_program_totals(
         program: Program,
         expected: TypingMapping[str, object]) -> List[Diagnostic]:
     """RL021 over program totals: recorded vs recomputed ops/swaps."""
-    from .rules import get_rule
-
     rl021 = get_rule("RL021")
     recomputed = {"ops": program.n_ops(), "swaps": program.swap_count(),
                   "layers": len(program.layers), "p": program.p}

@@ -10,6 +10,9 @@ catalogue with examples):
 * **RL02x — quality** (warning/info): legal but wasteful or inconsistent
   schedules.
 
+:data:`BLOCKING_RULES` are the rules validation (:mod:`repro.ir.validate`)
+raises on.
+
 Each rule is a pure function over the precomputed
 :class:`~repro.lint.engine.LintContext`; registering one is a
 :func:`rule` decoration, after which it participates in
@@ -40,6 +43,12 @@ MISSING_EDGE_CAP = 10
 IDLE_MIN_CYCLES = 8
 #: RL022 fires when the mean idle fraction of mapped qubits exceeds this.
 IDLE_FRACTION_THRESHOLD = 0.85
+
+#: The one definition of a correct circuit: every error-severity rule plus
+#: RL032, which lint only warns about but validation rejects.
+BLOCKING_RULES: Tuple[str, ...] = (
+    "RL001", "RL002", "RL003", "RL010", "RL011", "RL012", "RL013", "RL014",
+    "RL030", "RL031", "RL032")
 
 
 @dataclass(frozen=True)
@@ -74,14 +83,8 @@ def register_rule(rule_obj: LintRule) -> LintRule:
 
 def rule(code: str, name: str, severity: str,
          description: str) -> Callable[[CheckFn], CheckFn]:
-    """Decorator: register ``fn`` as the check of a new :class:`LintRule`.
-
-    The decorated function receives the rule object as an extra first
-    binding via closure-free convention: it is called as ``fn(context)``
-    and should use :func:`get_rule` (or the module-level helper created
-    here) to stamp diagnostics; to keep rule bodies terse the decorator
-    rebinds ``fn`` so that ``fn.rule`` is the registered rule.
-    """
+    """Decorator: register ``fn`` as the check of a new :class:`LintRule`,
+    reachable as ``fn.rule`` so rule bodies can stamp diagnostics."""
     def wrap(fn: CheckFn) -> CheckFn:
         rule_obj = LintRule(code=code, name=name, severity=severity,
                             description=description, check=fn)
@@ -135,6 +138,8 @@ def resolve_rules(select: Optional[Sequence[str]] = None,
       "a two-qubit op acts on a physical pair the coupling graph lacks")
 def check_uncoupled_pair(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_uncoupled_pair.rule  # type: ignore[attr-defined]
+    if context.pairs <= context.hardware:
+        return
     for view in context.views:
         op = view.op
         if not op.is_two_qubit or view.malformed or len(op.qubits) != 2:
@@ -153,7 +158,7 @@ def check_uncoupled_pair(context: "LintContext") -> Iterator[Diagnostic]:
       "a qubit is used more than once in the same cycle")
 def check_cycle_conflict(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_cycle_conflict.rule  # type: ignore[attr-defined]
-    for view in context.views:
+    for view in context.malformed:
         for q in view.duplicated:
             yield this.diagnostic(
                 f"qubit {q} used twice in cycle {view.cycle} by "
@@ -169,7 +174,7 @@ def check_cycle_conflict(context: "LintContext") -> Iterator[Diagnostic]:
 def check_qubit_range(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_qubit_range.rule  # type: ignore[attr-defined]
     width = context.circuit.n_qubits
-    for view in context.views:
+    for view in context.malformed:
         for q in view.out_of_range:
             yield this.diagnostic(
                 f"qubit {q} out of range for the {width}-qubit register",
@@ -227,14 +232,15 @@ def check_repeated_edge(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_repeated_edge.rule  # type: ignore[attr-defined]
     if context.allow_repeats:
         return
-    for edge, indices in sorted(context.executed.items()):
-        if edge not in context.problem_edges or len(indices) < 2:
-            continue
+    repeated = sorted(edge for edge, indices in context.executed.items()
+                      if len(indices) > 1 and edge in context.problem_edges)
+    for edge in repeated:
+        indices = context.executed[edge]
         first = indices[0]
         for index in indices[1:]:
             view = context.views[index]
             yield this.diagnostic(
-                f"problem edge {edge} repeated (first executed at "
+                f"cphase repeats problem edge {edge} (first executed at "
                 f"op#{first})",
                 op_index=index, cycle=view.cycle,
                 qubits=tuple(view.op.qubits), logical=edge,
@@ -249,8 +255,7 @@ def check_missing_edges(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_missing_edges.rule  # type: ignore[attr-defined]
     if not context.require_all_edges:
         return
-    missing = sorted(context.problem_edges
-                     - context.executed_problem_edges())
+    missing = context.missing_edges()
     for edge in missing[:MISSING_EDGE_CAP]:
         yield this.diagnostic(
             f"problem edge {edge} never executed",

@@ -115,6 +115,8 @@ def assemble_program(
     weighted = problem is not None and problem.is_weighted
     program_layers: List[ProgramLayer] = []
     current = initial_mapping.copy()
+    # One object for every reversed layer: lint scans it once.
+    reversed_circuit = reversed_layer(circuit)
     for k in range(layers):
         role = ROLE_COST if k % 2 == 0 else ROLE_REVERSED_COST
         gamma_k = gammas[k] if gammas is not None else None
@@ -122,7 +124,7 @@ def assemble_program(
         entry = tuple(current.log_to_phys)
         if not weighted and angle == compile_gamma:
             layer_circuit = (circuit if role == ROLE_COST
-                             else reversed_layer(circuit))
+                             else reversed_circuit)
             current = layer_permutation(layer_circuit, current)
         else:
             ops = list(circuit.ops)

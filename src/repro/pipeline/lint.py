@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .._telemetry import count_event
 from ..exceptions import LintError
-from ..lint import lint_circuit, lint_program, render_json
+from ..lint import render_json
+from ..lint.engine import build_contexts, run_rules
 from .base import Pass
 from .context import CompilationContext
 
@@ -63,18 +64,10 @@ class LintPass(Pass):
         allow_repeats = (self.allow_repeats
                          if self.allow_repeats is not None
                          else bool(context.knob("allow_repeats", False)))
-        if context.program is not None and context.program.p > 1:
-            # Multi-layer schedules lint per layer (the flat circuit
-            # would trip RL012 on every repeated cost layer).
-            report = lint_program(
-                context.program, context.coupling.edges,
-                context.problem.edges, allow_repeats=allow_repeats,
-                select=self.select, ignore=self.ignore)
-        else:
-            report = lint_circuit(
-                context.circuit, context.coupling.edges, context.mapping,
-                context.problem.edges, allow_repeats=allow_repeats,
-                select=self.select, ignore=self.ignore)
+        report = run_rules(build_contexts(
+            context.circuit, context.coupling.edges, context.mapping,
+            context.problem.edges, program=context.program,
+            allow_repeats=allow_repeats), self.select, self.ignore)
         context.extras["lint"] = render_json(
             report, max_diagnostics=MAX_EMBEDDED_DIAGNOSTICS)
         counts = report.counts()

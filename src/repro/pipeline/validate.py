@@ -17,14 +17,15 @@ from .context import CompilationContext
 
 
 class ValidatePass(Pass):
-    """Check the compiled circuit with the semantic validator.
+    """Check the compiled circuit with lint's blocking rules.
 
     Reads ``circuit`` and ``mapping``; raises
     :class:`repro.exceptions.ValidationError` when the circuit uses a
     non-existent coupling, drops a problem gate, or applies one under the
     wrong mapping.  ``allow_repeats`` (constructor argument, falling back
     to the context's ``allow_repeats`` knob) admits clique-style patterns
-    that deliberately revisit pairs.
+    that deliberately revisit pairs.  An attached program has each layer
+    checked too, from its own recorded input mapping.
 
     On success it records ``extra["validated_edges"]`` (backwards
     compatible) plus ``extra["validate"]`` with everything
@@ -55,6 +56,7 @@ class ValidatePass(Pass):
             if report.final_mapping is not None else None,
         }
         if context.program is not None:
-            context.extras["validate"]["program"] = \
-                validate_program(context.program)
+            context.extras["validate"]["program"] = validate_program(
+                context.program, context.coupling.edges,
+                context.problem.edges, allow_repeats=allow_repeats)
         return True
