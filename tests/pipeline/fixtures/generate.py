@@ -1,5 +1,8 @@
 #!/usr/bin/env python
-"""Regenerate ``golden64.json`` — the 64-qubit byte-identity fixtures.
+"""Regenerate the golden byte-identity fixtures.
+
+``golden64.json`` pins the 64-qubit compiles, ``golden_program16.json``
+a p=3 program and ``golden_noisy.json`` the noise-aware hybrid compiles.
 
 Every registered compiler method is run on fixed 64-logical-qubit
 instances (an 8x8 grid and the smallest heavy-hex holding 64 qubits,
@@ -32,7 +35,7 @@ FIXTURE_DIR = Path(__file__).resolve().parent
 REPO_ROOT = FIXTURE_DIR.parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.arch import grid  # noqa: E402
+from repro.arch import NoiseModel, grid, line  # noqa: E402
 from repro.arch.heavyhex import heavyhex_for  # noqa: E402
 from repro.compiler import compile_qaoa  # noqa: E402
 from repro.ir.serialize import circuit_to_dict, program_to_dict  # noqa: E402
@@ -71,6 +74,20 @@ METHOD_OPTIONS = {
 
 #: Methods never run at 64 qubits.
 EXCLUDED_METHODS = ("optimal",)
+
+#: Noise-aware hybrid compiles (``golden_noisy.json``): with a
+#: ``NoiseModel`` the selector's cost F scores every candidate's ESP.
+#: Each entry is (arch label, problem label, noise seed); both golden
+#: architectures run both ``PROBLEMS``, and a 32-qubit line instance
+#: whose winner is a spliced ``hybrid@<cycle>`` candidate pins a
+#: greedy prefix plus ATA suffix chosen under noise.
+NOISY_ARCHITECTURES = ARCHITECTURES + (("line-32", lambda: line(32)),)
+NOISY_PROBLEMS = PROBLEMS + (("rand-32-0.1-s2", 32, 0.1, 2),)
+NOISY_CASES = tuple(
+    (arch_label, prob_label, 3)
+    for arch_label, _ in ARCHITECTURES
+    for prob_label, _, _, _ in PROBLEMS
+) + (("line-32", "rand-32-0.1-s2", 2),)
 
 
 def circuit_digest(circuit) -> str:
@@ -119,7 +136,52 @@ def main() -> int:
     out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {out}")
     write_program_fixture()
+    write_noisy_fixture()
     return 0
+
+
+def compile_noisy(arch_label: str, prob_label: str, noise_seed: int):
+    """One ``NOISY_CASES`` entry's hybrid compile, as pinned."""
+    coupling = dict(NOISY_ARCHITECTURES)[arch_label]()
+    _, n, density, seed = next(spec for spec in NOISY_PROBLEMS
+                               if spec[0] == prob_label)
+    problem = random_problem_graph(n, density, seed=seed)
+    noise = NoiseModel(coupling, seed=noise_seed)
+    result = compile_qaoa(coupling, problem, method="hybrid", noise=noise,
+                          gamma=GAMMA)
+    result.validate(coupling, problem)
+    return result, noise
+
+
+def write_noisy_fixture() -> None:
+    """Pin the noise-aware hybrid compiles byte for byte."""
+    entries = []
+    for arch_label, prob_label, noise_seed in NOISY_CASES:
+        result, noise = compile_noisy(arch_label, prob_label, noise_seed)
+        entry = {
+            "arch": arch_label,
+            "problem": prob_label,
+            "noise_seed": noise_seed,
+            "selected": result.extra["selected"],
+            "sha256": circuit_digest(result.circuit),
+            "depth": result.depth(),
+            "cx": result.circuit.cx_count(unify=True),
+            "swaps": result.circuit.swap_count,
+            "esp": result.esp(noise),
+        }
+        entries.append(entry)
+        print(f"{arch_label:12s} {prob_label:18s} noise={noise_seed} "
+              f"{entry['selected']:12s} depth={entry['depth']:4d} "
+              f"cx={entry['cx']:5d} {entry['sha256'][:12]}", flush=True)
+    document = {
+        "generated_by": "tests/pipeline/fixtures/generate.py",
+        "gamma": GAMMA,
+        "method": "hybrid",
+        "entries": entries,
+    }
+    out = FIXTURE_DIR / "golden_noisy.json"
+    out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} noisy entries to {out}")
 
 
 def write_program_fixture() -> None:

@@ -23,9 +23,10 @@ from repro.problems import random_problem_graph
 
 from repro.ir.serialize import program_to_dict
 
-from .fixtures.generate import (ARCHITECTURES, PROBLEMS, PROGRAM_ARCH,
-                                PROGRAM_LAYERS, PROGRAM_METHODS,
-                                PROGRAM_PROBLEM, circuit_digest)
+from .fixtures.generate import (ARCHITECTURES, NOISY_CASES, PROBLEMS,
+                                PROGRAM_ARCH, PROGRAM_LAYERS,
+                                PROGRAM_METHODS, PROGRAM_PROBLEM,
+                                circuit_digest, compile_noisy)
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden64.json"
 DOCUMENT = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
@@ -33,6 +34,8 @@ PROGRAM_FIXTURE_PATH = (Path(__file__).parent / "fixtures"
                         / "golden_program16.json")
 PROGRAM_DOCUMENT = json.loads(
     PROGRAM_FIXTURE_PATH.read_text(encoding="utf-8"))
+NOISY_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_noisy.json"
+NOISY_DOCUMENT = json.loads(NOISY_FIXTURE_PATH.read_text(encoding="utf-8"))
 
 ARCH_FACTORIES = dict(ARCHITECTURES)
 PROBLEM_SPECS = {label: (n, density, seed)
@@ -109,3 +112,32 @@ class TestGoldenProgram16:
         # compiled circuit *object*, reused verbatim.
         assert base.program is not None and base.program.p == 1
         assert base.program.layers[0].circuit is base.circuit
+
+
+class TestGoldenNoisy:
+    """Noise-aware hybrid compiles: ESP enters every candidate's cost F."""
+
+    def test_fixtures_are_fresh(self):
+        pinned = [(e["arch"], e["problem"], e["noise_seed"])
+                  for e in NOISY_DOCUMENT["entries"]]
+        assert pinned == list(NOISY_CASES)
+        # At least one winner splices a greedy prefix onto an ATA suffix.
+        assert any(e["selected"].startswith("hybrid@")
+                   for e in NOISY_DOCUMENT["entries"])
+
+    @pytest.mark.parametrize(
+        "entry", NOISY_DOCUMENT["entries"],
+        ids=[f"{e['arch']}-{e['problem']}"
+             for e in NOISY_DOCUMENT["entries"]])
+    def test_noisy_compile_byte_identical(self, entry):
+        result, noise = compile_noisy(entry["arch"], entry["problem"],
+                                      entry["noise_seed"])
+        assert result.extra["selected"] == entry["selected"]
+        assert result.depth() == entry["depth"]
+        assert result.circuit.cx_count(unify=True) == entry["cx"]
+        assert result.circuit.swap_count == entry["swaps"]
+        assert result.esp(noise) == pytest.approx(entry["esp"], rel=1e-12)
+        assert circuit_digest(result.circuit) == entry["sha256"], (
+            f"noisy hybrid on {entry['arch']}/{entry['problem']} no longer "
+            "produces a byte-identical circuit; if intentional, regenerate "
+            "tests/pipeline/fixtures/golden_noisy.json")
