@@ -2,7 +2,8 @@
 """CI smoke: the p-layer program path end to end (ISSUE 7).
 
 Compiles the NNN-Ising-16 Hamiltonian-simulation benchmark on heavy-hex
-into a p=4 program, asserts the reversed-layer cancellation closed the
+into a p=4 program with the noise-aware selector (ESP in cost F; the
+heavy-hex pattern's non-disjoint cycles are swept under noise), asserts the reversed-layer cancellation closed the
 net permutation, lints the program per layer (zero errors required),
 validates the semantic contract and checks that validation and lint
 agree on it (validation is lint's blocking rules, so a disagreement is
@@ -42,8 +43,8 @@ def main() -> int:
     coupling = architecture_for("heavyhex", N_LOGICAL)
     noise = NoiseModel(coupling, seed=0)
 
-    result = compile_qaoa(coupling, problem, method="hybrid", gamma=GAMMA,
-                          layers=LAYERS)
+    result = compile_qaoa(coupling, problem, method="hybrid", noise=noise,
+                          gamma=GAMMA, layers=LAYERS)
     program = result.program
     print(f"compiled {problem.name} on {coupling.name}: {program!r}")
     if program is None or program.p != LAYERS:

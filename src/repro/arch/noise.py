@@ -11,7 +11,7 @@ crosstalk-aware gate scheduling — exercise realistic variability.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ class NoiseModel:
             draw = float(rng.lognormal(math.log(readout_error_median), 0.4))
             self.readout_error[q] = min(max(draw, 5e-3), 1.2e-1)
         self._crosstalk: FrozenSet = None  # computed lazily (O(E^2))
+        self._edge_keys: Optional[np.ndarray] = None  # lazily, see edge_ids
 
     # -- queries ------------------------------------------------------------------
 
@@ -109,16 +110,34 @@ class NoiseModel:
         return counts
 
     def esp(self, circuit: Circuit, include_readout: bool = False) -> float:
-        """Estimated success probability: product of gate success rates."""
-        log_esp = 0.0
-        for edge, n_cx in self.cx_per_edge(circuit).items():
-            log_esp += n_cx * math.log1p(-self.cx_error[edge])
+        """Estimated success probability: product of gate success rates.
+
+        The log-domain terms are summed with ``math.fsum``, which is
+        exactly rounded, so the result does not depend on the order in
+        which edges first complete (a plain float sum would).
+        """
+        terms = [n_cx * math.log1p(-self.cx_error[edge])
+                 for edge, n_cx in self.cx_per_edge(circuit).items()]
         n_single = sum(1 for op in circuit if len(op.qubits) == 1)
-        log_esp += n_single * math.log1p(-self.sq_error)
+        terms.append(n_single * math.log1p(-self.sq_error))
         if include_readout:
-            for q in range(circuit.n_qubits):
-                log_esp += math.log1p(-self.readout_error[q])
-        return math.exp(log_esp)
+            terms.extend(math.log1p(-self.readout_error[q])
+                         for q in range(circuit.n_qubits))
+        return math.exp(math.fsum(terms))
+
+    def edge_ids(self, lo, hi):
+        """Indices of couplings ``(lo, hi)`` in :attr:`cx_error` order.
+
+        ``lo < hi``; ints or numpy arrays.  The sorted ``lo * n + hi``
+        keys are built once per model, so a per-edge tally needs no
+        n-by-n lookup table.
+        """
+        if self._edge_keys is None:
+            n = self.coupling.n_qubits
+            self._edge_keys = np.array([u * n + v for u, v in self.cx_error],
+                                       dtype=np.int64)
+        return np.searchsorted(self._edge_keys,
+                               lo * self.coupling.n_qubits + hi)
 
 
 def _crosstalk_pairs(coupling: CouplingGraph):

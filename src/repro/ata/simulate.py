@@ -13,21 +13,19 @@ selector inputs exactly:
 * **depth** — the ASAP schedule length, replicating ``Circuit.depth``;
 * **gate count** — fusion-aware CX count, replicating
   ``count_cx(unify=True)`` (adjacent CPHASE+SWAP on a pair = 3 CX);
-* **esp** — when a noise model is present, the per-edge CX tally and
-  success-probability product of ``NoiseModel.esp``, including its
-  accumulation order (float sums are order-sensitive).
+* **esp** — when a noise model is present, the success-probability
+  product of ``NoiseModel.esp``: an exactly rounded ``math.fsum`` over
+  per-edge CX tallies, so it does not depend on accumulation order.
 
-Two trackers exist: :class:`ExactTracker` mirrors ``fusion_units`` /
-``esp`` op by op and is used whenever a noise model demands the esp
-term; :class:`FastTracker` holds the same fusion state in flat arrays
-and additionally accepts whole *disjoint* cycles as numpy batches.  For
-a cycle whose actions touch pairwise-disjoint physical qubits, every
-executor decision depends only on start-of-cycle state (distinct
-positions hold distinct logicals, so no gate can affect another's
-needed/degree reads), and depth/fusion updates commute — which is what
-makes the batch path exact, not approximate.  Non-disjoint cycles (the
-heavy-hex interleave shares an anchor qubit) always take the sequential
-path with the executor's ``used``-set semantics.
+One tracker, :class:`MetricTracker`, holds this state in flat arrays and
+accepts a whole cycle's emitted gates as a numpy batch.  Every total is
+an integer sum or an order-free ``fsum``, so batching is exact, not
+approximate.  For a cycle whose actions touch pairwise-disjoint physical
+qubits, every executor decision depends only on start-of-cycle state
+(distinct positions hold distinct logicals, so no gate can affect
+another's needed/degree reads).  Non-disjoint cycles (the heavy-hex
+interleave shares an anchor qubit) add the executor's first-come qubit
+reservation over the surviving candidates before the batch is fed.
 
 The selected candidate is materialised afterwards by re-running the real
 executor, so compiled circuits stay byte-identical; the golden fixtures
@@ -37,7 +35,7 @@ pin that, and ``tests/ata/test_simulate.py`` pins metric equality.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -63,170 +61,62 @@ def _code_of(kind: str) -> int:
     return _KIND_CODE.get(kind, K_OTHER)
 
 
-class ExactTracker:
-    """Op-by-op replica of depth / fused CX count / esp accumulation.
+class MetricTracker:
+    """Array-state replica of depth / fused CX count / esp.
 
-    Mirrors :func:`repro.ir.decompose.fusion_units` (pending pair,
-    qubit->pair index, flush-on-conflict, first-held drain order) and
-    :meth:`repro.arch.noise.NoiseModel.esp` (per-edge tallies in
-    first-completion order) exactly, including dict insertion orders —
-    esp is a float sum, so order changes would change the score.
+    Fusion state lives in ``held_partner`` / ``held_kind`` arrays so a
+    whole cycle updates in a handful of numpy operations.  With a noise
+    model the tracker also keeps an integer CX tally per coupling (in
+    :attr:`NoiseModel.cx_error` order) and the single-qubit op count;
+    every total is an order-insensitive integer sum and esp is an
+    exactly rounded ``fsum`` of the same terms as ``NoiseModel.esp``,
+    so batching is exact.
     """
-
-    supports_batch = False
 
     def __init__(self, n_qubits: int,
                  noise: Optional[NoiseModel] = None) -> None:
         self.n_qubits = n_qubits
         self.noise = noise
-        self.busy: List[int] = [0] * n_qubits
-        self.depth = 0
-        self.cx = 0
-        self.pending: Dict[Tuple[int, int], int] = {}
-        self.qubit_to_pair: Dict[int, Tuple[int, int]] = {}
-        self.edge_cx: Dict[Tuple[int, int], int] = {}
-        self.n_single = 0
-
-    def copy(self) -> "ExactTracker":
-        clone = ExactTracker.__new__(ExactTracker)
-        clone.n_qubits = self.n_qubits
-        clone.noise = self.noise
-        clone.busy = list(self.busy)
-        clone.depth = self.depth
-        clone.cx = self.cx
-        clone.pending = dict(self.pending)
-        clone.qubit_to_pair = dict(self.qubit_to_pair)
-        clone.edge_cx = dict(self.edge_cx)
-        clone.n_single = self.n_single
-        return clone
-
-    # -- unit bookkeeping (mirrors count_cx + cx_per_edge) -------------------
-
-    def _emit_standalone(self, pair: Tuple[int, int], code: int) -> None:
-        self.cx += _STANDALONE_CX[code]
-        if self.noise is not None and code != K_OTHER:
-            self.edge_cx[pair] = (self.edge_cx.get(pair, 0)
-                                  + _STANDALONE_CX[code])
-
-    def _flush(self, pair: Tuple[int, int]) -> None:
-        code = self.pending.pop(pair)
-        for q in pair:
-            self.qubit_to_pair.pop(q, None)
-        self._emit_standalone(pair, code)
-
-    def feed2(self, code: int, u: int, v: int) -> None:
-        """A two-qubit op on physical qubits ``(u, v)``."""
-        bu = self.busy[u]
-        bv = self.busy[v]
-        end = (bu if bu >= bv else bv) + 1
-        self.busy[u] = end
-        self.busy[v] = end
-        if end > self.depth:
-            self.depth = end
-
-        pair = (u, v) if u < v else (v, u)
-        if code == K_CPHASE or code == K_SWAP:
-            held = self.pending.get(pair)
-            if held is not None and held != code:
-                del self.pending[pair]
-                for q in pair:
-                    self.qubit_to_pair.pop(q, None)
-                self.cx += 3
-                if self.noise is not None:
-                    self.edge_cx[pair] = self.edge_cx.get(pair, 0) + 3
-                return
-            # Flush conflicts in the op's *given* qubit order — that is
-            # the order ``fusion_units`` walks ``op.qubits``, and flush
-            # order decides esp's accumulation order.
-            for q in (u, v):
-                other = self.qubit_to_pair.get(q)
-                if other is not None:
-                    self._flush(other)
-            self.pending[pair] = code
-            self.qubit_to_pair[u] = pair
-            self.qubit_to_pair[v] = pair
-        else:
-            for q in (u, v):
-                other = self.qubit_to_pair.get(q)
-                if other is not None:
-                    self._flush(other)
-            self._emit_standalone(pair, code)
-
-    def feed_op(self, op: Op) -> None:
-        """An arbitrary prefix op (greedy prefixes hold CPHASE/SWAP only)."""
-        qubits = op.qubits
-        if len(qubits) == 2:
-            self.feed2(_code_of(op.kind), qubits[0], qubits[1])
-            return
-        start = max(self.busy[q] for q in qubits)
-        end = start + 1
-        for q in qubits:
-            self.busy[q] = end
-            other = self.qubit_to_pair.get(q)
-            if other is not None:
-                self._flush(other)
-        if end > self.depth:
-            self.depth = end
-        if len(qubits) == 1:
-            self.n_single += 1
-
-    # -- results -------------------------------------------------------------
-
-    def finalize(self) -> Tuple[int, int, Optional[float]]:
-        """(depth, cx_count, esp) — non-destructive, fork-safe."""
-        cx = self.cx
-        esp: Optional[float] = None
-        if self.noise is None:
-            for pair in self.pending:
-                cx += _STANDALONE_CX[self.pending[pair]]
-        else:
-            edge_cx = dict(self.edge_cx)
-            for pair in self.pending:
-                code = self.pending[pair]
-                cx += _STANDALONE_CX[code]
-                edge_cx[pair] = edge_cx.get(pair, 0) + _STANDALONE_CX[code]
-            log_esp = 0.0
-            cx_error = self.noise.cx_error
-            for edge, n_cx in edge_cx.items():
-                log_esp += n_cx * math.log1p(-cx_error[edge])
-            log_esp += self.n_single * math.log1p(-self.noise.sq_error)
-            esp = math.exp(log_esp)
-        return self.depth, cx, esp
-
-
-class FastTracker:
-    """Array-state tracker for the no-noise scoring path.
-
-    Depth and fused CX count only (the esp term needs ordered float
-    accumulation, which is what :class:`ExactTracker` is for).  Fusion
-    state lives in ``held_partner`` / ``held_kind`` arrays so a whole
-    disjoint cycle updates in a handful of numpy operations; both totals
-    are order-insensitive sums, so batching is exact.
-    """
-
-    supports_batch = True
-
-    def __init__(self, n_qubits: int,
-                 noise: Optional[NoiseModel] = None) -> None:
-        assert noise is None, "FastTracker cannot produce the esp term"
-        self.n_qubits = n_qubits
         self.busy = np.zeros(n_qubits, dtype=np.int64)
         self.depth = 0
         self.cx = 0
         self.held_partner = np.full(n_qubits, -1, dtype=np.int64)
         self.held_kind = np.zeros(n_qubits, dtype=np.int8)
+        self.edge_cx: Optional[np.ndarray] = None
+        self.n_single = 0
+        if noise is not None:
+            self.edge_cx = np.zeros(len(noise.cx_error), dtype=np.int64)
+            self.log_keep = np.array(
+                [math.log1p(-error) for error in noise.cx_error.values()])
 
-    def copy(self) -> "FastTracker":
-        clone = FastTracker.__new__(FastTracker)
-        clone.n_qubits = self.n_qubits
+    def copy(self) -> "MetricTracker":
+        clone = MetricTracker.__new__(MetricTracker)
+        clone.__dict__.update(self.__dict__)
         clone.busy = self.busy.copy()
-        clone.depth = self.depth
-        clone.cx = self.cx
         clone.held_partner = self.held_partner.copy()
         clone.held_kind = self.held_kind.copy()
+        if self.edge_cx is not None:
+            clone.edge_cx = self.edge_cx.copy()
         return clone
 
+    def _tally(self, u: int, v: int, n_cx: int) -> None:
+        if self.edge_cx is not None:
+            lo, hi = (u, v) if u < v else (v, u)
+            self.edge_cx[self.noise.edge_ids(lo, hi)] += n_cx
+
+    def _flush(self, q: int) -> None:
+        """Emit the pending pair held on qubit ``q``, if any, unfused."""
+        held = self.held_partner
+        p = held[q]
+        if p >= 0:
+            n_cx = _STANDALONE_CX[self.held_kind[q]]
+            self.cx += n_cx
+            self._tally(q, p, n_cx)
+            held[q] = -1
+            held[p] = -1
+
     def feed2(self, code: int, u: int, v: int) -> None:
+        """A two-qubit op on physical qubits ``(u, v)``."""
         busy = self.busy
         bu = busy[u]
         bv = busy[v]
@@ -240,49 +130,40 @@ class FastTracker:
         if code == K_CPHASE or code == K_SWAP:
             if held[u] == v and self.held_kind[u] != code:
                 self.cx += 3
+                self._tally(u, v, 3)
                 held[u] = -1
                 held[v] = -1
                 return
-            for q in (u, v):
-                p = held[q]
-                if p >= 0:
-                    self.cx += _STANDALONE_CX[self.held_kind[q]]
-                    held[q] = -1
-                    held[p] = -1
+            self._flush(u)
+            self._flush(v)
             held[u] = v
             held[v] = u
             self.held_kind[u] = code
             self.held_kind[v] = code
         else:
-            for q in (u, v):
-                p = held[q]
-                if p >= 0:
-                    self.cx += _STANDALONE_CX[self.held_kind[q]]
-                    held[q] = -1
-                    held[p] = -1
+            self._flush(u)
+            self._flush(v)
             self.cx += _STANDALONE_CX[code]
+            self._tally(u, v, _STANDALONE_CX[code])
 
     def feed_op(self, op: Op) -> None:
+        """An arbitrary prefix op (greedy prefixes hold CPHASE/SWAP only)."""
         qubits = op.qubits
         if len(qubits) == 2:
             self.feed2(_code_of(op.kind), qubits[0], qubits[1])
             return
-        start = int(max(self.busy[q] for q in qubits))
-        end = start + 1
-        held = self.held_partner
+        end = int(max(self.busy[q] for q in qubits)) + 1
         for q in qubits:
             self.busy[q] = end
-            p = held[q]
-            if p >= 0:
-                self.cx += _STANDALONE_CX[self.held_kind[q]]
-                held[q] = -1
-                held[p] = -1
+            self._flush(q)
         if end > self.depth:
             self.depth = end
+        if len(qubits) == 1:
+            self.n_single += 1
 
     def feed_batch(self, codes: np.ndarray, us: np.ndarray,
                    vs: np.ndarray) -> None:
-        """One disjoint cycle's emitted two-qubit ops, all at once."""
+        """One cycle's emitted two-qubit ops (pairwise qubit-disjoint)."""
         if not us.size:
             return
         busy = self.busy
@@ -294,12 +175,19 @@ class FastTracker:
             self.depth = top
 
         held = self.held_partner
+        edge_cx = self.edge_cx
         fuse = (held[us] == vs) & (self.held_kind[us] != codes)
         n_fused = int(np.count_nonzero(fuse))
         if n_fused:
             self.cx += 3 * n_fused
-            held[us[fuse]] = -1
-            held[vs[fuse]] = -1
+            fu = us[fuse]
+            fv = vs[fuse]
+            held[fu] = -1
+            held[fv] = -1
+            if edge_cx is not None:
+                # Disjoint ops name distinct edges, so ``+=`` is safe.
+                edge_cx[self.noise.edge_ids(np.minimum(fu, fv),
+                                            np.maximum(fu, fv))] += 3
         rest = ~fuse
         ru = us[rest]
         rv = vs[rest]
@@ -317,8 +205,10 @@ class FastTracker:
             keys = np.unique(lo * np.int64(self.n_qubits) + hi)
             flo = keys // self.n_qubits
             fhi = keys % self.n_qubits
-            self.cx += int(
-                np.take(_STANDALONE_CX_ARR, self.held_kind[flo]).sum())
+            n_cx = np.take(_STANDALONE_CX_ARR, self.held_kind[flo])
+            self.cx += int(n_cx.sum())
+            if edge_cx is not None:
+                edge_cx[self.noise.edge_ids(flo, fhi)] += n_cx
             held[flo] = -1
             held[fhi] = -1
         held[ru] = rv
@@ -327,22 +217,22 @@ class FastTracker:
         self.held_kind[rv] = codes[rest]
 
     def finalize(self) -> Tuple[int, int, Optional[float]]:
+        """(depth, cx_count, esp) — non-destructive, fork-safe."""
         held = self.held_partner
         mine = np.nonzero(held > np.arange(self.n_qubits))[0]
-        cx = self.cx + int(
-            np.take(_STANDALONE_CX_ARR, self.held_kind[mine]).sum())
-        return self.depth, cx, None
+        n_cx = np.take(_STANDALONE_CX_ARR, self.held_kind[mine])
+        cx = self.cx + int(n_cx.sum())
+        if self.noise is None:
+            return self.depth, cx, None
+        edge_cx = self.edge_cx.copy()
+        edge_cx[self.noise.edge_ids(mine, held[mine])] += n_cx
+        # The terms of ``NoiseModel.esp``; zero tallies add exact zeros.
+        terms = (edge_cx * self.log_keep).tolist()
+        terms.append(self.n_single * math.log1p(-self.noise.sq_error))
+        return self.depth, cx, math.exp(math.fsum(terms))
 
 
 _STANDALONE_CX_ARR = np.array(_STANDALONE_CX, dtype=np.int64)
-
-
-def make_tracker(n_qubits: int,
-                 noise: Optional[NoiseModel] = None):
-    """The cheapest tracker that can produce the selector's metrics."""
-    if noise is None:
-        return FastTracker(n_qubits)
-    return ExactTracker(n_qubits, noise)
 
 
 # -- compiled pattern cycles -------------------------------------------------
@@ -430,7 +320,7 @@ class _SimState:
 
 
 def _simulate_region(state: _SimState, pattern: AtaPattern,
-                     edges: Set[Tuple[int, int]], tracker
+                     edges: Set[Tuple[int, int]], tracker: MetricTracker
                      ) -> List[Tuple[int, int]]:
     """Replay one region's pattern execution into the tracker.
 
@@ -444,114 +334,75 @@ def _simulate_region(state: _SimState, pattern: AtaPattern,
     p2l = state.p2l
     needed = state.needed
     degree = state.degree
-    batch_ok = tracker.supports_batch
 
     for codes, us, vs, disjoint in compiled_cycles(pattern):
         if not count:
             break
-        if batch_ok:
-            lu = p2l[us]
-            lv = p2l[vs]
-            real = (lu >= 0) & (lv >= 0)
-            gate_emit = real & (codes == K_CPHASE)
-            if gate_emit.any():
-                gate_emit[gate_emit] = needed[lu[gate_emit],
-                                              lv[gate_emit]]
-            swap_emit = codes == K_SWAP
-            if swap_emit.any():
-                au = (lu >= 0) & swap_emit
-                av = (lv >= 0) & swap_emit
-                active = np.zeros(len(codes), dtype=bool)
-                active[au] = degree[lu[au]] > 0
-                active[av] |= degree[lv[av]] > 0
-                swap_emit &= active
-            if not disjoint:
-                # Candidate flags above are exact against pre-cycle
-                # state; all that's left of the executor's sequential
-                # semantics is first-come qubit reservation.  Resolve it
-                # over the surviving candidates only (typically a
-                # handful for the heavy-hex interleaves).
-                cand = np.nonzero(gate_emit | swap_emit)[0]
-                if len(cand) > 1:
-                    cu = us[cand].tolist()
-                    cv = vs[cand].tolist()
-                    taken: Set[int] = set()
-                    for pos, u, v in zip(cand.tolist(), cu, cv):
-                        if u in taken or v in taken:
-                            gate_emit[pos] = False
-                            swap_emit[pos] = False
-                        else:
-                            taken.add(u)
-                            taken.add(v)
-            emit = gate_emit | swap_emit
-            if not emit.any():
-                continue
-            # Commit gates: clear needed pairs, drop degrees.
-            if gate_emit.any():
-                glu = lu[gate_emit]
-                glv = lv[gate_emit]
-                needed[glu, glv] = False
-                needed[glv, glu] = False
-                degree[glu] -= 1
-                degree[glv] -= 1
-                count -= int(np.count_nonzero(gate_emit))
-            # Commit swaps: exchange occupants.
-            if swap_emit.any():
-                su = us[swap_emit]
-                sv = vs[swap_emit]
-                slu = p2l[su].copy()
-                slv = p2l[sv].copy()
-                p2l[su] = slv
-                p2l[sv] = slu
-                moved = slu >= 0
-                state.l2p[slu[moved]] = sv[moved]
-                moved = slv >= 0
-                state.l2p[slv[moved]] = su[moved]
-            tracker.feed_batch(codes[emit], us[emit], vs[emit])
-        else:
-            used: Set[int] = set()
-            for k in range(len(codes)):
-                u = int(us[k])
-                v = int(vs[k])
-                if codes[k] == K_CPHASE:
-                    lu = int(p2l[u])
-                    lv = int(p2l[v])
-                    if lu < 0 or lv < 0:
-                        continue
-                    if (needed[lu, lv] and u not in used
-                            and v not in used):
-                        tracker.feed2(K_CPHASE, u, v)
-                        needed[lu, lv] = False
-                        needed[lv, lu] = False
-                        degree[lu] -= 1
-                        degree[lv] -= 1
-                        count -= 1
-                        used.add(u)
-                        used.add(v)
-                else:
-                    if u in used or v in used:
-                        continue
-                    lu = int(p2l[u])
-                    lv = int(p2l[v])
-                    if ((lu < 0 or degree[lu] <= 0)
-                            and (lv < 0 or degree[lv] <= 0)):
-                        continue
-                    tracker.feed2(K_SWAP, u, v)
-                    p2l[u] = lv
-                    p2l[v] = lu
-                    if lu >= 0:
-                        state.l2p[lu] = v
-                    if lv >= 0:
-                        state.l2p[lv] = u
-                    used.add(u)
-                    used.add(v)
+        lu = p2l[us]
+        lv = p2l[vs]
+        real = (lu >= 0) & (lv >= 0)
+        gate_emit = real & (codes == K_CPHASE)
+        if gate_emit.any():
+            gate_emit[gate_emit] = needed[lu[gate_emit], lv[gate_emit]]
+        swap_emit = codes == K_SWAP
+        if swap_emit.any():
+            au = (lu >= 0) & swap_emit
+            av = (lv >= 0) & swap_emit
+            active = np.zeros(len(codes), dtype=bool)
+            active[au] = degree[lu[au]] > 0
+            active[av] |= degree[lv[av]] > 0
+            swap_emit &= active
+        if not disjoint:
+            # Candidate flags above are exact against pre-cycle state;
+            # all that's left of the executor's sequential semantics is
+            # first-come qubit reservation.  Resolve it over the
+            # surviving candidates only (typically a handful for the
+            # heavy-hex interleaves).
+            cand = np.nonzero(gate_emit | swap_emit)[0]
+            if len(cand) > 1:
+                cu = us[cand].tolist()
+                cv = vs[cand].tolist()
+                taken: Set[int] = set()
+                for pos, u, v in zip(cand.tolist(), cu, cv):
+                    if u in taken or v in taken:
+                        gate_emit[pos] = False
+                        swap_emit[pos] = False
+                    else:
+                        taken.add(u)
+                        taken.add(v)
+        emit = gate_emit | swap_emit
+        if not emit.any():
+            continue
+        # Commit gates: clear needed pairs, drop degrees.
+        if gate_emit.any():
+            glu = lu[gate_emit]
+            glv = lv[gate_emit]
+            needed[glu, glv] = False
+            needed[glv, glu] = False
+            degree[glu] -= 1
+            degree[glv] -= 1
+            count -= int(np.count_nonzero(gate_emit))
+        # Commit swaps: exchange occupants.
+        if swap_emit.any():
+            su = us[swap_emit]
+            sv = vs[swap_emit]
+            slu = p2l[su].copy()
+            slv = p2l[sv].copy()
+            p2l[su] = slv
+            p2l[sv] = slu
+            moved = slu >= 0
+            state.l2p[slu[moved]] = sv[moved]
+            moved = slv >= 0
+            state.l2p[slv[moved]] = su[moved]
+        tracker.feed_batch(codes[emit], us[emit], vs[emit])
     if not count:
         return []
     return sorted(e for e in edges if state.needed[e[0], e[1]])
 
 
 def _simulate_completion(state: _SimState, coupling: CouplingGraph,
-                         residual: List[Tuple[int, int]], tracker) -> None:
+                         residual: List[Tuple[int, int]],
+                         tracker: MetricTracker) -> None:
     """Replica of :func:`repro.ata.executor.greedy_completion`."""
     for lu, lv in residual:
         pu = int(state.l2p[lu])
@@ -580,7 +431,7 @@ def simulate_suffix(
     pattern: AtaPattern,
     mapping: Mapping,
     remaining: Iterable[Tuple[int, int]],
-    tracker,
+    tracker: MetricTracker,
     use_range_detection: bool = True,
 ) -> None:
     """Stream the metrics of ``ata_suffix`` into ``tracker``.
@@ -614,7 +465,7 @@ def candidate_metrics(
     remaining: Iterable[Tuple[int, int]],
     noise: Optional[NoiseModel] = None,
     use_range_detection: bool = True,
-    prefix_tracker=None,
+    prefix_tracker: Optional[MetricTracker] = None,
 ) -> Tuple[int, int, Optional[float]]:
     """(depth, cx_count, esp) of prefix + ATA suffix, without a circuit.
 
@@ -623,7 +474,7 @@ def candidate_metrics(
     pure-ATA candidate ``cc0``.
     """
     tracker = (prefix_tracker if prefix_tracker is not None
-               else make_tracker(coupling.n_qubits, noise))
+               else MetricTracker(coupling.n_qubits, noise))
     simulate_suffix(coupling, pattern, mapping, remaining, tracker,
                     use_range_detection=use_range_detection)
     return tracker.finalize()

@@ -15,10 +15,12 @@ either — Theorem 6.1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..arch.noise import NoiseModel
+from ..exceptions import SpecificationError
 from ..ir.circuit import Circuit
 
 
@@ -52,6 +54,16 @@ class Candidate:
         return self.circuit
 
 
+def check_alpha(alpha: object) -> None:
+    """Raise :class:`SpecificationError` unless ``alpha`` is a real
+    number in [0, 1]; NaN and numeric strings are rejected too."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
+        raise SpecificationError(
+            f"alpha must be a real number in [0, 1] (got {alpha!r}); it "
+            "weighs the depth term of the selector cost F against the "
+            "gate-count/ESP term")
+
+
 def cost_f(
     depth: int,
     gate_count: int,
@@ -61,8 +73,7 @@ def cost_f(
     alpha: float = 0.5,
 ) -> float:
     """The selector cost F (smaller is better)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+    check_alpha(alpha)
     depth_term = depth / max(greedy_depth, 1)
     if esp is not None and gate_count > 0:
         quality = 1.0 - esp ** (1.0 / gate_count)
@@ -79,7 +90,7 @@ def score_candidates(
 ) -> "Candidate":
     """Attach scores and return the best candidate (stable on ties)."""
     if not candidates:
-        raise ValueError("no candidates to select from")
+        raise SpecificationError("no candidates to select from")
     for candidate in candidates:
         candidate.score = cost_f(candidate.depth, candidate.gate_count,
                                  greedy_depth, greedy_gates,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import List, Sequence
 
-from ..ata.simulate import candidate_metrics, make_tracker
+from ..ata.simulate import MetricTracker, candidate_metrics
 from ..compiler.prediction import ata_suffix
 from ..compiler.selector import Candidate, make_candidate
 from ..ir.circuit import Circuit
@@ -115,7 +115,7 @@ class CandidatePass(Pass):
         # emission order) and forked there, so scoring all candidates
         # costs one prefix pass plus one simulated suffix each — no
         # intermediate circuits are built.
-        tracker = make_tracker(coupling.n_qubits, context.noise)
+        tracker = MetricTracker(coupling.n_qubits, context.noise)
         ops = trace.circuit.ops
         fed = 0
         for snapshot in sampled:

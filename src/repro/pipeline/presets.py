@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from ..compiler.selector import check_alpha
 from ..exceptions import SpecificationError, UnknownKnobError
 from .assembly import AssemblyPass
 from .base import Pass, PassObserver, Pipeline
@@ -85,6 +86,7 @@ def build_context(
             f"max_predictions must be >= 1 (got {max_predictions}); 1 "
             "keeps only the pure-ATA prediction, the default 24 samples "
             "evenly")
+    check_alpha(knobs["alpha"])
     return CompilationContext(
         coupling=coupling, problem=problem, method=method, noise=noise,
         gamma=gamma, mapping=knobs.pop("initial_mapping"),

@@ -1,26 +1,28 @@
 """Simulated candidate metrics must equal the materialised circuit's.
 
 The lazy-candidate path scores prefix+suffix candidates with the
-streaming trackers in ``repro.ata.simulate``; selection only works if
+streaming tracker in ``repro.ata.simulate``; selection only works if
 those numbers are *identical* (not approximately equal — esp feeds a
 float comparison) to what ``make_candidate`` measures on the real
 circuit built by ``ata_suffix``.  These tests sweep line / grid /
-heavy-hex devices, with and without a noise model, from both fresh
+heavy-hex / Sycamore devices, with and without a noise model, from both fresh
 mappings and greedy-prefix snapshots.
 """
 
 import pytest
 
-from repro.arch import grid, heavyhex_for, line
+import random
+
+from repro.arch import grid, heavyhex_for, line, sycamore
 from repro.arch.noise import NoiseModel
 from repro.ata.registry import get_pattern
-from repro.ata.simulate import (ExactTracker, FastTracker,
-                                candidate_metrics, make_tracker)
+from repro.ata.simulate import MetricTracker, candidate_metrics
+from repro.compiler import compile_qaoa
 from repro.compiler.greedy import greedy_compile
 from repro.compiler.prediction import ata_suffix
 from repro.ir.circuit import Circuit
 from repro.ir.mapping import Mapping
-from repro.problems import regular_problem_graph
+from repro.problems import random_problem_graph, regular_problem_graph
 
 
 def reference_metrics(circuit, noise):
@@ -32,6 +34,7 @@ DEVICES = [
     pytest.param(lambda: line(12), 12, id="line12"),
     pytest.param(lambda: grid(4, 5), 20, id="grid4x5"),
     pytest.param(lambda: heavyhex_for(20), 18, id="heavyhex"),
+    pytest.param(lambda: sycamore(4, 4), 16, id="sycamore4x4"),
 ]
 
 
@@ -65,7 +68,7 @@ def test_prefix_fork_metrics_match(make_coupling, n_logical, with_noise):
 
     trace = greedy_compile(coupling, problem, mapping, noise=noise,
                            gamma=0.4, max_cycles=6)
-    tracker = make_tracker(coupling.n_qubits, noise)
+    tracker = MetricTracker(coupling.n_qubits, noise)
     fed = 0
     checked = 0
     for snapshot in trace.snapshots:
@@ -88,23 +91,26 @@ def test_prefix_fork_metrics_match(make_coupling, n_logical, with_noise):
     assert checked > 0
 
 
-def test_tracker_choice_by_noise():
-    coupling = line(6)
-    assert isinstance(make_tracker(6, None), FastTracker)
-    assert isinstance(make_tracker(6, NoiseModel(coupling)), ExactTracker)
-
-
-def test_trackers_agree_on_shared_metrics():
-    """FastTracker and ExactTracker see the same depth and CX count."""
-    coupling = grid(3, 4)
-    problem = regular_problem_graph(12, 3, seed=2)
-    mapping = Mapping.trivial(12, coupling.n_qubits)
-    pattern = get_pattern(coupling)
-    fast = candidate_metrics(coupling, pattern, mapping, problem.edges)
-    exact = candidate_metrics(coupling, pattern, mapping, problem.edges,
-                              prefix_tracker=ExactTracker(
-                                  coupling.n_qubits))
-    assert fast[:2] == exact[:2]
+@pytest.mark.parametrize("seed", range(12))
+def test_esp_is_order_free(seed):
+    """Reordering ops inside each ASAP layer keeps every fusion unit and
+    CX count, so ``NoiseModel.esp`` must not move — it sums its terms
+    exactly rounded, not in the order edges first complete."""
+    coupling = grid(6, 6)
+    problem = random_problem_graph(36, 0.3, seed=seed)
+    noise = NoiseModel(coupling, seed=seed)
+    circuit = compile_qaoa(coupling, problem, method="greedy").circuit
+    layers = circuit.layers()
+    rng = random.Random(seed)
+    for _ in range(5):
+        ops = []
+        for layer in layers:
+            layer = list(layer)
+            rng.shuffle(layer)
+            ops.extend(layer)
+        shuffled = Circuit(coupling.n_qubits, ops)
+        assert noise.cx_per_edge(shuffled) == noise.cx_per_edge(circuit)
+        assert noise.esp(shuffled) == noise.esp(circuit)
 
 
 def test_compiled_plan_matches_generated_cycles():
@@ -141,7 +147,7 @@ def test_fork_does_not_disturb_parent():
     problem = regular_problem_graph(8, 3, seed=4)
     mapping = Mapping.trivial(8, coupling.n_qubits)
     pattern = get_pattern(coupling)
-    parent = make_tracker(coupling.n_qubits, None)
+    parent = MetricTracker(coupling.n_qubits, None)
     first = candidate_metrics(coupling, pattern, mapping, problem.edges,
                               prefix_tracker=parent.copy())
     second = candidate_metrics(coupling, pattern, mapping, problem.edges,

@@ -1,9 +1,14 @@
 """End-to-end tests of the hybrid compiler (Fig 18) and its guarantees."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import (NoiseModel, grid, heavyhex, hexagon, line, sycamore)
+from repro.arch import (NoiseModel, architecture_for, grid, heavyhex,
+                        hexagon, line, sycamore)
 from repro.compiler import compile_qaoa
+from repro.compiler.selector import cost_f
+from repro.exceptions import SpecificationError
 from repro.problems import clique, random_problem_graph
 
 
@@ -51,6 +56,41 @@ class TestTheorem61:
         if "ata" in scores:
             assert best <= scores["ata"] + 1e-12
         assert best <= scores["greedy"] + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch=st.sampled_from(["line", "grid", "heavyhex", "sycamore"]),
+           n=st.integers(4, 20),
+           density=st.sampled_from([0.1, 0.3, 0.5]),
+           seed=st.integers(0, 2**16),
+           noisy=st.booleans())
+    def test_hybrid_f_no_worse_than_standalone(self, arch, n, density,
+                                               seed, noisy):
+        """The selected F is <= the F of the standalone ``ata`` and
+        ``greedy`` compiles under the hybrid's own normalisers."""
+        coupling = architecture_for(arch, n)
+        problem = random_problem_graph(n, density, seed=seed)
+        noise = NoiseModel(coupling, seed=seed) if noisy else None
+        seen = {}
+
+        def observe(pass_, context, record):
+            if pass_.name == "selection":
+                seen["context"] = context
+
+        hybrid = compile_qaoa(coupling, problem, method="hybrid",
+                              noise=noise, gamma=0.4, on_pass_end=observe)
+        context = seen["context"]
+        # SelectionPass normalises by the finished greedy circuit, by
+        # the pure-ATA candidate cc0 when greedy did not finish.
+        norm = (context.candidates[0] if context.trace.remaining else
+                next(c for c in context.candidates if c.label == "greedy"))
+        best = hybrid.extra["scores"][hybrid.extra["selected"]]
+        for method in ("ata", "greedy"):
+            other = compile_qaoa(coupling, problem, method=method,
+                                 noise=noise, gamma=0.4).circuit
+            score = cost_f(other.depth(), other.cx_count(unify=True),
+                           norm.depth, norm.gate_count,
+                           noise.esp(other) if noise is not None else None)
+            assert best <= score, (method, best, score)
 
     def test_depth_alpha_one_tracks_best_depth(self):
         # With alpha=1 the selector optimises depth only.
@@ -146,6 +186,16 @@ class TestPredictionSampling:
     def test_max_predictions_negative_rejected(self):
         with pytest.raises(ValueError, match="max_predictions"):
             compile_qaoa(grid(3, 3), clique(4), max_predictions=-3)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), "0.5"])
+    def test_bad_alpha_rejected_before_any_pass(self, alpha):
+        passes = []
+        with pytest.raises(SpecificationError, match="alpha"):
+            compile_qaoa(grid(4, 4), random_problem_graph(12, 0.3, seed=1),
+                         alpha=alpha,
+                         on_pass_end=lambda pass_, context, record:
+                         passes.append(pass_.name))
+        assert passes == []
 
 
 class TestTelemetry:

@@ -216,3 +216,12 @@ class TestSelector:
         from repro.compiler.selector import score_candidates
         with pytest.raises(ValueError):
             score_candidates([], 1, 1)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), "0.5"])
+    def test_selector_errors_are_specification_errors(self, alpha):
+        from repro.compiler.selector import cost_f, score_candidates
+        from repro.exceptions import SpecificationError
+        with pytest.raises(SpecificationError, match="alpha"):
+            cost_f(1, 1, 1, 1, None, alpha=alpha)
+        with pytest.raises(SpecificationError):
+            score_candidates([], 1, 1)
