@@ -11,7 +11,7 @@ crosstalk-aware gate scheduling — exercise realistic variability.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class NoiseModel:
             draw = float(rng.lognormal(math.log(readout_error_median), 0.4))
             self.readout_error[q] = min(max(draw, 5e-3), 1.2e-1)
         self._crosstalk: FrozenSet = None  # computed lazily (O(E^2))
-        self._edge_keys: Optional[np.ndarray] = None  # lazily, see edge_ids
 
     # -- queries ------------------------------------------------------------------
 
@@ -124,20 +123,6 @@ class NoiseModel:
             terms.extend(math.log1p(-self.readout_error[q])
                          for q in range(circuit.n_qubits))
         return math.exp(math.fsum(terms))
-
-    def edge_ids(self, lo, hi):
-        """Indices of couplings ``(lo, hi)`` in :attr:`cx_error` order.
-
-        ``lo < hi``; ints or numpy arrays.  The sorted ``lo * n + hi``
-        keys are built once per model, so a per-edge tally needs no
-        n-by-n lookup table.
-        """
-        if self._edge_keys is None:
-            n = self.coupling.n_qubits
-            self._edge_keys = np.array([u * n + v for u, v in self.cx_error],
-                                       dtype=np.int64)
-        return np.searchsorted(self._edge_keys,
-                               lo * self.coupling.n_qubits + hi)
 
 
 def _crosstalk_pairs(coupling: CouplingGraph):

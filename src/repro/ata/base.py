@@ -85,8 +85,8 @@ class AtaPattern(ABC):
 
         Range detection restricts the same architecture pattern to the
         same boxes over and over (once per candidate per region); sharing
-        the instance lets per-instance caches (``_compiled_cycles``, the
-        simulator's compiled arrays) amortise to one build per box.  The
+        the instance lets per-instance caches (the simulator's
+        ``_compiled_cycles`` tuples) amortise to one build per box.  The
         memo is FIFO-capped so adversarial workloads cannot grow it
         unboundedly.
         """

@@ -183,7 +183,10 @@ class OptimizedGridPattern(AtaPattern):
         return cycle
 
     def _compiled_plan(self):
-        """(distinct cycles, schedule indices) — see ``repro.ata.simulate``.
+        """(distinct cycles, schedule indices) for the simulator's replay.
+
+        ``repro.ata.simulate.compiled_cycles`` converts each distinct
+        cycle to ``(is_gate, u, v)`` tuples once.
 
         Cycle content depends on ``k`` and the placement index only
         through ``k % 2``, so the whole ``ceil(R/2) * (3C + 2)`` schedule

@@ -79,7 +79,10 @@ class HeavyHexPattern(AtaPattern):
             yield from self._pass_cycles()
 
     def _compiled_plan(self):
-        """(distinct cycles, schedule indices) — see ``repro.ata.simulate``.
+        """(distinct cycles, schedule indices) for the simulator's replay.
+
+        ``repro.ata.simulate.compiled_cycles`` converts each distinct
+        cycle to ``(is_gate, u, v)`` tuples once.
 
         Both passes replay the line pattern's four distinct cycles; the
         interleave and exchange cycles are constant, so six distinct

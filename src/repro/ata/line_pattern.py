@@ -58,11 +58,13 @@ class LinePattern(AtaPattern):
             yield [(SWAP, path[i], path[i + 1]) for i in range(0, m - 1, 2)]
 
     def _compiled_plan(self):
-        """(distinct cycles, schedule indices) — see ``repro.ata.simulate``.
+        """(distinct cycles, schedule indices) for the simulator's replay.
+
+        ``repro.ata.simulate.compiled_cycles`` converts each distinct
+        cycle to ``(is_gate, u, v)`` tuples once.
 
         The schedule is one four-cycle block repeated ``ceil(m/2)`` times,
-        so only four distinct cycles exist; the simulator compiles each
-        once and replays them by reference.
+        so only four distinct cycles exist.
         """
         path = self.path
         m = len(path)

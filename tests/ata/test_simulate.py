@@ -5,21 +5,28 @@ streaming tracker in ``repro.ata.simulate``; selection only works if
 those numbers are *identical* (not approximately equal — esp feeds a
 float comparison) to what ``make_candidate`` measures on the real
 circuit built by ``ata_suffix``.  These tests sweep line / grid /
-heavy-hex / Sycamore devices, with and without a noise model, from both fresh
-mappings and greedy-prefix snapshots.
+heavy-hex / Sycamore devices, with and without a noise model and range
+detection, from both fresh mappings and greedy-prefix snapshots, plus a
+deliberately incomplete pattern that leaves residual pairs for
+``greedy_completion``.
 """
 
 import pytest
 
 import random
 
-from repro.arch import grid, heavyhex_for, line, sycamore
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch import architecture_for, grid, heavyhex_for, line, sycamore
 from repro.arch.noise import NoiseModel
+from repro.ata.executor import execute_pattern
+from repro.ata.line_pattern import LinePattern
 from repro.ata.registry import get_pattern
 from repro.ata.simulate import MetricTracker, candidate_metrics
 from repro.compiler import compile_qaoa
 from repro.compiler.greedy import greedy_compile
-from repro.compiler.prediction import ata_suffix
+from repro.compiler.prediction import ata_suffix, detect_ranges
 from repro.ir.circuit import Circuit
 from repro.ir.mapping import Mapping
 from repro.problems import random_problem_graph, regular_problem_graph
@@ -38,9 +45,20 @@ DEVICES = [
 ]
 
 
+#: Noise model on or off, crossed with range detection on or off
+#: ("whole" runs the architecture pattern over the whole device).
+MODES = pytest.mark.parametrize("with_noise, use_range_detection", [
+    pytest.param(False, True, id="ideal"),
+    pytest.param(True, True, id="noisy"),
+    pytest.param(False, False, id="ideal-whole"),
+    pytest.param(True, False, id="noisy-whole"),
+])
+
+
 @pytest.mark.parametrize("make_coupling, n_logical", DEVICES)
-@pytest.mark.parametrize("with_noise", [False, True], ids=["ideal", "noisy"])
-def test_pure_suffix_metrics_match(make_coupling, n_logical, with_noise):
+@MODES
+def test_pure_suffix_metrics_match(make_coupling, n_logical, with_noise,
+                                   use_range_detection):
     coupling = make_coupling()
     n_logical = min(n_logical, coupling.n_qubits)
     problem = regular_problem_graph(n_logical, 3, seed=5)
@@ -49,15 +67,18 @@ def test_pure_suffix_metrics_match(make_coupling, n_logical, with_noise):
     pattern = get_pattern(coupling)
 
     circuit, _ = ata_suffix(coupling, pattern, mapping, problem.edges,
-                            gamma=0.7)
+                            gamma=0.7,
+                            use_range_detection=use_range_detection)
     assert candidate_metrics(coupling, pattern, mapping, problem.edges,
-                             noise=noise) == reference_metrics(circuit,
-                                                               noise)
+                             noise=noise,
+                             use_range_detection=use_range_detection
+                             ) == reference_metrics(circuit, noise)
 
 
 @pytest.mark.parametrize("make_coupling, n_logical", DEVICES)
-@pytest.mark.parametrize("with_noise", [False, True], ids=["ideal", "noisy"])
-def test_prefix_fork_metrics_match(make_coupling, n_logical, with_noise):
+@MODES
+def test_prefix_fork_metrics_match(make_coupling, n_logical, with_noise,
+                                   use_range_detection):
     """Greedy prefix + ATA suffix at every snapshot, via tracker forking."""
     coupling = make_coupling()
     n_logical = min(n_logical, coupling.n_qubits)
@@ -80,15 +101,89 @@ def test_prefix_fork_metrics_match(make_coupling, n_logical, with_noise):
         fork = tracker.copy()
         simulated = candidate_metrics(
             coupling, pattern, snapshot.mapping, snapshot.remaining,
-            noise=noise, prefix_tracker=fork)
+            noise=noise, use_range_detection=use_range_detection,
+            prefix_tracker=fork)
         prefix = Circuit(coupling.n_qubits,
                          list(trace.circuit.ops[:snapshot.op_count]))
         circuit, _ = ata_suffix(coupling, pattern, snapshot.mapping,
                                 snapshot.remaining, gamma=0.4,
+                                use_range_detection=use_range_detection,
                                 circuit=prefix)
         assert simulated == reference_metrics(circuit, noise)
         checked += 1
     assert checked > 0
+
+
+class HalfLinePattern(LinePattern):
+    """A line pattern cut after half its cycles: it cannot meet every
+    pair, so execution leaves residuals for ``greedy_completion``."""
+
+    # No distinct-cycle plan: the simulator must replay ``cycles()`` as cut.
+    _compiled_plan = None
+
+    def cycles(self):
+        full = list(super().cycles())
+        return iter(full[:len(full) // 2])
+
+    def restrict(self, qubits):
+        sub = super().restrict(qubits)
+        return self if sub is self else HalfLinePattern(sub.path)
+
+
+@MODES
+def test_residual_completion_metrics_match(with_noise, use_range_detection):
+    """Two 5-cliques on a 10-qubit line: range detection splits them into
+    two cut sub-chains, and each region leaves pairs to complete."""
+    coupling = line(10)
+    edges = [(a + base, b + base) for base in (0, 5)
+             for a in range(5) for b in range(a + 1, 5)]
+    mapping = Mapping.trivial(10, coupling.n_qubits)
+    noise = NoiseModel(coupling, seed=3) if with_noise else None
+    pattern = HalfLinePattern(list(range(10)))
+
+    plan = (detect_ranges(pattern, mapping, edges) if use_range_detection
+            else [(pattern, set(edges))])
+    assert len(plan) == (2 if use_range_detection else 1)
+    assert all(execute_pattern(region, mapping, group)[2]
+               for region, group in plan)
+    circuit, _ = ata_suffix(coupling, pattern, mapping, edges, gamma=0.3,
+                            use_range_detection=use_range_detection)
+    assert candidate_metrics(coupling, pattern, mapping, edges,
+                             noise=noise,
+                             use_range_detection=use_range_detection
+                             ) == reference_metrics(circuit, noise)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["line", "grid", "heavyhex", "sycamore"]),
+       n_logical=st.integers(4, 24),
+       density=st.floats(0.1, 0.6),
+       graph_seed=st.integers(0, 2**16),
+       with_noise=st.booleans(),
+       use_range_detection=st.booleans())
+def test_every_hybrid_candidate_matches_its_circuit(
+        kind, n_logical, density, graph_seed, with_noise,
+        use_range_detection):
+    """Differential: every lazily scored candidate of a hybrid compile
+    (``cc0`` and each ``hybrid@k``), from a quadratic-placement mapping,
+    has the metrics of the circuit its materialiser builds."""
+    coupling = architecture_for(kind, n_logical)
+    problem = random_problem_graph(n_logical, density, seed=graph_seed)
+    noise = NoiseModel(coupling, seed=graph_seed) if with_noise else None
+    lazy = []
+
+    def collect(pass_, context, record):
+        if pass_.name == "candidates":
+            lazy.extend(c for c in context.candidates if c.circuit is None)
+
+    compile_qaoa(coupling, problem, method="hybrid", noise=noise,
+                 gamma=0.5, use_range_detection=use_range_detection,
+                 on_pass_end=collect)
+    assert lazy or not problem.edges
+    for candidate in lazy:
+        metrics = (candidate.depth, candidate.gate_count, candidate.esp)
+        assert metrics == reference_metrics(candidate.materialize(), noise), \
+            candidate.label
 
 
 @pytest.mark.parametrize("seed", range(12))
