@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks._common import table
 from repro.arch import NoiseModel, grid, heavyhex_for
-from repro.ata import compile_with_pattern, get_pattern, snake_pattern
+from repro.ata import ata_suffix, get_pattern, snake_pattern
 from repro.compiler import compile_qaoa
 from repro.ir.decompose import count_cx
 from repro.ir.mapping import Mapping
@@ -29,13 +29,13 @@ def _ablation_structured_vs_snake():
     coupling = grid(6, 6)
     problem = clique(36)
     mapping = Mapping.trivial(36)
-    merged, _ = compile_with_pattern(
-        coupling, get_pattern(coupling), problem.edges, mapping)
-    unmerged, _ = compile_with_pattern(
-        coupling, GridCliquePattern(coupling.metadata["units"]),
-        problem.edges, mapping)
-    snake, _ = compile_with_pattern(
-        coupling, snake_pattern(coupling), problem.edges, mapping)
+    merged, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                           problem.edges, use_range_detection=False)
+    unmerged, _ = ata_suffix(coupling,
+                             GridCliquePattern(coupling.metadata["units"]),
+                             mapping, problem.edges, use_range_detection=False)
+    snake, _ = ata_suffix(coupling, snake_pattern(coupling), mapping,
+                          problem.edges, use_range_detection=False)
     assert merged.depth() < snake.depth() < unmerged.depth()
     return [["grid-6x6 clique merged (App A)", merged.depth(),
              count_cx(merged)],
@@ -48,8 +48,8 @@ def _ablation_unification():
     coupling = grid(6, 6)
     problem = clique(36)
     mapping = Mapping.trivial(36)
-    circuit, _ = compile_with_pattern(
-        coupling, get_pattern(coupling), problem.edges, mapping)
+    circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                            problem.edges, use_range_detection=False)
     fused = count_cx(circuit, unify=True)
     unfused = count_cx(circuit, unify=False)
     assert fused < unfused

@@ -9,7 +9,7 @@ Run:  python examples/architecture_scaling.py
 
 from repro.analysis import format_table
 from repro.arch import grid, heavyhex, hexagon, line, sycamore
-from repro.ata import compile_with_pattern, get_pattern
+from repro.ata import ata_suffix, get_pattern
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
 from repro.problems import clique
@@ -31,8 +31,8 @@ def main() -> None:
             n = coupling.n_qubits
             problem = clique(n)
             mapping = Mapping.trivial(n)
-            circuit, _ = compile_with_pattern(
-                coupling, get_pattern(coupling), problem.edges, mapping)
+            circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                                    problem.edges, use_range_detection=False)
             validate_compiled(circuit, coupling.edges, mapping,
                               problem.edges)
             rows.append([family, coupling.name, n, circuit.depth(),

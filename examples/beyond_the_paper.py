@@ -10,7 +10,7 @@ Run:  python examples/beyond_the_paper.py
 
 from repro.analysis import format_table
 from repro.arch import NoiseModel, cube, mumbai
-from repro.ata import compile_with_pattern, get_pattern
+from repro.ata import ata_suffix, get_pattern
 from repro.compiler import compile_qaoa
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
@@ -25,8 +25,8 @@ def three_dimensional_lattice() -> None:
         coupling = cube(*dims)
         n = coupling.n_qubits
         mapping = Mapping.trivial(n)
-        circuit, _ = compile_with_pattern(
-            coupling, get_pattern(coupling), clique(n).edges, mapping)
+        circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                                clique(n).edges, use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, clique(n).edges)
         rows.append([coupling.name, n, circuit.depth(),
                      circuit.depth() / n, circuit.cx_count()])

@@ -2,13 +2,15 @@
 
 :func:`get_pattern` maps an architecture to its clique schedule;
 :func:`repro.ata.executor.execute_pattern` turns a schedule into a circuit
-for an arbitrary (sub-clique) problem graph.
+for an arbitrary (sub-clique) problem graph, and
+:func:`repro.ata.executor.ata_suffix` finishes a partly-compiled one
+region by region (Section 6.3).
 """
 
 from .base import GATE, SWAP, Action, AtaPattern, merge_parallel, pattern_length
 from .bipartite_pattern import BipartitePattern
 from .cube_pattern import CubePattern
-from .executor import compile_with_pattern, execute_pattern, greedy_completion
+from .executor import ata_suffix, execute_pattern, greedy_completion
 from .grid_pattern import GridCliquePattern, OptimizedGridPattern
 from .heavyhex_pattern import HeavyHexPattern
 from .line_pattern import LinePattern
@@ -33,6 +35,6 @@ __all__ = [
     "get_pattern",
     "snake_pattern",
     "execute_pattern",
-    "compile_with_pattern",
+    "ata_suffix",
     "greedy_completion",
 ]

@@ -42,6 +42,7 @@ from ..arch.noise import NoiseModel
 from ..ir.gates import CPHASE, CX, SWAP, Op, canonical_edges
 from ..ir.mapping import Mapping
 from .base import GATE, Action, AtaPattern
+from .executor import detect_ranges
 
 #: Compact op-kind codes for event streams.  The two kinds that can fuse,
 #: CPHASE and SWAP, take the lowest codes: ``code <= K_SWAP`` tests it.
@@ -319,13 +320,10 @@ def simulate_suffix(
 ) -> None:
     """Stream the metrics of ``ata_suffix`` into ``tracker``.
 
-    The exact event sequence of
-    :func:`repro.compiler.prediction.ata_suffix` — range detection, per
-    region pattern execution, then residual completion — without
-    constructing the circuit.
+    The exact event sequence of :func:`repro.ata.executor.ata_suffix` —
+    range detection, per region pattern execution, then residual
+    completion — without constructing the circuit.
     """
-    from ..compiler.prediction import detect_ranges
-
     pending = set(canonical_edges(remaining))
     if not pending:
         return

@@ -127,6 +127,10 @@ def _inside_import_machinery(frame: Optional[FrameType]) -> bool:
     return False
 
 
+#: The alarm's re-fire interval, and its floor once it has raised.
+_REFIRE_S = 0.05
+
+
 class _deadline:
     """Context manager arming SIGALRM for ``seconds``.
 
@@ -156,6 +160,12 @@ class _deadline:
             # sys.modules and poison every later job in this process.
             if self.disarming or _inside_import_machinery(frame):
                 return
+            # Once raised, re-fire no sooner than _REFIRE_S: a sub-ms
+            # interval could land a second raise while the first one
+            # unwinds, before __exit__ sets ``disarming``, and skip the
+            # disarm.  The re-fire itself stays, for a raise swallowed
+            # inside a GC callback.
+            signal.setitimer(signal.ITIMER_REAL, _REFIRE_S, _REFIRE_S)
             raise JobTimeoutError(
                 f"job exceeded the per-job timeout of {self.seconds}s")
         self._previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -164,7 +174,7 @@ class _deadline:
         # swallowed as an unraisable exception and the job would
         # silently run to completion.
         signal.setitimer(signal.ITIMER_REAL, self.seconds,
-                         min(self.seconds, 0.05))
+                         min(self.seconds, _REFIRE_S))
         self.armed = True
         return self
 
@@ -180,9 +190,9 @@ def _clear_leaked_alarm(timeout_s: Optional[float]) -> None:
     """Defensively kill any itimer that escaped ``_deadline.__exit__``.
 
     A signal delivered in the few bytecodes *before* ``__exit__`` sets
-    its guard can raise through the disarm path; this backstop (run once
-    per job, off the hot path) guarantees no timer survives into caller
-    code.
+    its guard can raise through the disarm path; this backstop (run as a
+    job's failure path starts and once more as the job ends, off the hot
+    path) guarantees no timer survives into caller code.
     """
     if timeout_s and _alarm_supported():
         signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -253,6 +263,7 @@ def execute_job(job: BatchJob, timeout_s: Optional[float] = None,
                 try:
                     record = _run_job(job, timeout_s, scratch)
                 except Exception as exc:  # job failure, not batch abort
+                    _clear_leaked_alarm(timeout_s)
                     return JobResult(
                         job=job, ok=False,
                         wall_time_s=time.perf_counter() - start,

@@ -25,8 +25,8 @@ from .base import CheckerRule, ModuleContext, RuleVisitor, checker
     "declares; the knob silently defaults for every caller that sets "
     "it through an undeclaring method.",
     "declare the knob on the owning MethodSpec(s) in "
-    "repro/pipeline/registry.py (paper knobs additionally belong in "
-    "presets.PAPER_KNOBS)")
+    "repro/pipeline/registry.py (paper knobs go in its PAPER_KNOBS, "
+    "with their default)")
 class KnobDeclarationVisitor(RuleVisitor):
     """Flag ``context.knob("x")`` / ``.knobs["x"]`` reads of knob names
     absent from the union of every registered method's declaration."""

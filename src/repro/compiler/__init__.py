@@ -1,8 +1,9 @@
 """The hybrid compiler — Sections 5 and 6 (Fig 18).
 
-The algorithmic components live here (greedy engine, ATA prediction,
-selector, placements); the staged workflow that composes them is the
-pass pipeline in :mod:`repro.pipeline`, and :func:`compile_qaoa` is the
+The greedy engine and the placements live here; the ATA-suffix
+predictor is :func:`repro.ata.ata_suffix`, and the staged workflow that
+composes them — candidate pool and cost-F selector included — is the
+pass pipeline in :mod:`repro.pipeline`.  :func:`compile_qaoa` is the
 thin facade over its method registry.
 """
 
@@ -10,10 +11,8 @@ from .framework import compile_qaoa
 from .greedy import GreedyTrace, Snapshot, greedy_compile
 from .mapping import (degree_placement, noise_aware_placement,
                       quadratic_placement, trivial_placement)
-from .prediction import ata_suffix, detect_ranges
 from .result import CompiledResult
 from .scheduling import select_gates
-from .selector import Candidate, cost_f, make_candidate, score_candidates
 from .swap_insertion import select_swaps, swap_benefit
 
 __all__ = [
@@ -22,15 +21,9 @@ __all__ = [
     "greedy_compile",
     "GreedyTrace",
     "Snapshot",
-    "ata_suffix",
-    "detect_ranges",
     "select_gates",
     "select_swaps",
     "swap_benefit",
-    "cost_f",
-    "score_candidates",
-    "make_candidate",
-    "Candidate",
     "trivial_placement",
     "degree_placement",
     "quadratic_placement",

@@ -13,7 +13,6 @@ along its shortest path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -44,11 +43,9 @@ class GreedyTrace:
     """Full output of the greedy engine, snapshots included."""
 
     circuit: Circuit
-    initial_mapping: Mapping
     final_mapping: Mapping
     snapshots: List[Snapshot] = field(default_factory=list)
     cycles: int = 0
-    wall_time_s: float = 0.0
     remaining: frozenset = frozenset()
 
 
@@ -78,7 +75,6 @@ def greedy_compile(
     scheduler (the paper's design); ``"greedy"`` schedules executable gates
     first-come (used by baselines without that machinery).
     """
-    start = time.perf_counter()
     mapping = initial_mapping.copy()
     circuit = Circuit(coupling.n_qubits)
 
@@ -95,8 +91,7 @@ def greedy_compile(
     # byte-identical results to the scalar loops they replace.
     fast = GreedyFastPath(coupling, problem, mapping, noise)
 
-    trace = GreedyTrace(circuit=circuit, initial_mapping=initial_mapping,
-                        final_mapping=mapping)
+    trace = GreedyTrace(circuit=circuit, final_mapping=mapping)
     if record_snapshots:
         trace.snapshots.append(Snapshot(0, 0, mapping.copy(),
                                         frozenset(remaining)))
@@ -166,7 +161,6 @@ def greedy_compile(
                                         frozenset(remaining)))
     trace.final_mapping = mapping
     trace.cycles = cycle
-    trace.wall_time_s = time.perf_counter() - start
     if max_cycles is None and remaining:
         raise CompilationError("greedy engine stalled with remaining gates")
     # Expose the unfinished remainder (empty on full runs).

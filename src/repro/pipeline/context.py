@@ -16,7 +16,7 @@ reused across compilations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..arch.coupling import CouplingGraph
 from ..exceptions import SpecificationError
@@ -24,11 +24,40 @@ from ..arch.noise import NoiseModel
 from ..ata.base import AtaPattern
 from ..compiler.greedy import GreedyTrace
 from ..compiler.result import CompiledResult
-from ..compiler.selector import Candidate
 from ..ir.circuit import Circuit
 from ..ir.mapping import Mapping
 from ..ir.program import Program
 from ..problems.graphs import ProblemGraph
+
+
+@dataclass
+class Candidate:
+    """One scored prefix+suffix combination of the hybrid's pool.
+
+    ``circuit`` may be ``None`` for a lazily-scored candidate whose
+    metrics were streamed by :mod:`repro.ata.simulate`; ``materialize``
+    then rebuilds the real circuit on demand.  Only the selection
+    winner is ever materialised — the losing candidates' circuits are
+    never constructed at all.
+    """
+
+    label: str
+    circuit: Optional[Circuit]
+    depth: int
+    gate_count: int
+    esp: Optional[float]
+    score: float = 0.0
+    materialize: Optional[Callable[[], Circuit]] = None
+
+    def realized(self) -> Circuit:
+        """The candidate's circuit, materialising it if still lazy."""
+        if self.circuit is None:
+            if self.materialize is None:
+                raise SpecificationError(
+                    f"candidate {self.label!r} has no circuit and no "
+                    "materializer")
+            self.circuit = self.materialize()
+        return self.circuit
 
 
 @dataclass

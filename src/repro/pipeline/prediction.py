@@ -12,12 +12,11 @@ from __future__ import annotations
 import time
 from typing import List, Sequence
 
+from ..ata.executor import ata_suffix
 from ..ata.simulate import MetricTracker, candidate_metrics
-from ..compiler.prediction import ata_suffix
-from ..compiler.selector import Candidate, make_candidate
 from ..ir.circuit import Circuit
 from .base import Pass
-from .context import CompilationContext
+from .context import Candidate, CompilationContext
 
 
 def sample_snapshots(snapshots: Sequence, max_predictions: int) -> List:
@@ -102,8 +101,11 @@ class CandidatePass(Pass):
         context.require("trace", "pattern")
         trace = context.trace
         if not trace.remaining:
-            context.candidates.append(
-                make_candidate("greedy", trace.circuit, context.noise))
+            circuit, noise = trace.circuit, context.noise
+            context.candidates.append(Candidate(
+                label="greedy", circuit=circuit, depth=circuit.depth(),
+                gate_count=circuit.cx_count(unify=True),
+                esp=noise.esp(circuit) if noise is not None else None))
         sampled = sample_snapshots(trace.snapshots,
                                    context.knob("max_predictions", 24))
         prediction_times: List[float] = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from ..compiler.selector import check_alpha
 from ..exceptions import SpecificationError, UnknownKnobError
 from .assembly import AssemblyPass
 from .base import Pass, PassObserver, Pipeline
@@ -26,29 +25,9 @@ from .context import CompilationContext
 from .greedy import GreedyPass
 from .placement import PatternPass, PlacementPass
 from .prediction import CandidatePass, PredictionPass
-from .selection import SelectionPass
+from .registry import PAPER_KNOBS
+from .selection import SelectionPass, check_alpha
 from .validate import ValidatePass
-
-#: Every knob the paper methods understand, with its default.  The two
-#: ``None``-defaulted object knobs (``initial_mapping``, ``pattern``)
-#: seed context *fields* rather than staying in ``knobs``.
-PAPER_KNOBS: Dict[str, object] = {
-    "initial_mapping": None,
-    "placement": "quadratic",
-    "alpha": 0.5,
-    "max_predictions": 24,
-    "matching": "greedy",
-    "crosstalk_aware": True,
-    "use_range_detection": True,
-    "pattern": None,
-    "greedy_cycle_cap": None,
-    "unify_swaps": True,
-    "allow_repeats": False,
-    "layers": 1,
-    "mixer": "rx",
-    "gammas": None,
-    "betas": None,
-}
 
 #: Pass factories per method, in execution order.  Every preset ends
 #: with ``AssemblyPass``, which turns the compiled cost layer into the

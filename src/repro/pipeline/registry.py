@@ -28,16 +28,29 @@ from typing import Callable, Dict, FrozenSet, Tuple
 #: options) -> CompiledResult``.
 MethodRunner = Callable[..., object]
 
-#: Knob names the paper presets understand.  This is the *declared*
-#: schema the CK030 static check validates pass-level knob reads
-#: against; a drift-guard test pins it equal to the keys of
-#: ``presets.PAPER_KNOBS`` (kept as a literal here because this module
-#: must stay import-light — it cannot pull in the preset pipeline).
-PAPER_KNOB_NAMES: Tuple[str, ...] = (
-    "initial_mapping", "placement", "alpha", "max_predictions",
-    "matching", "crosstalk_aware", "use_range_detection", "pattern",
-    "greedy_cycle_cap", "unify_swaps", "allow_repeats", "layers",
-    "mixer", "gammas", "betas")
+#: Every knob the paper presets understand, with its default — the
+#: *declared* schema the CK030 static check validates pass-level knob
+#: reads against, and the defaults ``presets.build_context`` fills in.
+#: Literals only, so this module stays import-light.  The two
+#: ``None``-defaulted object knobs (``initial_mapping``, ``pattern``)
+#: seed context *fields* rather than staying in ``knobs``.
+PAPER_KNOBS: Dict[str, object] = {
+    "initial_mapping": None,
+    "placement": "quadratic",
+    "alpha": 0.5,
+    "max_predictions": 24,
+    "matching": "greedy",
+    "crosstalk_aware": True,
+    "use_range_detection": True,
+    "pattern": None,
+    "greedy_cycle_cap": None,
+    "unify_swaps": True,
+    "allow_repeats": False,
+    "layers": 1,
+    "mixer": "rx",
+    "gammas": None,
+    "betas": None,
+}
 
 #: Knobs of the depth-optimal solver method (read by ``SolverPass``).
 SOLVER_KNOB_NAMES: Tuple[str, ...] = (
@@ -213,7 +226,7 @@ def _register_stock_methods() -> None:
     ):
         register_method(MethodSpec(method, "paper",
                                    _paper_runner(method), description,
-                                   knobs=PAPER_KNOB_NAMES))
+                                   knobs=tuple(PAPER_KNOBS)))
 
     def baseline(loader_name: str) -> Callable[[], Callable]:
         def load() -> Callable:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import architecture_for, cube
-from repro.ata import compile_with_pattern, get_pattern
+from repro.ata import ata_suffix, get_pattern
 from repro.compiler import compile_qaoa
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
@@ -40,8 +40,8 @@ class TestCubePattern:
         coupling = cube(*dims)
         n = coupling.n_qubits
         mapping = Mapping.trivial(n)
-        circuit, _ = compile_with_pattern(
-            coupling, get_pattern(coupling), clique(n).edges, mapping)
+        circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                                clique(n).edges, use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, clique(n).edges)
         assert circuit.depth() <= 5 * n + 10
 
@@ -58,8 +58,8 @@ class TestCubePattern:
         coupling = cube(3, 3, 1)
         n = coupling.n_qubits
         mapping = Mapping.trivial(n)
-        circuit, _ = compile_with_pattern(
-            coupling, get_pattern(coupling), clique(n).edges, mapping)
+        circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                                clique(n).edges, use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, clique(n).edges)
 
     def test_hybrid_compiler_on_cube(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import grid, heavyhex, line
-from repro.ata import (compile_with_pattern, execute_pattern, get_pattern,
+from repro.ata import (ata_suffix, execute_pattern, get_pattern,
                        greedy_completion)
 from repro.ir.circuit import Circuit
 from repro.ir.gates import CPHASE, SWAP
@@ -59,16 +59,16 @@ class TestArbitraryInitialMapping:
         coupling = line(4)
         mapping = Mapping(perm, 4)
         problem = clique(4)
-        circuit, _ = compile_with_pattern(
-            coupling, get_pattern(coupling), problem.edges, mapping)
+        circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                                problem.edges, use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, problem.edges)
 
     def test_spare_physical_qubits(self):
         coupling = grid(3, 3)
         mapping = Mapping([0, 1, 2, 3, 4], 9)  # 5 logical on 9 physical
         problem = random_problem_graph(5, 0.6, seed=2)
-        circuit, _ = compile_with_pattern(
-            coupling, get_pattern(coupling), problem.edges, mapping)
+        circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                                problem.edges, use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, problem.edges)
 
 
@@ -142,8 +142,8 @@ class TestSparseRandomGraphs:
         n_logical = min(coupling.n_qubits, 14)
         problem = random_problem_graph(n_logical, 0.3, seed=5)
         mapping = Mapping.trivial(n_logical, coupling.n_qubits)
-        circuit, _ = compile_with_pattern(
-            coupling, get_pattern(coupling), problem.edges, mapping)
+        circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                                problem.edges, use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, problem.edges)
 
 

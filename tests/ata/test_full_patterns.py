@@ -8,7 +8,7 @@ gate through the semantic validator.
 import pytest
 
 from repro.arch import grid, heavyhex, hexagon, line, mumbai, sycamore
-from repro.ata import compile_with_pattern, get_pattern
+from repro.ata import ata_suffix, get_pattern
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
 from repro.problems import clique
@@ -19,8 +19,8 @@ def compile_clique(coupling):
     problem = clique(n)
     mapping = Mapping.trivial(n, coupling.n_qubits)
     pattern = get_pattern(coupling)
-    circuit, _ = compile_with_pattern(coupling, pattern, problem.edges,
-                                      mapping)
+    circuit, _ = ata_suffix(coupling, pattern, mapping, problem.edges,
+                            use_range_detection=False)
     report = validate_compiled(circuit, coupling.edges, mapping,
                                problem.edges)
     assert report.n_edges == problem.n_edges

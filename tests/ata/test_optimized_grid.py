@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import grid
-from repro.ata import compile_with_pattern, execute_pattern, snake_pattern
+from repro.ata import ata_suffix, execute_pattern, snake_pattern
 from repro.ata.grid_pattern import GridCliquePattern, OptimizedGridPattern
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
@@ -13,8 +13,8 @@ from repro.problems import clique, random_problem_graph
 def compile_clique(coupling, pattern):
     n = coupling.n_qubits
     mapping = Mapping.trivial(n)
-    circuit, _ = compile_with_pattern(coupling, pattern, clique(n).edges,
-                                      mapping)
+    circuit, _ = ata_suffix(coupling, pattern, mapping, clique(n).edges,
+                            use_range_detection=False)
     validate_compiled(circuit, coupling.edges, mapping, clique(n).edges)
     return circuit
 
@@ -46,8 +46,8 @@ class TestCoverage:
         random.Random(3).shuffle(perm)
         mapping = Mapping(perm, n)
         pattern = OptimizedGridPattern(coupling.metadata["units"])
-        circuit, _ = compile_with_pattern(coupling, pattern,
-                                          clique(n).edges, mapping)
+        circuit, _ = ata_suffix(coupling, pattern, mapping, clique(n).edges,
+                                use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, clique(n).edges)
 
 
@@ -85,8 +85,8 @@ class TestSparseExecution:
         problem = random_problem_graph(16, 0.35, seed=seed)
         mapping = Mapping.trivial(16)
         pattern = OptimizedGridPattern(coupling.metadata["units"])
-        circuit, _ = compile_with_pattern(coupling, pattern, problem.edges,
-                                          mapping)
+        circuit, _ = ata_suffix(coupling, pattern, mapping, problem.edges,
+                                use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, problem.edges)
 
     def test_restrict_to_subrectangle(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import grid, line
-from repro.ata import compile_with_pattern, get_pattern
+from repro.ata import ata_suffix, get_pattern
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
 from repro.problems import ProblemGraph
@@ -21,8 +21,8 @@ def edges_strategy(n):
 def test_line_executor_valid_for_any_problem_graph(edges):
     coupling = line(8)
     mapping = Mapping.trivial(8)
-    circuit, _ = compile_with_pattern(coupling, get_pattern(coupling),
-                                      edges, mapping)
+    circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping, edges,
+                            use_range_detection=False)
     validate_compiled(circuit, coupling.edges, mapping, edges)
 
 
@@ -31,8 +31,8 @@ def test_line_executor_valid_for_any_problem_graph(edges):
 def test_grid_executor_valid_for_any_problem_graph(edges):
     coupling = grid(3, 3)
     mapping = Mapping.trivial(9)
-    circuit, _ = compile_with_pattern(coupling, get_pattern(coupling),
-                                      edges, mapping)
+    circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping, edges,
+                            use_range_detection=False)
     validate_compiled(circuit, coupling.edges, mapping, edges)
 
 
@@ -41,8 +41,8 @@ def test_grid_executor_valid_for_any_problem_graph(edges):
 def test_line_executor_valid_for_any_initial_mapping(edges, perm):
     coupling = line(8)
     mapping = Mapping(perm, 8)
-    circuit, _ = compile_with_pattern(coupling, get_pattern(coupling),
-                                      edges, mapping)
+    circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping, edges,
+                            use_range_detection=False)
     validate_compiled(circuit, coupling.edges, mapping, edges)
 
 
@@ -66,7 +66,8 @@ def test_depth_never_exceeds_rigid_pattern_bound(edges):
     coupling = line(8)
     mapping = Mapping.trivial(8)
     pattern = get_pattern(coupling)
-    sub, _ = compile_with_pattern(coupling, pattern, edges, mapping)
-    full, _ = compile_with_pattern(coupling, pattern, clique(8).edges,
-                                   mapping)
+    sub, _ = ata_suffix(coupling, pattern, mapping, edges,
+                        use_range_detection=False)
+    full, _ = ata_suffix(coupling, pattern, mapping, clique(8).edges,
+                         use_range_detection=False)
     assert sub.depth() <= full.depth()

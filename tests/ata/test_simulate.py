@@ -3,7 +3,7 @@
 The lazy-candidate path scores prefix+suffix candidates with the
 streaming tracker in ``repro.ata.simulate``; selection only works if
 those numbers are *identical* (not approximately equal — esp feeds a
-float comparison) to what ``make_candidate`` measures on the real
+float comparison) to what ``reference_metrics`` measures on the real
 circuit built by ``ata_suffix``.  These tests sweep line / grid /
 heavy-hex / Sycamore devices, with and without a noise model and range
 detection, from both fresh mappings and greedy-prefix snapshots, plus a
@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 
 from repro.arch import architecture_for, grid, heavyhex_for, line, sycamore
 from repro.arch.noise import NoiseModel
-from repro.ata.executor import execute_pattern
+from repro.ata.executor import ata_suffix, detect_ranges, execute_pattern
 from repro.ata.line_pattern import LinePattern
 from repro.ata.registry import get_pattern
 from repro.ata.simulate import MetricTracker, candidate_metrics
 from repro.compiler import compile_qaoa
 from repro.compiler.greedy import greedy_compile
-from repro.compiler.prediction import ata_suffix, detect_ranges
 from repro.ir.circuit import Circuit
 from repro.ir.mapping import Mapping
 from repro.problems import random_problem_graph, regular_problem_graph

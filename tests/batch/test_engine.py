@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
@@ -114,6 +115,44 @@ class TestTimeout:
         result = execute_job(job, timeout_s=0.001)
         assert not result.ok
         assert result.error_type == "JobTimeoutError"
+
+    def test_late_disarm_cannot_leak_a_one_ms_alarm(self, monkeypatch):
+        # A re-fire landing in __exit__ before it sets ``disarming`` once
+        # raised past the disarm: the 1 ms timer stayed armed, its next
+        # tick escaped execute_job's failure path, and the previous
+        # handler was never restored.  A 5 ms stall ahead of the disarm
+        # makes that window certain.
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("needs SIGALRM")
+        from repro.batch import engine
+
+        real_exit = engine._deadline.__exit__
+
+        def stalled_exit(self, *exc):
+            until = time.perf_counter() + 0.005
+            while time.perf_counter() < until:
+                pass
+            return real_exit(self, *exc)
+
+        monkeypatch.setattr(engine._deadline, "__exit__", stalled_exit)
+        previous = signal.getsignal(signal.SIGALRM)
+        job = BatchJob(arch="heavyhex", n_qubits=48, density=0.5)
+        result = execute_job(job, timeout_s=0.001)
+        assert not result.ok
+        assert result.error_type == "JobTimeoutError"
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
+
+    def test_one_ms_timeout_never_escapes_in_a_loop(self):
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("needs SIGALRM")
+        previous = signal.getsignal(signal.SIGALRM)
+        job = BatchJob(arch="heavyhex", n_qubits=48, density=0.5)
+        for _ in range(400):
+            result = execute_job(job, timeout_s=0.001)
+            assert result.error_type == "JobTimeoutError"
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
 
     def test_generous_timeout_does_not_fire(self):
         job = BatchJob(arch="line", n_qubits=6)

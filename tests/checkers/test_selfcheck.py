@@ -33,16 +33,6 @@ def test_baseline_has_no_stale_entries():
     assert suppressed > 0
 
 
-def test_paper_knob_declaration_matches_presets():
-    # The registry must stay import-light, so it declares the paper
-    # knob names as a literal rather than importing PAPER_KNOBS; this
-    # is the drift guard that keeps the two in lockstep.
-    from repro.pipeline.presets import PAPER_KNOBS
-    from repro.pipeline.registry import PAPER_KNOB_NAMES
-
-    assert set(PAPER_KNOB_NAMES) == set(PAPER_KNOBS)
-
-
 def test_solver_knobs_are_declared():
     from repro.pipeline.registry import declared_knobs, get_method
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.arch import (NoiseModel, architecture_for, grid, heavyhex,
                         hexagon, line, sycamore)
 from repro.compiler import compile_qaoa
-from repro.compiler.selector import cost_f
 from repro.exceptions import SpecificationError
+from repro.pipeline.selection import cost_f
 from repro.problems import clique, random_problem_graph
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch import grid, heavyhex, line
 from repro.ata import get_pattern
-from repro.compiler.prediction import ata_suffix, detect_ranges
+from repro.ata.executor import ata_suffix, detect_ranges
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
 from repro.problems import clique, random_problem_graph
@@ -185,41 +185,42 @@ class TestAtaSuffix:
 
 class TestSelector:
     def test_cost_f_alpha_bounds(self):
-        from repro.compiler.selector import cost_f
+        from repro.pipeline.selection import cost_f
         with pytest.raises(ValueError):
             cost_f(1, 1, 1, 1, None, alpha=1.5)
 
     def test_cost_f_depth_only(self):
-        from repro.compiler.selector import cost_f
+        from repro.pipeline.selection import cost_f
         assert cost_f(50, 999, 100, 100, None, alpha=1.0) == pytest.approx(0.5)
 
     def test_cost_f_gate_ratio_without_noise(self):
-        from repro.compiler.selector import cost_f
+        from repro.pipeline.selection import cost_f
         f = cost_f(100, 50, 100, 100, None, alpha=0.0)
         assert f == pytest.approx(0.5)
 
     def test_cost_f_esp_term(self):
-        from repro.compiler.selector import cost_f
+        from repro.pipeline.selection import cost_f
         perfect = cost_f(100, 100, 100, 100, esp=1.0, alpha=0.0)
         noisy = cost_f(100, 100, 100, 100, esp=0.5, alpha=0.0)
         assert perfect == pytest.approx(0.0)
         assert noisy > perfect
 
     def test_score_candidates_picks_min(self):
-        from repro.compiler.selector import Candidate, score_candidates
+        from repro.pipeline.context import Candidate
+        from repro.pipeline.selection import score_candidates
         a = Candidate("a", None, depth=100, gate_count=100, esp=None)
         b = Candidate("b", None, depth=50, gate_count=50, esp=None)
         best = score_candidates([a, b], greedy_depth=100, greedy_gates=100)
         assert best.label == "b"
 
     def test_score_candidates_empty_rejected(self):
-        from repro.compiler.selector import score_candidates
+        from repro.pipeline.selection import score_candidates
         with pytest.raises(ValueError):
             score_candidates([], 1, 1)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), "0.5"])
     def test_selector_errors_are_specification_errors(self, alpha):
-        from repro.compiler.selector import cost_f, score_candidates
+        from repro.pipeline.selection import cost_f, score_candidates
         from repro.exceptions import SpecificationError
         with pytest.raises(SpecificationError, match="alpha"):
             cost_f(1, 1, 1, 1, None, alpha=alpha)

@@ -30,14 +30,14 @@ def test_heavyhex_1024_ata_depth_matches_paper_band():
 @slow
 def test_grid_1024_merged_schedule_linear():
     from repro.arch import square_grid_for
-    from repro.ata import compile_with_pattern, get_pattern
+    from repro.ata import ata_suffix, get_pattern
     from repro.ir.mapping import Mapping
     from repro.problems import random_problem_graph
 
     coupling = square_grid_for(1024)
     problem = random_problem_graph(1024, 0.3, seed=0)
     mapping = Mapping.trivial(1024, coupling.n_qubits)
-    circuit, _ = compile_with_pattern(coupling, get_pattern(coupling),
-                                      problem.edges, mapping)
+    circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
+                            problem.edges, use_range_detection=False)
     # ~1.5n cycles for the merged schedule.
     assert circuit.depth() <= 2.0 * coupling.n_qubits
