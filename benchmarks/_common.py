@@ -45,14 +45,6 @@ COMPILER_METHODS: Dict[str, str] = {
     "satmap": "satmap",
 }
 
-#: Legacy-compatible callables (kept for ad-hoc use by benchmark files).
-COMPILERS = {
-    name: (lambda coupling, problem, noise=None, _m=method:
-           resolve_compiler(_m)(coupling, problem, noise=noise))
-    for name, method in COMPILER_METHODS.items()
-}
-
-
 def full_scale() -> bool:
     return os.environ.get("REPRO_FULL_SCALE", "") not in ("", "0")
 
@@ -85,7 +77,7 @@ def run_point(arch_kind: str, problem: ProblemGraph,
     coupling = architecture_for(arch_kind, problem.n_vertices)
     out: Dict[str, Dict[str, float]] = {}
     for name in compilers:
-        result = COMPILERS[name](coupling, problem)
+        result = resolve_compiler(COMPILER_METHODS[name])(coupling, problem)
         if validate:
             result.validate(coupling, problem)
         out[name] = {

@@ -7,8 +7,6 @@
 4. Noise-aware swap weighting on/off (ESP impact of Factor III).
 """
 
-import pytest
-
 from benchmarks._common import table
 from repro.arch import NoiseModel, grid, heavyhex_for
 from repro.ata import ata_suffix, get_pattern, snake_pattern
@@ -93,6 +91,5 @@ def _compute():
           ["configuration", "depth", "CX", "ESP"], rows)
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ablations(benchmark):
-    benchmark.pedantic(_compute, rounds=1, iterations=1)
+def test_ablations():
+    _compute()

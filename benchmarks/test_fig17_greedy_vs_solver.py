@@ -7,8 +7,6 @@ dense ones, and the hybrid ("ours") matches or beats the better of the
 two everywhere.
 """
 
-import pytest
-
 from benchmarks._common import averaged_point, benchmark_sizes, table
 
 METHODS = ("greedy", "solver", "ours")
@@ -42,6 +40,5 @@ def _compute():
     assert hybrid_ok, "hybrid lost to both components somewhere"
 
 
-@pytest.mark.benchmark(group="fig17")
-def test_fig17_greedy_vs_solver_vs_ours(benchmark):
-    benchmark.pedantic(_compute, rounds=1, iterations=1)
+def test_fig17_greedy_vs_solver_vs_ours():
+    _compute()

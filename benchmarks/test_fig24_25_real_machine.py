@@ -12,8 +12,6 @@ default but can be skipped with ``REPRO_SKIP_20Q=1`` on slow machines.
 
 import os
 
-import pytest
-
 from benchmarks._common import table
 from repro.arch import NoiseModel, mumbai
 from repro.baselines import compile_twoqan
@@ -71,6 +69,5 @@ def _compute():
     assert ok, "our circuit should retain more signal than the baseline"
 
 
-@pytest.mark.benchmark(group="fig24-25")
-def test_fig24_25_qaoa_convergence(benchmark):
-    benchmark.pedantic(_compute, rounds=1, iterations=1)
+def test_fig24_25_qaoa_convergence():
+    _compute()

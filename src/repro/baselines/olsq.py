@@ -12,8 +12,11 @@ otherwise.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..arch.coupling import CouplingGraph
 from ..compiler.result import CompiledResult
@@ -21,10 +24,11 @@ from ..exceptions import SolverError
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
 from ..solver.astar import solve_depth_optimal
-from ..solver.reference import (_candidate_actions, _conflict_free_subsets,
-                                _h, _invert)
+from ..solver.heuristic import heuristic
 from ..ir.circuit import Circuit
 from ..ir.gates import Op, canonical_edge
+
+Action = Tuple[str, int, int]  # ("gate"|"swap", physical u, physical v)
 
 
 def compile_olsq(
@@ -114,7 +118,8 @@ def _beam_search(coupling, problem, initial_mapping, gamma, beam_width,
                     return _materialise(coupling, initial_mapping,
                                         new_history, gamma)
                 child_l2p = _invert(key[0], initial_mapping.n_logical)
-                h = _h(key[1], child_l2p, dist)
+                h = heuristic(key[1], Counter(q for e in key[1] for q in e),
+                              child_l2p, dist)
                 # Primary: depth lower bound, then remaining work, then
                 # swaps spent (OLSQ's SAT objective also bounds gates).
                 scored.append((h + depth, len(new_rem), new_swaps,
@@ -162,3 +167,87 @@ def _materialise(coupling, initial_mapping, history, gamma) -> Circuit:
                 circuit.append(Op.swap(u, v))
                 occupancy[u], occupancy[v] = occupancy[v], occupancy[u]
     return circuit
+
+
+# The original solver's transition system: every conflict-free subset of
+# gates and distance-reducing SWAPs.  The frozen reference A* in
+# tests/solver/reference.py expands the same subsets, so golden fixtures
+# of olsq's beam search pin the test oracle too.
+
+
+def _invert(occupancy: Tuple[Optional[int], ...],
+            n_logical: int) -> List[int]:
+    log_to_phys = [0] * n_logical
+    for phys, logical in enumerate(occupancy):
+        if logical is not None and logical < n_logical:
+            log_to_phys[logical] = phys
+    return log_to_phys
+
+
+def _candidate_actions(
+    hw_edges: List[Tuple[int, int]],
+    occupancy: Tuple[Optional[int], ...],
+    remaining: FrozenSet[Tuple[int, int]],
+    log_to_phys: List[int],
+    dist: np.ndarray,
+    prune_swaps: bool,
+) -> List[Action]:
+    actions: List[Action] = []
+    for u, v in hw_edges:
+        lu, lv = occupancy[u], occupancy[v]
+        if (lu is not None and lv is not None
+                and canonical_edge(lu, lv) in remaining):
+            actions.append(("gate", u, v))
+        if prune_swaps and not _swap_helps(u, v, occupancy, remaining,
+                                           log_to_phys, dist):
+            continue
+        actions.append(("swap", u, v))
+    return actions
+
+
+def _swap_helps(
+    u: int,
+    v: int,
+    occupancy: Tuple[Optional[int], ...],
+    remaining: FrozenSet[Tuple[int, int]],
+    log_to_phys: List[int],
+    dist: np.ndarray,
+) -> bool:
+    """Does swapping (u, v) strictly reduce some remaining pair distance?"""
+    for a, b in ((u, v), (v, u)):
+        qubit = occupancy[a]
+        if qubit is None:
+            continue
+        for x, y in sorted(remaining):
+            if x == qubit:
+                partner = y
+            elif y == qubit:
+                partner = x
+            else:
+                continue
+            p = log_to_phys[partner]
+            if dist[b, p] < dist[a, p]:
+                return True
+    return False
+
+
+def _conflict_free_subsets(
+        actions: List[Action]) -> Iterator[Tuple[Action, ...]]:
+    """All non-empty subsets of pairwise qubit-disjoint actions."""
+    n = len(actions)
+
+    def recurse(index: int, used: FrozenSet[int],
+                chosen: Tuple[Action, ...]) -> Iterator[Tuple[Action, ...]]:
+        if index == n:
+            if chosen:
+                yield chosen
+            return
+        action = actions[index]
+        _, u, v = action
+        # With this action first (so capped consumers see rich subsets).
+        if u not in used and v not in used:
+            yield from recurse(index + 1, used | {u, v}, chosen + (action,))
+        # Without it.
+        yield from recurse(index + 1, used, chosen)
+
+    yield from recurse(0, frozenset(), ())

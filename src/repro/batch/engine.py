@@ -142,6 +142,7 @@ class _deadline:
         self.seconds = seconds
         self.armed = False
         self.disarming = False
+        self.fired = False
 
     def __enter__(self) -> "_deadline":
         if not (self.seconds and self.seconds > 0):
@@ -166,6 +167,7 @@ class _deadline:
             # disarm.  The re-fire itself stays, for a raise swallowed
             # inside a GC callback.
             signal.setitimer(signal.ITIMER_REAL, _REFIRE_S, _REFIRE_S)
+            self.fired = True
             raise JobTimeoutError(
                 f"job exceeded the per-job timeout of {self.seconds}s")
         self._previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -183,6 +185,11 @@ class _deadline:
         if self.armed:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, self._previous)
+        if self.fired and exc[0] is None:
+            # Every raise was swallowed inside GC callbacks and the job
+            # ran to completion past its deadline: it still timed out.
+            raise JobTimeoutError(
+                f"job exceeded the per-job timeout of {self.seconds}s")
         return False
 
 

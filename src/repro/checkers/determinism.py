@@ -33,7 +33,7 @@ SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
 #: the compiler hot paths.
 HOT_PATHS: Tuple[str, ...] = (
     "repro/compiler", "repro/ata", "repro/pipeline", "repro/solver",
-    "repro/resilience", "repro/bench", "repro/ir")
+    "repro/resilience", "repro/ir")
 
 SET_ITERATION_MESSAGE = (
     "iteration over a set is hash-ordered; wrap it in sorted(...) to "

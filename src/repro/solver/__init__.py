@@ -1,19 +1,17 @@
 """Depth-optimal solver for small instances (Section 4).
 
-:func:`solve_depth_optimal` is the fast engine (A* / IDA* over bitmask
-states with an incremental heuristic — see :mod:`repro.solver.astar`);
-:func:`solve_depth_optimal_reference` is the frozen pre-refactor
-implementation kept as the benchmark baseline and cross-check oracle.
+:func:`solve_depth_optimal` is the engine (A* / IDA* over bitmask states
+with an incremental heuristic — see :mod:`repro.solver.astar`).  The
+frozen pre-refactor implementation it is cross-checked against lives in
+the test-suite (``tests/solver/reference.py``).
 """
 
 from .astar import (STRATEGIES, SolverResult, SolverStats,
                     solve_depth_optimal)
 from .heuristic import heuristic, pair_cost
-from .reference import solve_depth_optimal_reference
 
 __all__ = [
     "solve_depth_optimal",
-    "solve_depth_optimal_reference",
     "SolverResult",
     "SolverStats",
     "STRATEGIES",

@@ -9,9 +9,9 @@ queue carries a minimal-depth schedule.
 
 This is the tool the authors ran on 1x6 lines, 2x4 grids and 7-qubit
 Sycamore fragments to *discover* the structured patterns of Section 3; the
-test-suite replays those discoveries at feasible sizes and
-``scripts/bench_solver.py`` times the paper-scale instances against the
-frozen pre-refactor implementation (:mod:`repro.solver.reference`).
+test-suite replays those discoveries at feasible sizes and checks the
+engine's depths and node counts on the paper-scale instances against the
+frozen pre-refactor implementation (``tests/solver/reference.py``).
 
 Engine design
 -------------

@@ -24,8 +24,9 @@ much busier that a boundary split wins, which clamps the result to
     cost(q_i, q_j) = max(deg_i, deg_j, ceil((deg_i + deg_j + d - 1) / 2))
 
 ``tests/solver/test_heuristic.py`` property-checks this closed form against
-the original O(d) scan (kept as ``_pair_cost_legacy`` in
-:mod:`repro.solver.reference`) over random ``(deg_i, deg_j, d)``.
+the original O(d) scan (kept as ``_pair_cost_legacy`` in the frozen
+reference solver, ``tests/solver/reference.py``) over random
+``(deg_i, deg_j, d)``.
 
 ``h(v)`` (Definition 4) is the maximum of ``pair_cost`` over all remaining
 edges — a compiled circuit is at least as deep as any of its sub-circuits

@@ -143,6 +143,25 @@ class TestTimeout:
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
         assert signal.getsignal(signal.SIGALRM) is previous
 
+    def test_swallowed_alarm_still_times_out(self):
+        # A raise delivered inside a GC callback is swallowed; if the job
+        # then finishes before the 50 ms re-fire, leaving the deadline
+        # must still report the timeout instead of a success.
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("needs SIGALRM")
+        from repro.batch.engine import _deadline
+        from repro.exceptions import JobTimeoutError
+
+        with pytest.raises(JobTimeoutError):
+            with _deadline(0.001):
+                until = time.perf_counter() + 0.02
+                while time.perf_counter() < until:
+                    try:
+                        time.sleep(0.0005)
+                    except JobTimeoutError:
+                        pass
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
     def test_one_ms_timeout_never_escapes_in_a_loop(self):
         if not hasattr(signal, "SIGALRM"):
             pytest.skip("needs SIGALRM")

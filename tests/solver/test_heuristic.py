@@ -48,7 +48,7 @@ class TestPairCost:
     def test_closed_form_equals_the_original_scan(self, di, dj, d):
         # The O(1) closed form must agree with the O(d) Definition-3
         # minimisation it replaced (kept in the frozen reference solver).
-        from repro.solver.reference import _pair_cost_legacy
+        from tests.solver.reference import _pair_cost_legacy
 
         assert pair_cost(di, dj, d) == _pair_cost_legacy(di, dj, d)
 
