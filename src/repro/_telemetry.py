@@ -7,17 +7,18 @@ import cycles with the batch engine that reports them.
 
 Every memoization site creates a :class:`CacheCounter` and registers it
 together with ``size``/``clear`` callbacks; :func:`cache_info` then gives a
-single point-in-time view of all caches in this process, and
-:func:`cache_delta` turns two such views into the per-compilation hit/miss
-deltas that :func:`repro.compile_qaoa` stores under
-``CompiledResult.extra["cache"]``.
+single point-in-time view of all caches in this process.  Per-unit-of-work
+hit/miss deltas come from :func:`measure_cache_delta` scopes: the pipeline
+opens one per pass (the ``cache`` of each ``extra["passes"]`` record) and
+the batch engine one per job; :func:`sum_cache_deltas` adds them up.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterable, Iterator, List
 
 
 class _ScopeStack(threading.local):
@@ -76,7 +77,7 @@ def measure_cache_delta() -> Iterator[CacheDeltaScope]:
     """Open a :class:`CacheDeltaScope` on the current thread.
 
     Scopes nest: an inner scope (a single pass) and an outer scope (the
-    whole compilation) both observe the same events.
+    whole batch job) both observe the same events.
     """
     scope = CacheDeltaScope()
     _scopes.stack.append(scope)
@@ -151,6 +152,18 @@ def cache_delta(before: Dict[str, Dict[str, int]],
     return delta
 
 
+def sum_cache_deltas(deltas: Iterable[Dict[str, Dict[str, int]]]
+                     ) -> Dict[str, Dict[str, int]]:
+    """Per-cache ``{"hits", "misses"}`` summed over several deltas."""
+    totals: Dict[str, Dict[str, int]] = {}
+    for delta in deltas:
+        for name, counts in delta.items():
+            bucket = totals.setdefault(name, {"hits": 0, "misses": 0})
+            bucket["hits"] += counts.get("hits", 0)
+            bucket["misses"] += counts.get("misses", 0)
+    return totals
+
+
 def clear_caches() -> None:
     """Empty every registered cache and zero its counters (test isolation)."""
     for counter, _size, clear_fn in _REGISTRY.values():
@@ -197,6 +210,5 @@ def percentile(samples: List[float], q: float) -> float:
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(q / 100.0 * len(ordered) + 0.5)) - 1))
-    return ordered[rank]
+    n = len(ordered)
+    return ordered[min(n - 1, max(0, math.ceil(q * n / 100) - 1))]

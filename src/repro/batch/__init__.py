@@ -10,16 +10,15 @@ serially.  This package provides:
   (:mod:`repro.resilience`): retry policies, crash-safe journaled
   resume, and worker-death recovery;
 * process-local memoization of distance matrices and ATA patterns
-  (:mod:`repro.batch.cache`), with hit/miss counters surfaced both per
+  (:mod:`repro._telemetry`), with hit/miss counters surfaced both per
   job and aggregated in the :class:`BatchReport`;
 * the ``python -m repro batch`` CLI subcommand built on top.
 
 See ``docs/batch.md`` for the full reference.
 """
 
+from .._telemetry import cache_info, clear_caches, measure_cache_delta
 from ..exceptions import JobTimeoutError
-from .cache import (cache_delta, cache_info, clear_caches,
-                    measure_cache_delta)
 from .engine import (BatchReport, compile_many, default_workers,
                      execute_job, jobs_for)
 from .jobs import METHODS, WORKLOADS, BatchJob, JobResult, resolve_compiler
@@ -41,6 +40,5 @@ __all__ = [
     "METHODS",
     "WORKLOADS",
     "cache_info",
-    "cache_delta",
     "clear_caches",
 ]

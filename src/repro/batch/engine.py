@@ -34,7 +34,7 @@ Design (ISSUE 1 tentpole, hardened by the ISSUE 5 resilience layer):
   report.
 
 ``compile_many`` returns a :class:`BatchReport` that preserves job order,
-aggregates cache hit/miss counters and stage timings, and renders a table
+aggregates cache hit/miss counters and per-pass timings, and renders a table
 via :func:`repro.analysis.format_table`.
 """
 
@@ -49,7 +49,7 @@ from pathlib import Path
 from types import FrameType
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from .._telemetry import measure_cache_delta
+from .._telemetry import measure_cache_delta, sum_cache_deltas
 from ..exceptions import JobTimeoutError, SpecificationError
 from ..resilience.faults import fault_point, faults_active
 from ..resilience.retry import RetryPolicy, execute_with_retry
@@ -315,7 +315,8 @@ class BatchReport:
     #: 3 also made ``pool_restarts`` count breakages of the shared
     #: executor; 2 counted resubmission rounds (a poison job with a
     #: budget of 2 reported 2 there, 1 now).
-    SCHEMA_VERSION = 3
+    #: 4 replaced the stage-bucket totals with ``pass_totals``.
+    SCHEMA_VERSION = 4
 
     results: List[JobResult]
     wall_time_s: float
@@ -339,13 +340,7 @@ class BatchReport:
 
     def cache_totals(self) -> Dict[str, Dict[str, int]]:
         """Summed per-job cache deltas: proof of cross-job memoization."""
-        totals: Dict[str, Dict[str, int]] = {}
-        for result in self.results:
-            for name, delta in result.cache.items():
-                bucket = totals.setdefault(name, {"hits": 0, "misses": 0})
-                bucket["hits"] += delta.get("hits", 0)
-                bucket["misses"] += delta.get("misses", 0)
-        return totals
+        return sum_cache_deltas(result.cache for result in self.results)
 
     def lint_totals(self) -> Dict[str, Dict[str, int]]:
         """Aggregated lint findings across every linted job.
@@ -389,13 +384,14 @@ class BatchReport:
         """Jobs whose compiler fell back to a cheaper method mid-run."""
         return sum(1 for r in self.results if r.degraded)
 
-    def stage_totals(self) -> Dict[str, float]:
-        """Summed per-stage compile seconds across successful jobs."""
+    def pass_totals(self) -> Dict[str, float]:
+        """Summed non-skipped pass seconds per pass name, over ok jobs."""
         totals: Dict[str, float] = {}
         for result in self.ok:
-            for stage, seconds in result.telemetry.get("timings",
-                                                       {}).items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
+            for record in result.telemetry.get("passes", []):
+                if not record["skipped"]:
+                    name = record["name"]
+                    totals[name] = totals.get(name, 0.0) + record["wall_s"]
         return totals
 
     def compile_time_s(self) -> float:
@@ -463,7 +459,7 @@ class BatchReport:
             "pool_restarts": self.pool_restarts,
             "resumed_jobs": self.resumed_jobs,
             "cache_totals": self.cache_totals(),
-            "stage_totals": self.stage_totals(),
+            "pass_totals": self.pass_totals(),
             "lint_totals": self.lint_totals(),
             "retry_totals": self.retry_totals(),
             "degraded_jobs": self.degraded_jobs,

@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the compiled circuit as OpenQASM 2.0 "
                                 "(the flattened program when --layers > 1)")
     compile_p.add_argument("--telemetry", action="store_true",
-                           help="print per-stage timings and cache stats")
+                           help="print per-pass timings and cache stats")
 
     compare_p = sub.add_parser("compare",
                                help="compare all compilation methods")
@@ -332,8 +332,6 @@ def _cmd_compile(args) -> int:
             status = " (skipped)" if record.get("skipped") else ""
             print(f"pass {record['name']:>11}: "
                   f"{record['wall_s']:.4f}s{status}")
-        for stage, seconds in result.stage_timings.items():
-            print(f"stage {stage:>10}: {seconds:.4f}s")
         for cache, delta in result.cache_stats.items():
             print(f"cache {cache}: {delta['hits']} hits / "
                   f"{delta['misses']} misses")

@@ -25,7 +25,7 @@ function so no float operation is re-associated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -151,10 +151,9 @@ class GreedyFastPath:
     def swap_candidates(self, busy: Set[int]) -> List[SwapCandidate]:
         """Positive-benefit SWAPs on idle links, in captured edge order.
 
-        Integer-exact replica of the scalar loop in
-        :func:`repro.compiler.swap_insertion.select_swaps`: for each idle
-        edge ``(u, v)`` the benefit is the drop in
-        nearest-pending-partner distance for both occupants, and the
+        For each idle edge ``(u, v)`` the benefit is the drop in
+        nearest-pending-partner distance for both occupants — integer-exact
+        with :func:`repro.compiler.swap_insertion.swap_benefit` — and the
         weight is that integer times the precomputed link factor.
         """
         busy_mask = np.zeros(self.n_phys, dtype=bool)
@@ -186,12 +185,3 @@ class GreedyFastPath:
         return [(float(weight), int(u), int(v))
                 for weight, u, v in zip(weights, us[positive],
                                         vs[positive])]
-
-
-def build_pending(problem: ProblemGraph) -> Dict[int, Set[int]]:
-    """The scalar pending-partner map the sequential filter still uses."""
-    pending: Dict[int, Set[int]] = {}
-    for u, v in problem.edges:
-        pending.setdefault(u, set()).add(v)
-        pending.setdefault(v, set()).add(u)
-    return pending

@@ -23,10 +23,10 @@ pure-greedy endpoints).  This preserves the guarantee and, in practice,
 the paper's "better than the best of the two" behaviour.
 
 Every result carries structured telemetry in ``CompiledResult.extra``:
-per-pass records (``extra["passes"]``), per-stage wall-clock timings,
-the hit/miss deltas of the process-local distance-matrix/pattern caches,
-and candidate-pool statistics.  The batch engine (:mod:`repro.batch`)
-aggregates these across jobs; see ``docs/batch.md`` for the
+per-pass records (``extra["passes"]``: each pass's wall-clock seconds and
+the hit/miss deltas of the process-local distance-matrix/pattern caches
+while it ran) and candidate-pool statistics.  The batch engine
+(:mod:`repro.batch`) aggregates these across jobs; see ``docs/batch.md`` for the
 field-by-field reference and ``docs/compiler.md`` for the pass table.
 """
 

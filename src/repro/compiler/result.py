@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .._telemetry import sum_cache_deltas
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
 from ..ir.circuit import Circuit
@@ -54,18 +55,13 @@ class CompiledResult:
     # -- telemetry ---------------------------------------------------------
 
     @property
-    def stage_timings(self) -> dict:
-        """Per-stage wall-clock seconds recorded by ``compile_qaoa``
-        (``placement``, ``pattern``, ``greedy``, ``prediction``,
-        ``selection``); empty for baselines that don't report stages."""
-        return self.extra.get("timings", {})
-
-    @property
     def cache_stats(self) -> dict:
         """Hit/miss deltas of the process-local caches during this
         compilation, keyed by cache name (``distance_matrix``, ``pattern``,
-        ``pattern_cycles``)."""
-        return self.extra.get("cache", {})
+        ``pattern_cycles``): the sum of the ``extra["passes"]`` records'
+        ``cache``."""
+        return sum_cache_deltas(record["cache"]
+                                for record in self.extra.get("passes", []))
 
     def to_record(self) -> dict:
         """Plain-data summary (metrics + telemetry, no circuit) safe to

@@ -16,13 +16,16 @@ Matching modes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
 from ..ir.mapping import Mapping
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from .fastpath import GreedyFastPath
 
 SwapCandidate = Tuple[float, int, int]  # (weight, physical u, physical v)
 
@@ -101,9 +104,9 @@ def select_swaps(
     mapping: Mapping,
     pending: Dict[int, Set[int]],
     busy: Set[int],
+    fast: GreedyFastPath,
     noise: Optional[NoiseModel] = None,
     matching: str = "greedy",
-    fast=None,
 ) -> List[Tuple[int, int]]:
     """Pick a disjoint set of beneficial SWAPs on idle qubits.
 
@@ -112,23 +115,11 @@ def select_swaps(
     endpoints of a distant pending pair can each swap towards the other's
     old position every cycle and orbit forever.
 
-    ``fast`` is an optional :class:`repro.compiler.fastpath.GreedyFastPath`
-    kept in lockstep by the caller; when present the candidate scan is a
-    vectorized, byte-identical replica of the scalar loop below.
+    ``fast`` is the run's :class:`repro.compiler.fastpath.GreedyFastPath`,
+    kept in lockstep with ``mapping`` and ``pending`` by the caller; it
+    scores the candidate SWAPs on every idle link.
     """
-    if fast is not None:
-        candidates = fast.swap_candidates(busy)
-    else:
-        candidates = []
-        cache = _PartnerCache(mapping, pending)
-        for u, v in coupling.edges:
-            if u in busy or v in busy:
-                continue
-            benefit = swap_benefit(u, v, coupling, mapping, pending, cache)
-            if benefit <= 0:
-                continue
-            candidates.append((benefit * _link_factor(u, v, noise), u, v))
-
+    candidates = fast.swap_candidates(busy)
     if not candidates:
         return []
     if matching == "exact":

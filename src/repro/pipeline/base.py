@@ -7,21 +7,16 @@ expressed as a stateless object with a ``run(context)`` method.  A
 :class:`~repro.pipeline.context.CompilationContext` and owns all the
 cross-cutting plumbing the passes themselves should not care about:
 
-* **per-pass timing** — each pass's wall-clock seconds, recorded both in
-  ``extra["passes"]`` (one entry per pass run) and aggregated into the
-  legacy ``extra["timings"]`` stage buckets;
-* **cache-delta capture** — the hit/miss deltas of the process-local
-  distance-matrix/pattern caches (:mod:`repro._telemetry`) per pass and
-  for the compilation as a whole;
+* **per-pass telemetry** — one ``extra["passes"]`` record per pass run:
+  its wall-clock seconds and the hit/miss deltas of the process-local
+  distance-matrix/pattern caches (:mod:`repro._telemetry`) while it ran;
 * **observability** — an optional ``on_pass_end(pass_, context, record)``
   callback fired after every pass, the seam for progress reporting,
   tracing, or future async execution.
 
 A pass that had nothing to do (e.g. placement when an initial mapping was
 supplied) returns ``False`` from ``run``; it still appears in
-``extra["passes"]`` with ``skipped: True`` but does not contribute a
-stage-timings bucket, which keeps ``extra["timings"]`` key-compatible
-with the pre-pipeline compiler.
+``extra["passes"]`` with ``skipped: True``.
 """
 
 from __future__ import annotations
@@ -42,26 +37,18 @@ class Pass:
     """One composable compilation stage.
 
     Subclasses set :attr:`name` (unique within a pipeline run, used in
-    ``extra["passes"]``) and optionally :attr:`stage` (the
-    ``extra["timings"]`` bucket; several passes may share one bucket, as
-    the two prediction passes do) and implement :meth:`run`.
+    ``extra["passes"]``) and implement :meth:`run`.
     """
 
     #: Identity in ``extra["passes"]`` records.
     name: str = "pass"
-    #: Timings bucket; ``None`` means "same as :attr:`name`".
-    stage: Optional[str] = None
-
-    @property
-    def stage_name(self) -> str:
-        return self.stage or self.name
 
     def run(self, context: CompilationContext) -> Optional[bool]:
         """Do this stage's work by mutating ``context``.
 
-        Return ``False`` to mark the pass as skipped (recorded, but no
-        stage-timings contribution); any other return value means the
-        pass did real work.
+        Return ``False`` to mark the pass as skipped (recorded with
+        ``skipped: True``); any other return value means the pass did
+        real work.
         """
         raise NotImplementedError
 
@@ -86,44 +73,29 @@ class Pipeline:
         """Run every pass in order, recording per-pass telemetry.
 
         Appends one record per pass to ``context.extras["passes"]``
-        (``name`` / ``wall_s`` / ``cache`` / ``skipped``) and accumulates
-        non-skipped wall time into ``context.extras["timings"]`` under
-        each pass's stage bucket.
+        (``name`` / ``wall_s`` / ``cache`` / ``skipped``).
         """
         records = context.extras.setdefault("passes", [])
-        timings = context.extras.setdefault("timings", {})
         for pass_ in self.passes:
             fault_point("pipeline.pass", pass_.name)
             started = time.perf_counter()
             with measure_cache_delta() as scope:
                 outcome = pass_.run(context)
-            wall_s = time.perf_counter() - started
-            skipped = outcome is False
             record = {
                 "name": pass_.name,
-                "wall_s": wall_s,
+                "wall_s": time.perf_counter() - started,
                 "cache": scope.delta(),
-                "skipped": skipped,
+                "skipped": outcome is False,
             }
             records.append(record)
-            if not skipped:
-                bucket = pass_.stage_name
-                timings[bucket] = timings.get(bucket, 0.0) + wall_s
             if self.on_pass_end is not None:
                 self.on_pass_end(pass_, context, record)
         return context
 
     def compile(self, context: CompilationContext) -> CompiledResult:
-        """Run the pipeline and package the context as a result.
-
-        The whole-compilation cache delta lands in ``extra["cache"]``
-        (the pre-pipeline compiler's field); per-pass deltas are inside
-        ``extra["passes"]``.
-        """
+        """Run the pipeline and package the context as a result."""
         started = time.perf_counter()
-        with measure_cache_delta() as scope:
-            self.run(context)
-        context.extras["cache"] = scope.delta()
+        self.run(context)
         return context.to_result(time.perf_counter() - started)
 
     def __repr__(self) -> str:

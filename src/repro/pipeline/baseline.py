@@ -4,9 +4,10 @@ Every baseline in :mod:`repro.baselines` is a plain function
 ``fn(coupling, problem, **options) -> CompiledResult``.  Wrapping it in a
 :class:`BaselinePass` and running it through a single-stage
 :class:`~repro.pipeline.base.Pipeline` gives baselines the exact same
-telemetry envelope as the paper methods — ``extra["passes"]``, stage
-timings, whole-compilation cache deltas — which is what makes
-apples-to-apples comparison tables honest about compile-time cost.
+telemetry envelope as the paper methods — one ``extra["passes"]``
+record, named after the method, with its wall time and cache deltas —
+which is what makes apples-to-apples comparison tables honest about
+compile-time cost.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ class BaselinePass(Pass):
     label, wall time and any baseline-specific extras intact — with the
     pipeline telemetry merged into its ``extra``.
     """
-
-    stage = "baseline"
 
     def __init__(self, method_name: str, fn: Callable,
                  forward_gamma: bool = True) -> None:

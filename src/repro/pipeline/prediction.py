@@ -9,7 +9,6 @@ candidate pool the selector scores.
 
 from __future__ import annotations
 
-import time
 from typing import List, Sequence
 
 from ..ata.executor import ata_suffix
@@ -87,15 +86,10 @@ class CandidatePass(Pass):
     ``candidates`` — the finished greedy circuit (when the engine
     completed within its cycle cap) plus one ``hybrid@<cycle>`` candidate
     per sampled snapshot, each a greedy prefix completed by the ATA
-    suffix.  Writes the ``extra["candidates"]`` pool statistics and
-    ``extra["prediction_times_s"]``.
-
-    Shares the ``prediction`` timings bucket with ``PredictionPass``:
-    both are executions of the same Section 6.3 predictor.
+    suffix.  Writes the ``extra["candidates"]`` pool statistics.
     """
 
     name = "candidates"
-    stage = "prediction"
 
     def run(self, context: CompilationContext):
         context.require("trace", "pattern")
@@ -108,7 +102,6 @@ class CandidatePass(Pass):
                 esp=noise.esp(circuit) if noise is not None else None))
         sampled = sample_snapshots(trace.snapshots,
                                    context.knob("max_predictions", 24))
-        prediction_times: List[float] = []
         coupling, pattern = context.coupling, context.pattern
         gamma = context.gamma
         urd = context.knob("use_range_detection", True)
@@ -123,7 +116,6 @@ class CandidatePass(Pass):
         for snapshot in sampled:
             if not snapshot.remaining or snapshot.op_count == 0:
                 continue  # snapshot 0 duplicates the pure ATA candidate
-            started = time.perf_counter()
             while fed < snapshot.op_count:
                 tracker.feed_op(ops[fed])
                 fed += 1
@@ -132,7 +124,6 @@ class CandidatePass(Pass):
                 coupling, pattern, snapshot.mapping, snapshot.remaining,
                 noise=context.noise, use_range_detection=urd,
                 prefix_tracker=fork)
-            prediction_times.append(time.perf_counter() - started)
             op_count, mapping = snapshot.op_count, snapshot.mapping
             remaining = snapshot.remaining
             context.candidates.append(Candidate(
@@ -149,7 +140,5 @@ class CandidatePass(Pass):
             "snapshots_total": len(trace.snapshots),
             "snapshots_sampled": len(sampled),
             "greedy_finished": not trace.remaining,
-            "greedy_cycles": trace.cycles,
         }
-        context.extras["prediction_times_s"] = prediction_times
         return True

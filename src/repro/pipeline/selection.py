@@ -72,8 +72,8 @@ class SelectionPass(Pass):
 
     Reads ``candidates`` (candidate 0 must be the pure-ATA ``cc0``),
     ``trace`` and the ``alpha`` knob; writes ``context.selected`` /
-    ``context.circuit`` and the ``selected`` / ``n_candidates`` /
-    ``scores`` extras.  Depth and gate-count terms are normalised by the
+    ``context.circuit`` and the ``selected`` / ``scores``
+    extras.  Depth and gate-count terms are normalised by the
     finished greedy circuit when the engine completed, by ``cc0``
     otherwise (the greedy prefix alone is not a complete program).
     """
@@ -110,7 +110,6 @@ class SelectionPass(Pass):
         context.selected = best
         context.circuit = best.realized()
         context.extras["selected"] = best.label
-        context.extras["n_candidates"] = len(context.candidates)
         context.extras["scores"] = {c.label: c.score
                                     for c in context.candidates}
         return True

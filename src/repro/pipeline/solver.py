@@ -53,7 +53,6 @@ class SolverPass(Pass):
     """
 
     name = "solve"
-    stage = "solve"
 
     def run(self, context: CompilationContext) -> bool:
         from ..solver import solve_depth_optimal
@@ -95,7 +94,7 @@ class SolverPass(Pass):
         """Compile the instance with the greedy preset's passes inline.
 
         Runs inside this pass's ``run``, so the fallback's wall time
-        lands in the ``solve`` timings bucket — the degraded path is
+        lands in the ``solve`` pass record — the degraded path is
         still "what the optimal method cost".  The provenance record is
         written *before* the fallback runs: if greedy also fails, the
         failure report shows the job was already degraded.

@@ -27,8 +27,7 @@ class ValidatePass(Pass):
     that deliberately revisit pairs.  An attached program has each layer
     checked too, from its own recorded input mapping.
 
-    On success it records ``extra["validated_edges"]`` (backwards
-    compatible) plus ``extra["validate"]`` with everything
+    On success it records ``extra["validate"]`` with everything
     :func:`~repro.ir.validate.validate_compiled` computed: distinct edge
     count, CPHASE/SWAP tallies and the final logical-to-physical layout.
     """
@@ -46,7 +45,6 @@ class ValidatePass(Pass):
         report = validate_compiled(context.circuit, context.coupling.edges,
                                    context.mapping, context.problem.edges,
                                    allow_repeats=allow_repeats)
-        context.extras["validated_edges"] = report.n_edges
         context.extras["validate"] = {
             "n_edges": report.n_edges,
             "n_cphase": report.n_cphase,

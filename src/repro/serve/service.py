@@ -24,7 +24,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from .._telemetry import count_event, percentile
+from .._telemetry import count_event, percentile, sum_cache_deltas
 from ..batch.jobs import BatchJob, JobResult
 from ..batch.pool import PersistentPool
 from ..resilience.faults import fault_point
@@ -68,11 +68,7 @@ class ServeStats:
         self.latencies_ms.append(ms)
 
     def absorb_cache_delta(self, delta: Dict[str, Dict[str, int]]) -> None:
-        for name, counts in delta.items():
-            bucket = self.cache_totals.setdefault(
-                name, {"hits": 0, "misses": 0})
-            bucket["hits"] += counts.get("hits", 0)
-            bucket["misses"] += counts.get("misses", 0)
+        self.cache_totals = sum_cache_deltas((self.cache_totals, delta))
 
     def snapshot(self) -> Dict[str, Any]:
         samples: List[float] = list(self.latencies_ms)

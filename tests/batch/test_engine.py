@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from repro.batch import (BatchJob, PersistentPool, compile_many,
-                         default_workers, execute_job, jobs_for)
-from repro.batch.cache import clear_caches
+from repro.batch import (BatchJob, BatchReport, JobResult, PersistentPool,
+                         clear_caches, compile_many, default_workers,
+                         execute_job, jobs_for)
 from repro.exceptions import SpecificationError
 
 
@@ -56,11 +56,32 @@ class TestSerialEngine:
         assert failure.error_type == "ArchitectureError"
         assert "mumbai" in failure.error
 
-    def test_stage_totals_aggregate_timings(self):
+    def test_pass_totals_aggregate_pass_records(self):
         report = compile_many(mixed_jobs()[:4], executor="serial")
-        totals = report.stage_totals()
-        assert "greedy" in totals
-        assert totals["greedy"] >= 0.0
+        payload = report.to_json()
+        assert payload["schema_version"] == 4
+        assert set(payload["pass_totals"]) == {
+            "placement", "pattern", "prediction", "greedy", "candidates",
+            "selection", "assembly"}
+        assert all(seconds >= 0.0
+                   for seconds in payload["pass_totals"].values())
+
+    def test_pass_totals_skip_skipped_records_and_failed_jobs(self):
+        job = BatchJob(arch="grid", n_qubits=9)
+        passes = [
+            {"name": "placement", "wall_s": 0.5, "cache": {},
+             "skipped": True},
+            {"name": "greedy", "wall_s": 0.25, "cache": {},
+             "skipped": False},
+        ]
+        ok = JobResult(job=job, ok=True,
+                       record={"extra": {"passes": passes}})
+        failed = JobResult(job=job, ok=False, error="boom",
+                           error_type="RuntimeError")
+        report = BatchReport([ok, ok, failed], wall_time_s=1.0, workers=1,
+                             executor="serial")
+        assert report.pass_totals() == {"greedy": 0.5}
+        assert report.to_json()["pass_totals"] == {"greedy": 0.5}
 
     def test_report_json_round_trips(self):
         jobs = mixed_jobs()[:2] + [BatchJob(arch="mumbai", n_qubits=100)]

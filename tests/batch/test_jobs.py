@@ -92,6 +92,6 @@ class TestJobResult:
 
     def test_telemetry_shortcut(self):
         result = JobResult(job=BatchJob(arch="grid", n_qubits=9), ok=True,
-                           record={"depth": 3, "extra": {"timings": {}}})
+                           record={"depth": 3, "extra": {"passes": []}})
         assert result.metrics == {"depth": 3}
-        assert result.telemetry == {"timings": {}}
+        assert result.telemetry == {"passes": []}

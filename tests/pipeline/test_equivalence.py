@@ -10,6 +10,7 @@ immediately before the pipeline landed.
 
 import pytest
 
+from repro._telemetry import measure_cache_delta
 from repro.arch import grid, heavyhex, line
 from repro.compiler import compile_qaoa
 from repro.pipeline import ValidatePass, build_context, build_pipeline
@@ -43,12 +44,12 @@ GOLDEN = {
     ("heavyhex", 11, "ata"): (21, 203),
 }
 
-#: The pre-refactor ``extra["timings"]`` keys per method — preserved.
-EXPECTED_STAGES = {
-    "hybrid": {"placement", "pattern", "prediction", "greedy", "selection",
-               "assembly"},
-    "greedy": {"placement", "greedy", "assembly"},
-    "ata": {"placement", "pattern", "prediction", "assembly"},
+#: Each preset's ``extra["passes"]`` record names, in run order.
+EXPECTED_PASSES = {
+    "hybrid": ["placement", "pattern", "prediction", "greedy", "candidates",
+               "selection", "assembly"],
+    "greedy": ["placement", "greedy", "assembly"],
+    "ata": ["placement", "pattern", "prediction", "assembly"],
 }
 
 
@@ -70,23 +71,36 @@ class TestGoldenEquivalence:
 class TestTelemetryContract:
     @pytest.mark.parametrize("method", ["hybrid", "greedy", "ata"])
     @pytest.mark.parametrize("arch", sorted(ARCHES))
-    def test_timings_keys_preserved_and_passes_added(self, arch, method):
+    def test_pass_records_in_order(self, arch, method):
         coupling = ARCHES[arch]()
         result = compile_qaoa(coupling, make_problem(coupling, 3),
                               method=method)
-        assert set(result.extra["timings"]) == EXPECTED_STAGES[method]
         passes = result.extra["passes"]
-        assert passes, "every result must gain per-pass records"
+        assert [r["name"] for r in passes] == EXPECTED_PASSES[method]
         for record in passes:
-            assert set(record) >= {"name", "wall_s", "cache", "skipped"}
+            assert set(record) == {"name", "wall_s", "cache", "skipped"}
             assert record["wall_s"] >= 0.0
+            assert record["skipped"] is False
 
     def test_hybrid_extras_unchanged(self):
         coupling = grid(4, 4)
         result = compile_qaoa(coupling, make_problem(coupling, 3))
-        for key in ("selected", "n_candidates", "scores", "candidates",
-                    "prediction_times_s", "timings", "cache", "passes"):
-            assert key in result.extra, key
+        assert set(result.extra) == {"selected", "scores", "candidates",
+                                     "greedy_cycles", "passes", "program"}
+
+    @pytest.mark.parametrize("method", ["hybrid", "greedy", "ata", "sabre"])
+    def test_cache_stats_sum_the_pass_records(self, method):
+        coupling = grid(4, 4)
+        problem = make_problem(coupling, 3)
+        with measure_cache_delta() as scope:
+            result = compile_qaoa(coupling, problem, method=method)
+        caches = [record["cache"] for record in result.extra["passes"]]
+        summed = {name: {key: sum(cache[name][key] for cache in caches)
+                         for key in ("hits", "misses")}
+                  for name in caches[0]}
+        assert result.cache_stats == summed
+        # Every cache event of the compile happens inside some pass.
+        assert result.cache_stats == scope.delta()
 
 
 class TestValidatePass:
@@ -118,5 +132,5 @@ class TestValidatePass:
         problem = random_problem_graph(8, 0.35, seed=4)
         context = build_context("greedy", coupling, problem)
         result = build_pipeline("greedy", validate=True).compile(context)
-        assert result.extra["validated_edges"] == problem.n_edges
+        assert result.extra["validate"]["n_edges"] == problem.n_edges
         assert result.extra["passes"][-1]["name"] == "validate"

@@ -93,7 +93,6 @@ class TestValidatePass:
         assert payload["allow_repeats"] is False
         # swap(1, 2) moved logical 1 to physical 2 and logical 2 to 1.
         assert payload["final_log_to_phys"] == [0, 2, 1, 3]
-        assert context.extras["validated_edges"] == 2
 
     def test_repeats_rejected_by_default(self):
         context = make_context(REPEATED, [(0, 1)])

@@ -338,7 +338,7 @@ class TestReportSchema:
     def test_to_json_is_versioned_and_json_round_trips(self):
         report = compile_many(small_jobs(2), executor="serial")
         payload = report.to_json()
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         for key in ("pool_restarts", "resumed_jobs", "retry_totals",
                     "degraded_jobs"):
             assert key in payload

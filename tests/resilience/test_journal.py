@@ -17,7 +17,7 @@ def _jobs(n=3):
 def _result(job, depth=7):
     return JobResult(job=job, ok=True, wall_time_s=0.25,
                      record={"depth": depth, "cx": 9, "swaps": 1,
-                             "extra": {"timings": {"greedy": 0.1}}},
+                             "extra": {"greedy_cycles": 4}},
                      cache={"distance_matrix": {"hits": 1, "misses": 0}},
                      attempts=[{"attempt": 1, "error_type": "TransientError",
                                 "error": "blip", "transient": True,

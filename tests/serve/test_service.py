@@ -10,7 +10,7 @@ import multiprocessing
 
 import pytest
 
-from repro._telemetry import clear_events, event_info
+from repro._telemetry import clear_events, event_info, percentile
 from repro.batch.pool import PersistentPool
 from repro.resilience.faults import FaultPlan, FaultSpec, active_plan
 from repro.serve.protocol import normalize_request
@@ -28,6 +28,36 @@ def pool():
 
 def payload_bytes(response):
     return json.dumps(response["result"], sort_keys=True)
+
+
+def nearest_rank(samples, q):
+    """The integer definition: the smallest sample with at least
+    ``q`` percent of the samples at or below it."""
+    ordered = sorted(samples)
+    n = len(ordered)
+    for rank in range(1, n + 1):
+        if 100 * rank >= q * n:
+            return ordered[rank - 1]
+    return ordered[-1]
+
+
+class TestPercentile:
+    """The ``/stats`` latency p50/p90/p99 come from this function."""
+
+    def test_matches_integer_nearest_rank(self):
+        for n in range(1, 41):
+            samples = [float(v) for v in range(n, 0, -1)]
+            for q in (0, 25, 50, 75, 90, 99, 100):
+                assert percentile(samples, q) == nearest_rank(samples, q), \
+                    (n, q)
+
+    def test_half_ranks_do_not_round_up(self):
+        assert percentile(list(range(1, 11)), 50) == 5
+        assert percentile(list(range(1, 11)), 90) == 9
+        assert percentile([1, 2], 50) == 1
+
+    def test_empty_sample_is_zero(self):
+        assert percentile([], 50) == 0.0
 
 
 class TestStoreServing:

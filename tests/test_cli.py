@@ -135,13 +135,17 @@ class TestBatch:
         assert code == 0
         assert "2/2 jobs ok" in out
 
-    def test_telemetry_flag_prints_stages(self, capsys):
+    def test_telemetry_flag_prints_passes_and_caches(self, capsys):
         code, out = run_cli(capsys, ["compile", "--arch", "grid",
                                      "--qubits", "9", "--telemetry"])
         assert code == 0
-        assert "pass" in out
-        assert "stage" in out
-        assert "cache" in out
+        passes = [line.split()[1].rstrip(":") for line in out.splitlines()
+                  if line.startswith("pass ")]
+        assert passes == ["placement", "pattern", "prediction", "greedy",
+                          "candidates", "selection", "assembly"]
+        assert any(line.startswith("cache ") for line in out.splitlines())
+        assert not any(line.startswith("stage ")
+                       for line in out.splitlines())
 
 
 FIXTURES = "tests/lint/fixtures"
