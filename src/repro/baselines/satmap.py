@@ -46,7 +46,7 @@ def compile_satmap(
     best = None
     for placement in placements:
         trace = greedy_compile(coupling, problem, placement, gamma=gamma,
-                               record_snapshots=False, unify_swaps=True,
+                               unify_swaps=True,
                                gate_selection="greedy")
         cx = trace.circuit.cx_count(unify=True)
         if best is None or cx < best[0]:

@@ -60,7 +60,7 @@ def compile_twoqan(
     initial_mapping = quadratic_initial_mapping(
         coupling, problem, iterations=iterations, seed=seed)
     trace = greedy_compile(coupling, problem, initial_mapping,
-                           record_snapshots=False, gamma=gamma,
+                           gamma=gamma,
                            unify_swaps=True, gate_selection="greedy")
     return CompiledResult(trace.circuit, initial_mapping, "2qan",
                           time.perf_counter() - start)

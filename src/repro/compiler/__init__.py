@@ -8,12 +8,12 @@ thin facade over its method registry.
 """
 
 from .framework import compile_qaoa
-from .greedy import GreedyTrace, Snapshot, greedy_compile
+from .greedy import GreedyTrace, Snapshot, greedy_compile, replay_snapshots
 from .mapping import (degree_placement, noise_aware_placement,
                       quadratic_placement, trivial_placement)
 from .result import CompiledResult
 from .scheduling import select_gates
-from .swap_insertion import select_swaps, swap_benefit
+from .swap_insertion import select_swaps
 
 __all__ = [
     "compile_qaoa",
@@ -21,9 +21,9 @@ __all__ = [
     "greedy_compile",
     "GreedyTrace",
     "Snapshot",
+    "replay_snapshots",
     "select_gates",
     "select_swaps",
-    "swap_benefit",
     "trivial_placement",
     "degree_placement",
     "quadratic_placement",

@@ -14,12 +14,19 @@ answers both scans with vectorized gathers instead:
   whose "position" is a virtual node at distance ``BIG`` from
   everything, so nearest-pending-partner minima never need masking.
 
+The same mirrors serve the sequential re-validation of the matched
+SWAPs: :meth:`GreedyFastPath.benefit` scores one SWAP from the current
+mirror state, and :meth:`GreedyFastPath.swap` applies each kept SWAP
+before the next is scored.  The instance is therefore the engine's one
+copy of the mapping and pending-pair state besides the ``Mapping``
+object it reports.
+
 Byte-identity is a hard contract (the golden fixtures pin it): the edge
 list is captured **once** from ``coupling.edges`` — per-cycle results
 are produced in exactly the order the Python loops iterated that same
-frozenset — benefits are computed in integer arithmetic identical to
-the scalar :func:`repro.compiler.swap_insertion.swap_benefit`, and the
-error-weight factors are precomputed with the *scalar* link-factor
+frozenset — benefits are integer minima over the same partner sets as
+the frozen scalar scorer in ``tests/compiler/reference_swaps.py``, and
+the error-weight factors are precomputed with the *scalar* link-factor
 function so no float operation is re-associated.
 """
 
@@ -44,7 +51,8 @@ class GreedyFastPath:
 
     The instance must be kept in lockstep with the engine's mutable
     state: call :meth:`mark_done` whenever a pending pair is emitted and
-    :meth:`swap` whenever the mapping changes.
+    :meth:`swap` whenever the mapping changes (``select_swaps`` does so
+    for the SWAPs it keeps).
     """
 
     def __init__(self, coupling: CouplingGraph, problem: ProblemGraph,
@@ -131,6 +139,26 @@ class GreedyFastPath:
 
     # -- per-cycle scans ----------------------------------------------------
 
+    def benefit(self, u: int, v: int) -> int:
+        """Drop in nearest-pending-partner distance from swapping (u, v).
+
+        Summed over both occupants; a spare qubit, or one with no pending
+        partner, contributes nothing.
+        """
+        dist = self.dist_ext
+        total = 0
+        for here, there in ((u, v), (v, u)):
+            logical = self.p2l[here]
+            if logical < 0:
+                continue
+            count = self.partner_count[logical]
+            if not count:
+                continue
+            positions = self.l2p[self.partners[logical, :count]]
+            total += (int(dist[here, positions].min())
+                      - int(dist[there, positions].min()))
+        return total
+
     def executable(self) -> List[Tuple[int, int, Tuple[int, int]]]:
         """Hardware-compliant pending gates, in captured edge order."""
         lu = self.p2l[self.edges_u]
@@ -153,8 +181,8 @@ class GreedyFastPath:
 
         For each idle edge ``(u, v)`` the benefit is the drop in
         nearest-pending-partner distance for both occupants — integer-exact
-        with :func:`repro.compiler.swap_insertion.swap_benefit` — and the
-        weight is that integer times the precomputed link factor.
+        with :meth:`benefit` — and the weight is that integer times the
+        precomputed link factor.
         """
         busy_mask = np.zeros(self.n_phys, dtype=bool)
         if busy:

@@ -2,9 +2,11 @@
 
 Iteratively schedules hardware-compliant candidate gates (graph-colouring
 selection) and inserts beneficial SWAPs on idle qubits (error-weighted
-matching), recording a snapshot whenever the qubit mapping changes so the
-ATA-prediction component can later splice a structured suffix at any point
-(Section 6.3).
+matching), logging a snapshot — the cycle and the circuit's op count —
+whenever the qubit mapping changes so the ATA-prediction component can
+later splice a structured suffix at any point (Section 6.3).
+:func:`replay_snapshots` rebuilds the mapping and remaining edges at the
+logged points from the circuit itself.
 
 A forced-progress rule guarantees termination: if a cycle schedules no gate
 and finds no beneficial SWAP, the closest pending pair is moved one step
@@ -14,13 +16,14 @@ along its shortest path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (Callable, FrozenSet, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
 from ..exceptions import CompilationError
 from ..ir.circuit import Circuit
-from ..ir.gates import Op, canonical_edge
+from ..ir.gates import CPHASE, SWAP, Op, canonical_edge
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
 from .fastpath import GreedyFastPath
@@ -28,14 +31,12 @@ from .scheduling import select_gates
 from .swap_insertion import select_swaps
 
 
-@dataclass
+@dataclass(frozen=True)
 class Snapshot:
-    """Compilation state right after a mapping change (cycle boundary)."""
+    """A mapping change: the cycle and the circuit's length right after it."""
 
     cycle: int
     op_count: int
-    mapping: Mapping
-    remaining: frozenset
 
 
 @dataclass
@@ -49,6 +50,39 @@ class GreedyTrace:
     remaining: frozenset = frozenset()
 
 
+def replay_snapshots(
+    circuit: Circuit,
+    initial_mapping: Mapping,
+    edges: Iterable[Tuple[int, int]],
+    snapshots: Iterable[Snapshot],
+    feed: Optional[Callable[[Op], None]] = None,
+) -> Iterator[Tuple[Snapshot, Mapping, FrozenSet[Tuple[int, int]]]]:
+    """Rebuild the engine's state at each snapshot in one walk of ``circuit``.
+
+    ``snapshots`` must be in emission order (any subset of a trace's
+    log).  For each one this yields the mapping — ``initial_mapping``
+    plus the prefix's SWAPs — and the remaining edges — the canonical
+    problem ``edges``, inserted in order, minus the prefix's CPHASE
+    tags — exactly as :func:`greedy_compile` held them at that point.
+    ``feed``, when given, is called with every walked op in order.
+    """
+    mapping = initial_mapping.copy()
+    remaining = _pending_pairs(edges)
+    ops = circuit.ops
+    walked = 0
+    for snapshot in snapshots:
+        while walked < snapshot.op_count:
+            op = ops[walked]
+            if op.kind == SWAP:
+                mapping.swap_physical(*op.qubits)
+            elif op.kind == CPHASE:
+                remaining.discard(op.tag)
+            if feed is not None:
+                feed(op)
+            walked += 1
+        yield snapshot, mapping.copy(), frozenset(remaining)
+
+
 def greedy_compile(
     coupling: CouplingGraph,
     problem: ProblemGraph,
@@ -57,7 +91,6 @@ def greedy_compile(
     gamma: float = 0.0,
     matching: str = "greedy",
     crosstalk_aware: bool = True,
-    record_snapshots: bool = True,
     max_cycles: Optional[int] = None,
     unify_swaps: bool = False,
     gate_selection: str = "color",
@@ -66,6 +99,7 @@ def greedy_compile(
 
     With ``max_cycles`` the loop stops early and leaves the remainder in the
     last snapshot — the hybrid framework then finishes with the ATA suffix.
+    Snapshots are logged on every run: two ints per cycle that swaps.
 
     ``unify_swaps`` enables the 2QAN-style optimisation: when an inserted
     SWAP's pair still has a pending gate, the gate is emitted immediately
@@ -78,23 +112,14 @@ def greedy_compile(
     mapping = initial_mapping.copy()
     circuit = Circuit(coupling.n_qubits)
 
-    pending: Dict[int, Set[int]] = {}
-    remaining: Set[Tuple[int, int]] = set()
-    for u, v in problem.edges:
-        pair = canonical_edge(u, v)
-        remaining.add(pair)
-        pending.setdefault(u, set()).add(v)
-        pending.setdefault(v, set()).add(u)
+    remaining = _pending_pairs(problem.edges)
 
-    # Numpy mirrors of (mapping, remaining, pending): the per-cycle
-    # executable and SWAP-candidate scans run vectorized but produce
-    # byte-identical results to the scalar loops they replace.
+    # Numpy mirrors of the mapping and the pending pairs: the per-cycle
+    # executable scan and SWAP scoring read these, never `mapping`.
     fast = GreedyFastPath(coupling, problem, mapping, noise)
 
     trace = GreedyTrace(circuit=circuit, final_mapping=mapping)
-    if record_snapshots:
-        trace.snapshots.append(Snapshot(0, 0, mapping.copy(),
-                                        frozenset(remaining)))
+    trace.snapshots.append(Snapshot(0, 0))
 
     cycle = 0
     # Absolute bound against pathological swap oscillation; on hitting it
@@ -122,19 +147,17 @@ def greedy_compile(
             circuit.append(Op.cphase(u, v, gamma, tag=pair))
             remaining.discard(pair)
             fast.mark_done(pair)
-            a, b = pair
-            pending[a].discard(b)
-            pending[b].discard(a)
             busy.add(u)
             busy.add(v)
 
         if not remaining:
             break
 
-        swaps = select_swaps(coupling, mapping, pending, busy,
-                             noise=noise, matching=matching, fast=fast)
+        # select_swaps leaves its kept SWAPs applied to the mirrors.
+        swaps = select_swaps(fast, busy, matching)
         if not scheduled and not swaps:
             swaps = [_forced_step(coupling, mapping, remaining)]
+            fast.swap(*swaps[0])
         for u, v in swaps:
             if unify_swaps:
                 lu, lv = mapping.logical(u), mapping.logical(v)
@@ -144,21 +167,15 @@ def greedy_compile(
                         circuit.append(Op.cphase(u, v, gamma, tag=pair))
                         remaining.discard(pair)
                         fast.mark_done(pair)
-                        pending[pair[0]].discard(pair[1])
-                        pending[pair[1]].discard(pair[0])
             circuit.append(Op.swap(u, v))
             mapping.swap_physical(u, v)
-            fast.swap(u, v)
-        if swaps and record_snapshots:
-            trace.snapshots.append(Snapshot(cycle, len(circuit),
-                                            mapping.copy(),
-                                            frozenset(remaining)))
+        if swaps:
+            trace.snapshots.append(Snapshot(cycle, len(circuit)))
 
-    if remaining and record_snapshots:
+    if remaining:
         # Terminal snapshot so the hybrid framework can splice an ATA
         # suffix after a capped greedy run.
-        trace.snapshots.append(Snapshot(cycle, len(circuit), mapping.copy(),
-                                        frozenset(remaining)))
+        trace.snapshots.append(Snapshot(cycle, len(circuit)))
     trace.final_mapping = mapping
     trace.cycles = cycle
     if max_cycles is None and remaining:
@@ -166,6 +183,16 @@ def greedy_compile(
     # Expose the unfinished remainder (empty on full runs).
     trace.remaining = frozenset(remaining)
     return trace
+
+
+def _pending_pairs(edges: Iterable[Tuple[int, int]]) -> Set[Tuple[int, int]]:
+    """The canonical pairs, inserted in ``edges`` order — one construction
+    for the engine and :func:`replay_snapshots`, so both sets iterate
+    alike."""
+    pairs: Set[Tuple[int, int]] = set()
+    for u, v in edges:
+        pairs.add(canonical_edge(u, v))
+    return pairs
 
 
 def _first_come(executable):

@@ -16,80 +16,17 @@ Matching modes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
-from ..ir.mapping import Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .fastpath import GreedyFastPath
 
 SwapCandidate = Tuple[float, int, int]  # (weight, physical u, physical v)
 
-
-class _PartnerCache:
-    """Per-cycle cache of each logical qubit's partner positions.
-
-    Positions only change between cycles (or when the caller applies trial
-    swaps, which invalidates explicitly), so the numpy gather per qubit is
-    built once per cycle instead of once per candidate evaluation.
-    """
-
-    __slots__ = ("mapping", "pending", "_positions")
-
-    def __init__(self, mapping: Mapping,
-                 pending: Dict[int, Set[int]]) -> None:
-        self.mapping = mapping
-        self.pending = pending
-        self._positions: Dict[int, Optional[np.ndarray]] = {}
-
-    def partner_positions(self, logical: int) -> Optional[np.ndarray]:
-        if logical in self._positions:
-            return self._positions[logical]
-        partners = self.pending.get(logical)
-        if not partners:
-            positions = None
-        else:
-            log_to_phys = self.mapping.log_to_phys
-            positions = np.fromiter(
-                (log_to_phys[p] for p in partners), dtype=np.int64,
-                count=len(partners))
-        self._positions[logical] = positions
-        return positions
-
-    def invalidate(self, moved_logical: int) -> None:
-        """Forget entries that reference a moved qubit's position."""
-        self._positions.pop(moved_logical, None)
-        for partner in self.pending.get(moved_logical, ()):
-            self._positions.pop(partner, None)
-
-
-def swap_benefit(
-    u: int,
-    v: int,
-    coupling: CouplingGraph,
-    mapping: Mapping,
-    pending: Dict[int, Set[int]],
-    cache: Optional[_PartnerCache] = None,
-) -> float:
-    """Distance improvement of swapping (u, v), by nearest pending partner."""
-    dist = coupling.distance_matrix
-    if cache is None:
-        cache = _PartnerCache(mapping, pending)
-    benefit = 0.0
-    for here, there in ((u, v), (v, u)):
-        logical = mapping.logical(here)
-        if logical is None:
-            continue
-        positions = cache.partner_positions(logical)
-        if positions is None:
-            continue
-        benefit += int(dist[here, positions].min())
-        benefit -= int(dist[there, positions].min())
-    return benefit
+#: The ``matching`` knob's accepted values.
+MATCHING_MODES = ("greedy", "exact")
 
 
 def _link_factor(u: int, v: int, noise: Optional[NoiseModel]) -> float:
@@ -100,24 +37,22 @@ def _link_factor(u: int, v: int, noise: Optional[NoiseModel]) -> float:
 
 
 def select_swaps(
-    coupling: CouplingGraph,
-    mapping: Mapping,
-    pending: Dict[int, Set[int]],
-    busy: Set[int],
     fast: GreedyFastPath,
-    noise: Optional[NoiseModel] = None,
+    busy: Set[int],
     matching: str = "greedy",
 ) -> List[Tuple[int, int]]:
     """Pick a disjoint set of beneficial SWAPs on idle qubits.
 
-    Swaps are committed *sequentially* against a scratch mapping so that
-    later choices see the effect of earlier ones.  Without this, the two
-    endpoints of a distant pending pair can each swap towards the other's
-    old position every cycle and orbit forever.
+    ``fast`` is the run's :class:`repro.compiler.fastpath.GreedyFastPath`;
+    it scores the candidate SWAPs on every idle link.  The matched SWAPs
+    are then committed *sequentially*: each is re-scored against the
+    mirrors and, if still beneficial, applied to them before the next is
+    scored, so later choices see the effect of earlier ones.  Without
+    this, the two endpoints of a distant pending pair can each swap
+    towards the other's old position every cycle and orbit forever.
 
-    ``fast`` is the run's :class:`repro.compiler.fastpath.GreedyFastPath`,
-    kept in lockstep with ``mapping`` and ``pending`` by the caller; it
-    scores the candidate SWAPs on every idle link.
+    The kept SWAPs are already applied to ``fast`` on return; the caller
+    applies them to its ``Mapping``.
     """
     candidates = fast.swap_candidates(busy)
     if not candidates:
@@ -126,28 +61,11 @@ def select_swaps(
         chosen = _exact_matching(candidates)
     else:
         chosen = _greedy_matching(candidates)
-    return _sequential_filter(chosen, coupling, mapping, pending, noise)
-
-
-def _sequential_filter(
-    swaps: List[Tuple[int, int]],
-    coupling: CouplingGraph,
-    mapping: Mapping,
-    pending: Dict[int, Set[int]],
-    noise: Optional[NoiseModel],
-) -> List[Tuple[int, int]]:
-    """Re-validate each swap against the cumulative effect of earlier ones."""
-    scratch = mapping.copy()
-    cache = _PartnerCache(scratch, pending)
     kept: List[Tuple[int, int]] = []
-    for u, v in swaps:
-        if swap_benefit(u, v, coupling, scratch, pending, cache) > 0:
+    for u, v in chosen:
+        if fast.benefit(u, v) > 0:
             kept.append((u, v))
-            lu, lv = scratch.logical(u), scratch.logical(v)
-            scratch.swap_physical(u, v)
-            for moved in (lu, lv):
-                if moved is not None:
-                    cache.invalidate(moved)
+            fast.swap(u, v)
     return kept
 
 

@@ -1,10 +1,10 @@
 """The greedy-processing pass (Section 6.2).
 
 One pass wraps :func:`repro.compiler.greedy.greedy_compile` for both the
-pure-greedy method (no snapshots, runs to completion, the trace circuit
-is the final circuit) and the hybrid method (snapshots at every mapping
-change, cycle-capped by the pure-ATA candidate's depth so a schedule the
-selector could never pick is not computed in full).
+pure-greedy method (runs to completion, the trace circuit is the final
+circuit) and the hybrid method (its snapshots feed the candidate pool,
+and the run is cycle-capped by the pure-ATA candidate's depth so a
+schedule the selector could never pick is not computed in full).
 """
 
 from __future__ import annotations
@@ -19,23 +19,23 @@ class GreedyPass(Pass):
 
     Reads ``mapping`` and the ``matching`` / ``crosstalk_aware`` /
     ``unify_swaps`` / ``greedy_cycle_cap`` knobs.  With
-    ``record_snapshots=True`` (the hybrid preset) the default cycle cap
-    is ``3 * depth(cc0) + 50`` where ``cc0`` is the pure-ATA candidate
-    produced by the preceding ``PredictionPass`` — a greedy schedule
-    three times deeper than the structured one can never win the
-    selector.  Without snapshots (the greedy preset) the engine runs to
-    completion and the pass also publishes ``context.circuit``.
+    ``as_result=True`` (the greedy preset) the engine runs to completion
+    and the pass also publishes ``context.circuit``.  Otherwise (the
+    hybrid preset) the default cycle cap is ``3 * depth(cc0) + 50``
+    where ``cc0`` is the pure-ATA candidate produced by the preceding
+    ``PredictionPass`` — a greedy schedule three times deeper than the
+    structured one can never win the selector.
     """
 
     name = "greedy"
 
-    def __init__(self, record_snapshots: bool = False) -> None:
-        self.record_snapshots = record_snapshots
+    def __init__(self, as_result: bool = True) -> None:
+        self.as_result = as_result
 
     def run(self, context: CompilationContext):
         context.require("mapping")
         max_cycles = context.knob("greedy_cycle_cap")
-        if (max_cycles is None and self.record_snapshots
+        if (max_cycles is None and not self.as_result
                 and context.candidates):
             max_cycles = 3 * context.candidates[0].depth + 50
         trace = greedy_compile(
@@ -43,11 +43,10 @@ class GreedyPass(Pass):
             noise=context.noise, gamma=context.gamma,
             matching=context.knob("matching", "greedy"),
             crosstalk_aware=context.knob("crosstalk_aware", True),
-            record_snapshots=self.record_snapshots,
             max_cycles=max_cycles,
             unify_swaps=context.knob("unify_swaps", True))
         context.trace = trace
         context.extras["greedy_cycles"] = trace.cycles
-        if not self.record_snapshots:
+        if self.as_result:
             context.circuit = trace.circuit
         return True

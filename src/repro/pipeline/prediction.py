@@ -13,6 +13,7 @@ from typing import List, Sequence
 
 from ..ata.executor import ata_suffix
 from ..ata.simulate import MetricTracker, candidate_metrics
+from ..compiler.greedy import replay_snapshots
 from ..ir.circuit import Circuit
 from .base import Pass
 from .context import Candidate, CompilationContext
@@ -92,7 +93,7 @@ class CandidatePass(Pass):
     name = "candidates"
 
     def run(self, context: CompilationContext):
-        context.require("trace", "pattern")
+        context.require("trace", "mapping", "pattern")
         trace = context.trace
         if not trace.remaining:
             circuit, noise = trace.circuit, context.noise
@@ -105,27 +106,23 @@ class CandidatePass(Pass):
         coupling, pattern = context.coupling, context.pattern
         gamma = context.gamma
         urd = context.knob("use_range_detection", True)
-        # One streaming walk of the greedy circuit: the tracker is fed
-        # up to each sampled snapshot's op count (snapshots are in
-        # emission order) and forked there, so scoring all candidates
-        # costs one prefix pass plus one simulated suffix each — no
-        # intermediate circuits are built.
+        # One streaming walk of the greedy circuit rebuilds the mapping
+        # and remaining edges at each sampled snapshot and feeds the
+        # tracker up to its op count; the tracker is forked there, so
+        # scoring all candidates costs one prefix pass plus one simulated
+        # suffix each — no intermediate circuits are built.
         tracker = MetricTracker(coupling.n_qubits, context.noise)
         ops = trace.circuit.ops
-        fed = 0
-        for snapshot in sampled:
-            if not snapshot.remaining or snapshot.op_count == 0:
+        for snapshot, mapping, remaining in replay_snapshots(
+                trace.circuit, context.mapping, context.problem.edges,
+                sampled, feed=tracker.feed_op):
+            if not remaining or snapshot.op_count == 0:
                 continue  # snapshot 0 duplicates the pure ATA candidate
-            while fed < snapshot.op_count:
-                tracker.feed_op(ops[fed])
-                fed += 1
-            fork = tracker.copy()
             depth, gates, esp = candidate_metrics(
-                coupling, pattern, snapshot.mapping, snapshot.remaining,
+                coupling, pattern, mapping, remaining,
                 noise=context.noise, use_range_detection=urd,
-                prefix_tracker=fork)
-            op_count, mapping = snapshot.op_count, snapshot.mapping
-            remaining = snapshot.remaining
+                prefix_tracker=tracker.copy())
+            op_count = snapshot.op_count
             context.candidates.append(Candidate(
                 label=f"hybrid@{snapshot.cycle}", circuit=None,
                 depth=depth, gate_count=gates, esp=esp,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from ..compiler.swap_insertion import MATCHING_MODES
 from ..exceptions import SpecificationError, UnknownKnobError
 from .assembly import AssemblyPass
 from .base import Pass, PassObserver, Pipeline
@@ -35,7 +36,7 @@ from .validate import ValidatePass
 #: compiled circuit object, so single-layer output is untouched).
 PRESETS: Dict[str, Tuple[Callable[[], Pass], ...]] = {
     "hybrid": (PlacementPass, PatternPass, PredictionPass,
-               lambda: GreedyPass(record_snapshots=True),
+               lambda: GreedyPass(as_result=False),
                CandidatePass, SelectionPass, AssemblyPass),
     "greedy": (PlacementPass, GreedyPass, AssemblyPass),
     "ata": (PlacementPass, PatternPass,
@@ -66,6 +67,10 @@ def build_context(
             "keeps only the pure-ATA prediction, the default 24 samples "
             "evenly")
     check_alpha(knobs["alpha"])
+    if knobs["matching"] not in MATCHING_MODES:
+        raise SpecificationError(
+            f"unknown matching {knobs['matching']!r}; expected one of "
+            f"{MATCHING_MODES}")
     return CompilationContext(
         coupling=coupling, problem=problem, method=method, noise=noise,
         gamma=gamma, mapping=knobs.pop("initial_mapping"),

@@ -113,4 +113,4 @@ class SolverPass(Pass):
         # PlacementPass skips itself when the caller supplied a mapping,
         # matching the exact search's own treatment of initial_mapping.
         PlacementPass().run(context)
-        GreedyPass(record_snapshots=False).run(context)
+        GreedyPass().run(context)

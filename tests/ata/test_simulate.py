@@ -25,7 +25,7 @@ from repro.ata.line_pattern import LinePattern
 from repro.ata.registry import get_pattern
 from repro.ata.simulate import MetricTracker, candidate_metrics
 from repro.compiler import compile_qaoa
-from repro.compiler.greedy import greedy_compile
+from repro.compiler.greedy import greedy_compile, replay_snapshots
 from repro.ir.circuit import Circuit
 from repro.ir.mapping import Mapping
 from repro.problems import random_problem_graph, regular_problem_graph
@@ -89,23 +89,19 @@ def test_prefix_fork_metrics_match(make_coupling, n_logical, with_noise,
     trace = greedy_compile(coupling, problem, mapping, noise=noise,
                            gamma=0.4, max_cycles=6)
     tracker = MetricTracker(coupling.n_qubits, noise)
-    fed = 0
     checked = 0
-    for snapshot in trace.snapshots:
-        if not snapshot.remaining or snapshot.op_count == 0:
+    for snapshot, at, remaining in replay_snapshots(
+            trace.circuit, mapping, problem.edges, trace.snapshots,
+            feed=tracker.feed_op):
+        if not remaining or snapshot.op_count == 0:
             continue
-        while fed < snapshot.op_count:
-            tracker.feed_op(trace.circuit.ops[fed])
-            fed += 1
-        fork = tracker.copy()
         simulated = candidate_metrics(
-            coupling, pattern, snapshot.mapping, snapshot.remaining,
+            coupling, pattern, at, remaining,
             noise=noise, use_range_detection=use_range_detection,
-            prefix_tracker=fork)
+            prefix_tracker=tracker.copy())
         prefix = Circuit(coupling.n_qubits,
                          list(trace.circuit.ops[:snapshot.op_count]))
-        circuit, _ = ata_suffix(coupling, pattern, snapshot.mapping,
-                                snapshot.remaining, gamma=0.4,
+        circuit, _ = ata_suffix(coupling, pattern, at, remaining, gamma=0.4,
                                 use_range_detection=use_range_detection,
                                 circuit=prefix)
         assert simulated == reference_metrics(circuit, noise)

@@ -197,6 +197,15 @@ class TestPredictionSampling:
                          passes.append(pass_.name))
         assert passes == []
 
+    @pytest.mark.parametrize("matching", ["exat", "Greedy", "", None])
+    def test_unknown_matching_rejected_before_any_pass(self, matching):
+        passes = []
+        with pytest.raises(SpecificationError, match="matching"):
+            compile_qaoa(grid(3, 3), clique(6), matching=matching,
+                         on_pass_end=lambda pass_, context, record:
+                         passes.append(pass_.name))
+        assert passes == []
+
 
 class TestTelemetry:
     def test_hybrid_records_pass_timings(self):

@@ -1,8 +1,10 @@
 """Engine-level tests for the greedy component (Section 6.2)."""
 
+import pytest
 
-from repro.arch import grid, line, uniform_noise_model
-from repro.compiler.greedy import greedy_compile
+from repro.arch import (NoiseModel, grid, heavyhex, line, sycamore,
+                        uniform_noise_model)
+from repro.compiler.greedy import Snapshot, greedy_compile, replay_snapshots
 from repro.compiler.mapping import trivial_placement
 from repro.ir.gates import CPHASE, SWAP
 from repro.ir.validate import validate_compiled
@@ -45,61 +47,82 @@ class TestBasicOperation:
         assert report.final_mapping.log_to_phys == trace.final_mapping.log_to_phys
 
 
+def replayed(trace, mapping, problem):
+    """``(snapshot, mapping, remaining)`` at every logged snapshot."""
+    return list(replay_snapshots(trace.circuit, mapping, problem.edges,
+                                 trace.snapshots))
+
+
 class TestSnapshots:
     def test_snapshot_zero_recorded(self):
-        trace = run(line(6), random_problem_graph(6, 0.5, seed=1),
-                    record_snapshots=True)
-        assert trace.snapshots[0].cycle == 0
-        assert trace.snapshots[0].op_count == 0
+        trace = run(line(6), random_problem_graph(6, 0.5, seed=1))
+        assert trace.snapshots[0] == Snapshot(cycle=0, op_count=0)
 
     def test_snapshots_track_mapping_changes(self):
         coupling = line(6)
         problem = random_problem_graph(6, 0.5, seed=1)
-        mapping = trivial_placement(coupling, problem)
-        trace = greedy_compile(coupling, problem, mapping,
-                               record_snapshots=True)
-        for snapshot in trace.snapshots:
-            # Replay the prefix: the recorded mapping must match.
-            replay = mapping.copy()
-            for op in trace.circuit.ops[:snapshot.op_count]:
-                if op.kind == SWAP:
-                    replay.swap_physical(*op.qubits)
-            assert replay.log_to_phys == snapshot.mapping.log_to_phys
+        trace = run(coupling, problem)
+        assert len(trace.snapshots) > 1
+        ops = trace.circuit.ops
+        for before, after in zip(trace.snapshots, trace.snapshots[1:]):
+            assert before.cycle < after.cycle
+            assert before.op_count < after.op_count
+            # A snapshot is logged right after a cycle's SWAPs.
+            assert ops[after.op_count - 1].kind == SWAP
 
     def test_snapshot_remaining_matches_prefix(self):
         coupling = line(8)
         problem = random_problem_graph(8, 0.4, seed=2)
         mapping = trivial_placement(coupling, problem)
-        trace = greedy_compile(coupling, problem, mapping,
-                               record_snapshots=True)
-        for snapshot in trace.snapshots:
+        trace = greedy_compile(coupling, problem, mapping)
+        for snapshot, _, remaining in replayed(trace, mapping, problem):
             executed = {op.tag for op in trace.circuit.ops[:snapshot.op_count]
                         if op.kind == CPHASE}
-            assert executed.isdisjoint(snapshot.remaining)
-            assert len(executed) + len(snapshot.remaining) == problem.n_edges
+            assert executed.isdisjoint(remaining)
+            assert len(executed) + len(remaining) == problem.n_edges
 
-    def test_no_snapshots_when_disabled(self):
-        trace = run(line(6), random_problem_graph(6, 0.5, seed=1),
-                    record_snapshots=False)
-        assert trace.snapshots == []
+    @pytest.mark.parametrize("coupling, problem", [
+        (line(10), random_problem_graph(10, 0.5, seed=3)),
+        (grid(3, 4), random_problem_graph(12, 0.5, seed=4)),
+        (heavyhex(2, 6), random_problem_graph(14, 0.4, seed=5)),
+        (sycamore(4, 4), random_problem_graph(16, 0.4, seed=6)),
+    ], ids=["line", "grid", "heavyhex", "sycamore"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["plain", "noisy"])
+    def test_rebuilt_state_equals_capped_run(self, coupling, problem, noisy):
+        """At every snapshot the replayed mapping and remaining edges are
+        what the engine holds when capped at that snapshot's cycle."""
+        noise = NoiseModel(coupling, seed=2) if noisy else None
+        mapping = trivial_placement(coupling, problem)
+        trace = greedy_compile(coupling, problem, mapping, noise=noise)
+        states = replayed(trace, mapping, problem)
+        assert len(states) > 2
+        for snapshot, rebuilt, remaining in states:
+            capped = greedy_compile(coupling, problem, mapping, noise=noise,
+                                    max_cycles=snapshot.cycle)
+            assert len(capped.circuit) == snapshot.op_count
+            assert rebuilt == capped.final_mapping
+            assert remaining == capped.remaining
 
 
 class TestMaxCycles:
     def test_cap_leaves_remainder(self):
         coupling = line(8)
         problem = clique(8)
-        trace = run(coupling, problem, max_cycles=2,
-                    record_snapshots=True)
+        mapping = trivial_placement(coupling, problem)
+        trace = greedy_compile(coupling, problem, mapping, max_cycles=2)
         assert trace.remaining
         assert trace.cycles == 2
         # Terminal snapshot present for suffix splicing.
-        assert trace.snapshots[-1].remaining == trace.remaining
+        terminal, rebuilt, remaining = replayed(trace, mapping, problem)[-1]
+        assert terminal.op_count == len(trace.circuit)
+        assert rebuilt == trace.final_mapping
+        assert remaining == trace.remaining
 
     def test_zero_cap_is_pure_snapshot(self):
-        trace = run(line(6), clique(6), max_cycles=0,
-                    record_snapshots=True)
+        trace = run(line(6), clique(6), max_cycles=0)
         assert len(trace.circuit) == 0
         assert len(trace.remaining) == clique(6).n_edges
+        assert trace.snapshots[-1].op_count == 0
 
 
 class TestUnification:

@@ -1,12 +1,18 @@
 """Tests for error-weighted SWAP insertion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import line, uniform_noise_model
+from repro.arch import (NoiseModel, grid, heavyhex, line, sycamore,
+                        uniform_noise_model)
 from repro.compiler.fastpath import GreedyFastPath
-from repro.compiler.swap_insertion import select_swaps, swap_benefit
+from repro.compiler.swap_insertion import select_swaps
 from repro.ir.mapping import Mapping
+from repro.problems import random_problem_graph
 from repro.problems.graphs import ProblemGraph
+
+from .reference_swaps import reference_select_swaps
 
 
 @pytest.fixture
@@ -14,35 +20,39 @@ def chain():
     return line(5)
 
 
+def fast_path(coupling, mapping, pending, noise=None):
+    """A ``GreedyFastPath`` over exactly the ``pending`` pairs."""
+    edges = {(u, v) for u, partners in pending.items() for v in partners
+             if u < v}
+    return GreedyFastPath(coupling, ProblemGraph(mapping.n_logical, edges),
+                          mapping, noise)
+
+
 class TestBenefit:
     def test_positive_when_moving_closer(self, chain):
         mapping = Mapping.trivial(5)
-        pending = {0: {4}, 4: {0}}
+        fast = fast_path(chain, mapping, {0: {4}, 4: {0}})
         # Swapping (0,1) moves logical 0 one step towards logical 4.
-        assert swap_benefit(0, 1, chain, mapping, pending) == 1
+        assert fast.benefit(0, 1) == 1
 
     def test_negative_when_moving_away(self, chain):
         mapping = Mapping.trivial(5)
-        pending = {1: {0}, 0: {1}}
+        fast = fast_path(chain, mapping, {1: {0}, 0: {1}})
         # They are already adjacent; pushing 1 to position 2 moves it away
         # and drags 2's occupant (no pending) for nothing.
-        assert swap_benefit(1, 2, chain, mapping, pending) < 0
+        assert fast.benefit(1, 2) < 0
 
     def test_spare_qubits_contribute_zero(self, chain):
         mapping = Mapping([0, 4], 5)  # two logical qubits at the ends
-        pending = {0: {1}, 1: {0}}
-        assert swap_benefit(1, 2, chain, mapping, pending) == 0
+        fast = fast_path(chain, mapping, {0: {1}, 1: {0}})
+        assert fast.benefit(1, 2) == 0
 
 
 def select(coupling, mapping, pending, busy, noise=None, **kwargs):
-    """``select_swaps`` with the fast path built from the same pending
-    pairs, as ``greedy_compile`` builds it."""
-    edges = {(u, v) for u, partners in pending.items() for v in partners
-             if u < v}
-    fast = GreedyFastPath(coupling, ProblemGraph(mapping.n_logical, edges),
-                          mapping, noise)
-    return select_swaps(coupling, mapping, pending, busy, fast,
-                        noise=noise, **kwargs)
+    """``select_swaps`` with the fast path built from the pending pairs,
+    as ``greedy_compile`` builds it."""
+    return select_swaps(fast_path(coupling, mapping, pending, noise), busy,
+                        **kwargs)
 
 
 class TestSelection:
@@ -90,3 +100,50 @@ class TestSelection:
         pending = {0: {2}, 2: {0}}
         swaps = select(coupling, mapping, pending, busy=set(), noise=noise)
         assert swaps == [(1, 2)]
+
+
+ARCHITECTURES = [line(9), grid(3, 4), heavyhex(2, 6), sycamore(4, 4)]
+
+
+class TestMatchesReference:
+    """``select_swaps`` returns the frozen scalar scorer's SWAP list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           arch=st.sampled_from(ARCHITECTURES),
+           density=st.floats(0.0, 1.0),
+           graph_seed=st.integers(0, 2**16),
+           noise_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+           matching=st.sampled_from(["greedy", "exact"]))
+    def test_identical_swaps(self, data, arch, density, graph_seed,
+                             noise_seed, matching):
+        n = data.draw(st.integers(2, arch.n_qubits), label="n")
+        sites = data.draw(st.permutations(range(arch.n_qubits)),
+                          label="sites")
+        mapping = Mapping(sites[:n], arch.n_qubits)
+        problem = random_problem_graph(n, density, seed=graph_seed)
+        noise = (NoiseModel(arch, seed=noise_seed)
+                 if noise_seed is not None else None)
+        fast = GreedyFastPath(arch, problem, mapping, noise)
+        # A mid-run state: some pairs already emitted.
+        done = data.draw(st.sets(st.sampled_from(sorted(problem.edges)))
+                         if problem.edges else st.just(set()),
+                         label="done")
+        pending = {}
+        for a, b in sorted(problem.edges):
+            if (a, b) in done:
+                fast.mark_done((a, b))
+            else:
+                pending.setdefault(a, set()).add(b)
+                pending.setdefault(b, set()).add(a)
+        busy = data.draw(st.sets(st.integers(0, arch.n_qubits - 1)),
+                         label="busy")
+
+        want = reference_select_swaps(arch, mapping, pending, busy,
+                                      noise=noise, matching=matching)
+        assert select_swaps(fast, busy, matching) == want
+        # The kept SWAPs are applied to the mirrors, in order.
+        after = mapping.copy()
+        for u, v in want:
+            after.swap_physical(u, v)
+        assert fast.l2p[:n].tolist() == after.log_to_phys
