@@ -4,11 +4,12 @@
 
 * **Quadratic-cost initial mapping** — a local search over placements
   minimising the summed physical distance of all problem edges.  The
-  search evaluates ``iterations`` swap moves, each costing O(deg a +
-  deg b) for the two logical qubits it exchanges.  The real 2QAN becomes
-  intractable beyond ~128 qubits because its search grows quadratically
-  with the qubit count; our default budget of ``20 * n^2`` moves scales
-  the same way (capped so tests stay fast).
+  search evaluates ``iterations`` swap moves, each costing
+  O(min(deg, n - 1 - deg)) for each of the two logical qubits it
+  exchanges (a dense vertex is scored through its non-neighbours).  The
+  real 2QAN becomes intractable beyond ~128 qubits because its search
+  grows quadratically with the qubit count; our default budget of
+  ``20 * n^2`` moves scales the same way (capped so tests stay fast).
 * **Unitary unification** — when a routing SWAP lands on a pair that still
   needs a gate, gate and SWAP merge into one 3-CX block.
 

@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..arch.coupling import CouplingGraph
+from ..exceptions import SpecificationError
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
+
+
+def _check_capacity(coupling: CouplingGraph, problem: ProblemGraph) -> None:
+    """Raise unless every problem vertex can get its own physical qubit."""
+    if problem.n_vertices > coupling.n_qubits:
+        raise SpecificationError(
+            f"problem has {problem.n_vertices} vertices but "
+            f"{coupling.name} has only {coupling.n_qubits} qubits")
 
 
 def trivial_placement(coupling: CouplingGraph,
@@ -18,6 +27,7 @@ def trivial_placement(coupling: CouplingGraph,
     For clique inputs every placement behaves identically (Section 4,
     Discussion), so this is the default.
     """
+    _check_capacity(coupling, problem)
     return Mapping.trivial(problem.n_vertices, coupling.n_qubits)
 
 
@@ -31,6 +41,7 @@ def degree_placement(coupling: CouplingGraph,
     decreasing problem-degree order.  This mirrors the placement heuristics
     of the QAIM baseline and helps the greedy router on sparse inputs.
     """
+    _check_capacity(coupling, problem)
     if center is None:
         ecc = coupling.distance_matrix.max(axis=1)
         center = int(ecc.argmin())
@@ -67,6 +78,8 @@ def noise_aware_placement(coupling: CouplingGraph,
     yielding a compact, well-calibrated patch; high-degree problem
     vertices are assigned first (as in :func:`degree_placement`).
     """
+    _check_capacity(coupling, problem)
+
     def quality(q: int) -> float:
         edges = [1.0 - noise.edge_error(q, nbr)
                  for nbr in coupling.neighbors(q)]
@@ -112,12 +125,20 @@ def quadratic_placement(
     on the summed physical distance over problem edges (the
     quadratic-assignment objective 2QAN introduced).  Each of the
     ``iterations`` proposals swaps a random logical qubit ``a`` with the
-    occupant ``b`` of a random coupled neighbour and costs O(deg a +
-    deg b): only the edges at ``a`` and ``b`` change length, so the move
-    is scored by its exact integer cost change and kept iff that change
-    is not positive.  The default budget is capped so the search stays
-    effectively linear at large scale.
+    occupant ``b`` of a random coupled neighbour.  Only the edges at
+    ``a`` and ``b`` change length, so the move is scored by its exact
+    integer cost change and kept iff that change is not positive.  A
+    vertex adjacent to more than half of the others is scored through
+    its non-neighbours instead, so a proposal costs O(min(deg,
+    n - 1 - deg)) per endpoint.  The default budget is capped so the
+    search stays effectively linear at large scale.
     """
+    _check_capacity(coupling, problem)
+    if iterations is not None and (isinstance(iterations, bool)
+                                   or not isinstance(iterations, int)
+                                   or iterations < 0):
+        raise SpecificationError(
+            f"iterations must be a non-negative int, got {iterations!r}")
     rng = random.Random(seed)
     mapping = (initial.copy() if initial is not None
                else degree_placement(coupling, problem))
@@ -128,37 +149,72 @@ def quadratic_placement(
         return mapping
 
     distances = coupling.distance_matrix
-    # steps[pa][pb][q] = d(pb, q) - d(pa, q): how much farther site q is
-    # after a move from pa to the coupled site pb.  Each row is built on
-    # first use as a plain list, ~10x faster than numpy scalar indexing
-    # in the tight hill-climbing loop below.
-    steps: List[Dict[int, List[int]]] = [{} for _ in range(coupling.n_qubits)]
     adjacency: List[List[int]] = [[] for _ in range(n)]
     for u, v in sorted(problem.edges):
         adjacency[u].append(v)
         adjacency[v].append(u)
     adjacent = [set(nbrs) for nbrs in adjacency]
-    couplings = [coupling.neighbors(q) for q in range(coupling.n_qubits)]
+    # A dense vertex sums ``step`` over its non-neighbours: its neighbour
+    # sum is the sum over every occupied site, reach[pb] - reach[pa],
+    # minus its own site and its non-neighbours' sites.
+    complement = [len(nbrs) > (n - 1) // 2 for nbrs in adjacency]
+    terms = [[w for w in range(n) if w != v and w not in adjacent[v]]
+             if complement[v] else adjacency[v] for v in range(n)]
     log_to_phys, phys_to_log = mapping.log_to_phys, mapping.phys_to_log
-    randrange, choice = rng.randrange, rng.choice
+    # reach[s] = sum of d(s, q) over the occupied sites q, kept only
+    # when some vertex uses its complement (empty otherwise).
+    reach: List[int] = []
+    if any(complement):
+        reach = distances[:, log_to_phys].sum(axis=1, dtype="int64").tolist()
+    # The draws inline CPython's randrange(width) / choice(seq): take
+    # width.bit_length() bits and redraw while the value is >= width
+    # (Random._randbelow_with_getrandbits), so the stream is the same.
+    # A coupling-free site gets width 1 and 0 bits: getrandbits(0) draws
+    # nothing, and indexing its empty tuple raises IndexError as
+    # choice(()) does.
+    getrandbits = rng.getrandbits
+    n_bits = n.bit_length()
+    couplings = [coupling.neighbors(q) for q in range(coupling.n_qubits)]
+    widths = [len(sites) or 1 for sites in couplings]
+    bits = [len(sites).bit_length() for sites in couplings]
+    # steps[pa][i][q] = d(pb, q) - d(pa, q) for pb = couplings[pa][i]:
+    # how much farther site q is after a move from pa to the coupled
+    # site pb.  Each row is built on first use as a plain list, ~10x
+    # faster than numpy scalar indexing in the tight loop below.
+    steps: List[List[Optional[List[int]]]] = [
+        [None] * len(sites) for sites in couplings]
 
     for _ in range(iterations):
-        a = randrange(n)
+        a = getrandbits(n_bits)
+        while a >= n:
+            a = getrandbits(n_bits)
         pa = log_to_phys[a]
-        pb = choice(couplings[pa])
+        k, width = bits[pa], widths[pa]
+        i = getrandbits(k)
+        while i >= width:
+            i = getrandbits(k)
+        pb = couplings[pa][i]
         b = phys_to_log[pb]
-        step = steps[pa].get(pb)
+        step = steps[pa][i]
         if step is None:
-            step = steps[pa][pb] = (distances[pb] - distances[pa]).tolist()
+            step = steps[pa][i] = (distances[pb] - distances[pa]).tolist()
         # delta = sum over N(a) of d(pb, p(w)) - d(pa, p(w)), minus the
         # same sum over N(b).  The edge a~b keeps its length, but each
         # sum counts it as shrinking by d(pa, pb) = 1, hence the +2.
+        # For a complement vertex, step[p(a)] = step[pa] = +1 and
+        # step[p(b)] = step[pb] = -1.
         delta = 0
-        for w in adjacency[a]:
+        for w in terms[a]:
             delta += step[log_to_phys[w]]
+        if complement[a]:
+            delta = reach[pb] - reach[pa] - 1 - delta
         if b is not None:
-            for w in adjacency[b]:
-                delta -= step[log_to_phys[w]]
+            other = 0
+            for w in terms[b]:
+                other += step[log_to_phys[w]]
+            if complement[b]:
+                other = reach[pb] - reach[pa] + 1 - other
+            delta -= other
             if b in adjacent[a]:
                 delta += 2
         if delta <= 0:
@@ -167,4 +223,8 @@ def quadratic_placement(
             phys_to_log[pa] = b
             if b is not None:
                 log_to_phys[b] = pa
+            elif reach:
+                # pa emptied and pb filled: every site's reach moves by
+                # d(s, pb) - d(s, pa) = step[s].
+                reach = [r + d for r, d in zip(reach, step)]
     return mapping
