@@ -1,8 +1,9 @@
 """Metric simulation of ATA-suffix execution — the lazy-candidate core.
 
-The hybrid pipeline scores ~24 prefix+suffix candidates but keeps exactly
-one; materialising every candidate circuit (Op objects, validated
-appends, then full decompose/depth passes) dominates compile time at the
+The hybrid pipeline scores up to ``max_predictions`` (default 24)
+prefix+suffix candidates plus ``cc0`` but keeps exactly one;
+materialising every candidate circuit (Op objects, validated appends,
+then full decompose/depth passes) would dominate compile time at the
 paper's 1024-qubit scale.  This module *simulates* a suffix execution in
 plain Python: it replays :func:`repro.ata.executor.execute_pattern`
 action by action — the same needed-pair test, the same elision of SWAPs
@@ -25,6 +26,13 @@ reference.  The replay is scalar: at 64 and 256 qubits a cycle emits a
 median of 14-35 ops, too few for array dispatch to pay.  At 1024 qubits
 cycles are wide enough that it would; docs/performance.md measures
 that cost.
+
+A simulation can also stop early.  Depth and fused CX count never
+decrease as ops stream in, so a caller's ``stop`` predicate over the
+running tracker may end a suffix as soon as its candidate provably
+cannot win; ``stop`` is checked after every pattern cycle and every
+completed residual pair, and :func:`candidate_metrics` then returns
+``None``.
 
 The selected candidate is materialised afterwards by re-running the real
 executor, so compiled circuits stay byte-identical; the golden fixtures
@@ -63,8 +71,8 @@ CompiledCycle = Tuple[Tuple[bool, int, int], ...]
 class MetricTracker:
     """Streaming replica of depth / fused CX count / esp.
 
-    ``busy[q]`` is the ASAP layer count on qubit ``q``, so depth is their
-    maximum.  Every op is
+    ``busy[q]`` is the ASAP layer count on qubit ``q``; ``depth`` is kept
+    equal to their maximum as ops arrive.  Every op is
     charged its standalone CX cost when it arrives; a CPHASE or SWAP then
     stays on ``held_partner`` / ``held_kind`` until the next op on either
     of its qubits, and if that op is its complement on the same pair the
@@ -79,6 +87,7 @@ class MetricTracker:
                  noise: Optional[NoiseModel] = None) -> None:
         self.noise = noise
         self.busy = [0] * n_qubits
+        self.depth = 0
         self.cx = 0
         self.held_partner = [-1] * n_qubits
         self.held_kind = [0] * n_qubits
@@ -110,6 +119,8 @@ class MetricTracker:
         end = (bu if bu >= bv else bv) + 1
         busy[u] = end
         busy[v] = end
+        if end > self.depth:
+            self.depth = end
 
         held = self.held_partner
         kind = self.held_kind
@@ -147,6 +158,8 @@ class MetricTracker:
         busy = self.busy
         held = self.held_partner
         end = max(busy[q] for q in qubits) + 1
+        if end > self.depth:
+            self.depth = end
         for q in qubits:
             busy[q] = end
             if held[q] >= 0:
@@ -157,7 +170,7 @@ class MetricTracker:
 
     def finalize(self) -> Tuple[int, int, Optional[float]]:
         """(depth, cx_count, esp) — non-destructive, fork-safe."""
-        depth = max(self.busy, default=0)
+        depth = self.depth
         if self.noise is None or self.edge_cx is None:
             return depth, self.cx, None
         # The terms of ``NoiseModel.esp``; zero tallies add exact zeros.
@@ -242,13 +255,15 @@ Feed = Callable[[int, int, int], None]
 
 
 def _simulate_region(state: _SimState, pattern: AtaPattern,
-                     edges: Set[Tuple[int, int]], feed2: Feed
-                     ) -> List[Tuple[int, int]]:
+                     edges: Set[Tuple[int, int]], feed2: Feed,
+                     stop: Optional[Callable[[], bool]] = None
+                     ) -> Optional[List[Tuple[int, int]]]:
     """Replay one region's pattern execution into ``feed2``.
 
     Mirrors :func:`repro.ata.executor.execute_pattern` decision for
     decision; returns the region's residual pairs in sorted order (the
-    order ``greedy_completion`` consumes them).
+    order ``greedy_completion`` consumes them), or ``None`` once
+    ``stop`` fires after a cycle.
     """
     count = len(edges)
     if not count:
@@ -285,13 +300,17 @@ def _simulate_region(state: _SimState, pattern: AtaPattern,
             used[v] = stamp
         if not count:
             return []
+        if stop is not None and stop():
+            return None
     return sorted(e for e in edges if e[0] * stride + e[1] in needed)
 
 
 def _simulate_completion(state: _SimState, coupling: CouplingGraph,
-                         residual: Sequence[Tuple[int, int]],
-                         feed2: Feed) -> None:
-    """Replica of :func:`repro.ata.executor.greedy_completion`."""
+                         residual: Sequence[Tuple[int, int]], feed2: Feed,
+                         stop: Optional[Callable[[], bool]] = None
+                         ) -> bool:
+    """Replica of :func:`repro.ata.executor.greedy_completion`; True once
+    ``stop`` fires after a completed pair."""
     p2l = state.p2l
     l2p = {logical: physical for physical, logical in enumerate(p2l)
            if logical >= 0}
@@ -308,6 +327,9 @@ def _simulate_completion(state: _SimState, coupling: CouplingGraph,
             l2p[lb] = a
         feed2(K_CPHASE, path[0], path[1])
         state.done(lu, lv)
+        if stop is not None and stop():
+            return True
+    return False
 
 
 def simulate_suffix(
@@ -317,16 +339,21 @@ def simulate_suffix(
     remaining: Iterable[Tuple[int, int]],
     tracker: MetricTracker,
     use_range_detection: bool = True,
-) -> None:
+    stop: Optional[Callable[[], bool]] = None,
+) -> bool:
     """Stream the metrics of ``ata_suffix`` into ``tracker``.
 
     The exact event sequence of :func:`repro.ata.executor.ata_suffix` —
     range detection, per region pattern execution, then residual
-    completion — without constructing the circuit.
+    completion — without constructing the circuit.  Returns True when
+    ``stop`` fired (on entry, after a cycle or after a residual pair)
+    and the suffix was left unfinished.
     """
     pending = set(canonical_edges(remaining))
     if not pending:
-        return
+        return False
+    if stop is not None and stop():
+        return True
     if use_range_detection:
         plan = detect_ranges(pattern, mapping, pending)
     else:
@@ -335,9 +362,14 @@ def simulate_suffix(
     state = _SimState(mapping, pending)
     feed2 = tracker.feed2
     for region_pattern, edges in plan:
-        residual = _simulate_region(state, region_pattern, edges, feed2)
-        if residual:
-            _simulate_completion(state, coupling, residual, feed2)
+        residual = _simulate_region(state, region_pattern, edges, feed2,
+                                    stop)
+        if residual is None:
+            return True
+        if residual and _simulate_completion(state, coupling, residual,
+                                              feed2, stop):
+            return True
+    return False
 
 
 def candidate_metrics(
@@ -348,15 +380,18 @@ def candidate_metrics(
     noise: Optional[NoiseModel] = None,
     use_range_detection: bool = True,
     prefix_tracker: Optional[MetricTracker] = None,
-) -> Tuple[int, int, Optional[float]]:
+    stop: Optional[Callable[[], bool]] = None,
+) -> Optional[Tuple[int, int, Optional[float]]]:
     """(depth, cx_count, esp) of prefix + ATA suffix, without a circuit.
 
     ``prefix_tracker`` carries the already-streamed greedy prefix (fork
     it per candidate); omitted, the suffix is scored from scratch — the
-    pure-ATA candidate ``cc0``.
+    pure-ATA candidate ``cc0``.  ``None`` when ``stop`` fired and the
+    suffix was abandoned.
     """
     tracker = (prefix_tracker if prefix_tracker is not None
                else MetricTracker(coupling.n_qubits, noise))
-    simulate_suffix(coupling, pattern, mapping, remaining, tracker,
-                    use_range_detection=use_range_detection)
+    if simulate_suffix(coupling, pattern, mapping, remaining, tracker,
+                       use_range_detection=use_range_detection, stop=stop):
+        return None
     return tracker.finalize()

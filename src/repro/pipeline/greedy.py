@@ -10,6 +10,7 @@ schedule the selector could never pick is not computed in full).
 from __future__ import annotations
 
 from ..compiler.greedy import greedy_compile
+from ..exceptions import CompilationError
 from .base import Pass
 from .context import CompilationContext
 
@@ -20,7 +21,10 @@ class GreedyPass(Pass):
     Reads ``mapping`` and the ``matching`` / ``crosstalk_aware`` /
     ``unify_swaps`` / ``greedy_cycle_cap`` knobs.  With
     ``as_result=True`` (the greedy preset) the engine runs to completion
-    and the pass also publishes ``context.circuit``.  Otherwise (the
+    and the pass also publishes ``context.circuit``; a
+    ``greedy_cycle_cap`` that stops it with pairs still pending raises
+    :class:`~repro.exceptions.CompilationError`, since the capped
+    circuit does not execute the whole problem.  Otherwise (the
     hybrid preset) the default cycle cap is ``3 * depth(cc0) + 50``
     where ``cc0`` is the pure-ATA candidate produced by the preceding
     ``PredictionPass`` — a greedy schedule three times deeper than the
@@ -48,5 +52,12 @@ class GreedyPass(Pass):
         context.trace = trace
         context.extras["greedy_cycles"] = trace.cycles
         if self.as_result:
+            if trace.remaining:
+                raise CompilationError(
+                    f"greedy_cycle_cap={max_cycles} stopped the greedy "
+                    f"engine with {len(trace.remaining)} problem pairs "
+                    "left; the greedy method needs a complete run (raise "
+                    "or drop the cap, or use method='hybrid', which "
+                    "finishes a capped run with the ATA suffix)")
             context.circuit = trace.circuit
         return True

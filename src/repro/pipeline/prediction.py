@@ -4,11 +4,13 @@
 mapping — the pure-ATA circuit ``cc0`` of Theorem 6.1.  ``CandidatePass``
 then splices ATA suffixes onto greedy prefixes at an evenly-spaced sample
 of the recorded snapshots (:func:`sample_snapshots`), building the
-candidate pool the selector scores.
+candidate pool the selector scores.  A candidate that provably cannot be
+selected is dropped before its suffix is fully simulated.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Sequence
 
 from ..ata.executor import ata_suffix
@@ -17,6 +19,7 @@ from ..compiler.greedy import replay_snapshots
 from ..ir.circuit import Circuit
 from .base import Pass
 from .context import Candidate, CompilationContext
+from .selection import cost_f, f_lower_bound, normalisers
 
 
 def sample_snapshots(snapshots: Sequence, max_predictions: int) -> List:
@@ -68,9 +71,11 @@ class PredictionPass(Pass):
         coupling, pattern = context.coupling, context.pattern
         mapping, gamma = context.mapping, context.gamma
         edges = context.problem.edges
-        depth, gates, esp = candidate_metrics(
+        metrics = candidate_metrics(
             coupling, pattern, mapping, edges, noise=context.noise,
             use_range_detection=urd)
+        assert metrics is not None  # no ``stop``: scored to the end
+        depth, gates, esp = metrics
         context.candidates.append(Candidate(
             label="ata", circuit=None, depth=depth, gate_count=gates,
             esp=esp,
@@ -88,6 +93,14 @@ class CandidatePass(Pass):
     completed within its cycle cap) plus one ``hybrid@<cycle>`` candidate
     per sampled snapshot, each a greedy prefix completed by the ATA
     suffix.  Writes the ``extra["candidates"]`` pool statistics.
+
+    ``SelectionPass`` keeps the *first* minimum of F in pool order, so a
+    candidate whose F is at least the best F before it can never be
+    selected.  Its suffix simulation stops as soon as
+    :func:`~repro.pipeline.selection.f_lower_bound` over the running
+    metrics reaches that best, and it is counted as ``pruned`` instead
+    of joining the pool.  ``cc0`` and ``greedy`` are always scored in
+    full.
     """
 
     name = "candidates"
@@ -106,6 +119,17 @@ class CandidatePass(Pass):
         coupling, pattern = context.coupling, context.pattern
         gamma = context.gamma
         urd = context.knob("use_range_detection", True)
+        alpha = context.knob("alpha", 0.5)
+        noisy = context.noise is not None
+        norm_depth, norm_gates = normalisers(context)
+        best = min(cost_f(c.depth, c.gate_count, norm_depth, norm_gates,
+                          c.esp, alpha) for c in context.candidates)
+        pruned = 0
+
+        def cannot_win(fork: MetricTracker) -> bool:
+            return f_lower_bound(fork.depth, fork.cx, norm_depth,
+                                 norm_gates, noisy, alpha) >= best
+
         # One streaming walk of the greedy circuit rebuilds the mapping
         # and remaining edges at each sampled snapshot and feeds the
         # tracker up to its op count; the tracker is forked there, so
@@ -118,10 +142,17 @@ class CandidatePass(Pass):
                 sampled, feed=tracker.feed_op):
             if not remaining or snapshot.op_count == 0:
                 continue  # snapshot 0 duplicates the pure ATA candidate
-            depth, gates, esp = candidate_metrics(
+            fork = tracker.copy()
+            metrics = candidate_metrics(
                 coupling, pattern, mapping, remaining,
                 noise=context.noise, use_range_detection=urd,
-                prefix_tracker=tracker.copy())
+                prefix_tracker=fork, stop=partial(cannot_win, fork))
+            if metrics is None:
+                pruned += 1
+                continue
+            depth, gates, esp = metrics
+            best = min(best, cost_f(depth, gates, norm_depth, norm_gates,
+                                    esp, alpha))
             op_count = snapshot.op_count
             context.candidates.append(Candidate(
                 label=f"hybrid@{snapshot.cycle}", circuit=None,
@@ -134,6 +165,7 @@ class CandidatePass(Pass):
                                     list(ops[:op_count])))[0]))
         context.extras["candidates"] = {
             "count": len(context.candidates),
+            "pruned": pruned,
             "snapshots_total": len(trace.snapshots),
             "snapshots_sampled": len(sampled),
             "greedy_finished": not trace.remaining,

@@ -61,11 +61,16 @@ def build_context(
             f"{', '.join(map(repr, unknown))} for method {method!r}")
     knobs = {**PAPER_KNOBS, **options}
     max_predictions = knobs["max_predictions"]
-    if max_predictions < 1:
+    if not _is_int(max_predictions) or max_predictions < 1:
         raise SpecificationError(
-            f"max_predictions must be >= 1 (got {max_predictions}); 1 "
-            "keeps only the pure-ATA prediction, the default 24 samples "
-            "evenly")
+            f"max_predictions must be an int >= 1 (got "
+            f"{max_predictions!r}); 1 keeps only the pure-ATA "
+            "prediction, the default 24 samples evenly")
+    cap = knobs["greedy_cycle_cap"]
+    if cap is not None and (not _is_int(cap) or cap < 0):
+        raise SpecificationError(
+            f"greedy_cycle_cap must be None or an int >= 0 (got "
+            f"{cap!r}); it bounds the greedy engine's cycles")
     check_alpha(knobs["alpha"])
     if knobs["matching"] not in MATCHING_MODES:
         raise SpecificationError(
@@ -75,6 +80,11 @@ def build_context(
         coupling=coupling, problem=problem, method=method, noise=noise,
         gamma=gamma, mapping=knobs.pop("initial_mapping"),
         pattern=knobs.pop("pattern"), knobs=knobs)
+
+
+def _is_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def build_pipeline(

@@ -11,12 +11,18 @@ gate-count ratio against the pure-greedy circuit otherwise.  Smaller is
 better.  The pool holds the pure ATA circuit (candidate 0) and, when the
 greedy engine finished, the pure greedy circuit, so the selected circuit
 is never worse (in F) than either — Theorem 6.1.
+
+A candidate's depth and gate count only grow as its suffix is
+simulated, and F is monotone in both (the ESP quality term is not, but
+it is never negative), so :func:`f_lower_bound` over the *running*
+metrics never exceeds the final F.  ``CandidatePass`` uses it to stop
+scoring a candidate once it cannot beat the pool before it.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..exceptions import SpecificationError
 from .base import Pass
@@ -51,6 +57,53 @@ def cost_f(
     return alpha * depth_term + (1.0 - alpha) * quality
 
 
+def f_lower_bound(
+    depth: int,
+    gate_count: int,
+    norm_depth: int,
+    norm_gates: int,
+    noisy: bool,
+    alpha: float,
+) -> float:
+    """A lower bound on the final F of a candidate whose metrics so far
+    are ``(depth, gate_count)``.
+
+    Noise-free it is F itself: both ratios only grow.  With noise the
+    ESP quality term ``1 - esp^(1/g)`` can fall as gates are added but
+    is never negative, so the bound is the depth term alone — F with no
+    gates, computed by the same float operations as :func:`cost_f`.
+    """
+    return cost_f(depth, 0 if noisy else gate_count, norm_depth,
+                  norm_gates, None, alpha)
+
+
+def normalisers(context: CompilationContext) -> Tuple[int, int]:
+    """The (depth, gate count) that F divides by.
+
+    The finished greedy circuit when the engine completed, the pure-ATA
+    candidate ``cc0`` (candidate 0) otherwise — the greedy prefix alone
+    is not a complete program.
+    """
+    context.require("trace")
+    trace = context.trace
+    if trace.remaining:
+        if not context.candidates:
+            raise SpecificationError(
+                "greedy did not finish and the pool has no pure-ATA "
+                "candidate cc0 to normalise F by; run PredictionPass "
+                "first")
+        cc0 = context.candidates[0]
+        return cc0.depth, cc0.gate_count
+    # The finished greedy circuit is candidate "greedy"; reuse its
+    # already-measured metrics rather than re-walking the circuit
+    # (identical values — same circuit, same measures).
+    greedy = next((c for c in context.candidates if c.label == "greedy"),
+                  None)
+    if greedy is not None:
+        return greedy.depth, greedy.gate_count
+    return trace.circuit.depth(), trace.circuit.cx_count(unify=True)
+
+
 def score_candidates(
     candidates: List[Candidate],
     greedy_depth: int,
@@ -73,9 +126,8 @@ class SelectionPass(Pass):
     Reads ``candidates`` (candidate 0 must be the pure-ATA ``cc0``),
     ``trace`` and the ``alpha`` knob; writes ``context.selected`` /
     ``context.circuit`` and the ``selected`` / ``scores``
-    extras.  Depth and gate-count terms are normalised by the
-    finished greedy circuit when the engine completed, by ``cc0``
-    otherwise (the greedy prefix alone is not a complete program).
+    extras.  Depth and gate-count terms are normalised by
+    :func:`normalisers`.
     """
 
     name = "selection"
@@ -85,24 +137,7 @@ class SelectionPass(Pass):
             raise SpecificationError(
                 "SelectionPass needs a non-empty candidate pool; run "
                 "PredictionPass/CandidatePass first")
-        context.require("trace")
-        trace = context.trace
-        cc0 = context.candidates[0]
-        if trace.remaining:
-            norm_depth = cc0.depth
-            norm_gates = cc0.gate_count
-        else:
-            # The finished greedy circuit is candidate "greedy"; reuse
-            # its already-measured metrics rather than re-walking the
-            # circuit (identical values — same circuit, same measures).
-            greedy = next((c for c in context.candidates
-                           if c.label == "greedy"), None)
-            if greedy is not None:
-                norm_depth = greedy.depth
-                norm_gates = greedy.gate_count
-            else:
-                norm_depth = trace.circuit.depth()
-                norm_gates = trace.circuit.cx_count(unify=True)
+        norm_depth, norm_gates = normalisers(context)
         best = score_candidates(context.candidates,
                                 greedy_depth=norm_depth,
                                 greedy_gates=norm_gates,

@@ -27,6 +27,7 @@ from repro.ata.simulate import MetricTracker, candidate_metrics
 from repro.compiler import compile_qaoa
 from repro.compiler.greedy import greedy_compile, replay_snapshots
 from repro.ir.circuit import Circuit
+from repro.ir.gates import Op
 from repro.ir.mapping import Mapping
 from repro.problems import random_problem_graph, regular_problem_graph
 
@@ -243,3 +244,80 @@ def test_fork_does_not_disturb_parent():
     second = candidate_metrics(coupling, pattern, mapping, problem.edges,
                                prefix_tracker=parent.copy())
     assert first == second
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(["rx", "cphase", "swap", "cx"]),
+                              st.integers(0, 6)), max_size=40),
+       with_noise=st.booleans())
+def test_running_depth_is_max_busy(ops, with_noise):
+    """``depth`` is the early-exit test's view of the schedule length: it
+    must equal ``max(busy)`` after every op, single-qubit ops included."""
+    coupling = line(8)
+    noise = NoiseModel(coupling, seed=1) if with_noise else None
+    tracker = MetricTracker(coupling.n_qubits, noise)
+    assert tracker.depth == 0
+    for kind, q in ops:
+        op = (Op.rx(q, 0.3) if kind == "rx"
+              else getattr(Op, kind)(q, q + 1))
+        tracker.feed_op(op)
+        assert tracker.depth == max(tracker.busy)
+    assert tracker.finalize()[0] == max(tracker.busy)
+
+
+#: Suffix scorings that run pattern cycles, residual completion, or both.
+STOP_CASES = [
+    pytest.param(lambda: line(12), None, True, id="line12"),
+    pytest.param(lambda: grid(4, 5), None, False, id="grid4x5-whole"),
+    pytest.param(lambda: line(10), HalfLinePattern(list(range(10))), True,
+                 id="residual"),
+]
+
+
+def _stop_case(make_coupling, pattern):
+    coupling = make_coupling()
+    problem = regular_problem_graph(coupling.n_qubits, 3, seed=2)
+    mapping = Mapping.trivial(coupling.n_qubits, coupling.n_qubits)
+    return (coupling, pattern or get_pattern(coupling), mapping,
+            problem.edges, NoiseModel(coupling, seed=4))
+
+
+class FireAt:
+    """A ``stop`` predicate that fires on its ``k``-th consultation
+    (never, for ``k=None``) and counts how often it was asked."""
+
+    def __init__(self, k=None):
+        self.k = k
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.calls == self.k
+
+
+@pytest.mark.parametrize("make_coupling, pattern, urd", STOP_CASES)
+def test_stop_that_never_fires_changes_nothing(make_coupling, pattern, urd):
+    coupling, pattern, mapping, edges, noise = _stop_case(make_coupling,
+                                                          pattern)
+    never = FireAt()
+    plain = candidate_metrics(coupling, pattern, mapping, edges, noise=noise,
+                              use_range_detection=urd)
+    assert candidate_metrics(coupling, pattern, mapping, edges, noise=noise,
+                             use_range_detection=urd, stop=never) == plain
+    assert never.calls > 1
+
+
+@pytest.mark.parametrize("make_coupling, pattern, urd", STOP_CASES)
+def test_stop_that_fires_abandons_the_suffix(make_coupling, pattern, urd):
+    """Firing on its k-th consultation, for every k the suffix reaches —
+    on entry, after a pattern cycle or after a residual pair — abandons
+    the scoring: ``candidate_metrics`` returns None."""
+    coupling, pattern, mapping, edges, noise = _stop_case(make_coupling,
+                                                          pattern)
+    never = FireAt()
+    candidate_metrics(coupling, pattern, mapping, edges, noise=noise,
+                      use_range_detection=urd, stop=never)
+    for k in range(1, never.calls + 1):
+        assert candidate_metrics(coupling, pattern, mapping, edges,
+                                 noise=noise, use_range_detection=urd,
+                                 stop=FireAt(k)) is None, k

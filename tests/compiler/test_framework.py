@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.arch import (NoiseModel, architecture_for, grid, heavyhex,
                         hexagon, line, sycamore)
 from repro.compiler import compile_qaoa
-from repro.exceptions import SpecificationError
+from repro.exceptions import CompilationError, SpecificationError
 from repro.pipeline.selection import cost_f
 from repro.problems import clique, random_problem_graph
 
@@ -196,6 +196,48 @@ class TestPredictionSampling:
                          on_pass_end=lambda pass_, context, record:
                          passes.append(pass_.name))
         assert passes == []
+
+    @pytest.mark.parametrize("max_predictions", [2.5, "3", True, 0])
+    def test_bad_max_predictions_rejected_before_any_pass(
+            self, max_predictions):
+        passes = []
+        with pytest.raises(SpecificationError, match="max_predictions"):
+            compile_qaoa(grid(4, 4), random_problem_graph(12, 0.3, seed=1),
+                         max_predictions=max_predictions,
+                         on_pass_end=lambda pass_, context, record:
+                         passes.append(pass_.name))
+        assert passes == []
+
+    @pytest.mark.parametrize("method", ["greedy", "hybrid"])
+    @pytest.mark.parametrize("cap", [-1, "3", True, 2.0])
+    def test_bad_greedy_cycle_cap_rejected_before_any_pass(self, method,
+                                                           cap):
+        passes = []
+        with pytest.raises(SpecificationError, match="greedy_cycle_cap"):
+            compile_qaoa(grid(4, 4), random_problem_graph(16, 0.4, seed=1),
+                         method=method, greedy_cycle_cap=cap,
+                         on_pass_end=lambda pass_, context, record:
+                         passes.append(pass_.name))
+        assert passes == []
+
+    def test_capped_greedy_method_raises_instead_of_partial_circuit(self):
+        # A cap that stops the greedy method early used to return a
+        # circuit missing 25 problem edges.
+        with pytest.raises(CompilationError,
+                           match=r"greedy_cycle_cap=5 .* 25 problem pairs"):
+            compile_qaoa(grid(4, 4), random_problem_graph(16, 0.4, seed=1),
+                         method="greedy", greedy_cycle_cap=5)
+
+    def test_capped_hybrid_and_ample_greedy_cap_still_compile(self):
+        coupling = grid(4, 4)
+        problem = random_problem_graph(16, 0.4, seed=1)
+        hybrid = compile_and_check(coupling, problem, method="hybrid",
+                                   greedy_cycle_cap=5)
+        assert not hybrid.extra["candidates"]["greedy_finished"]
+        assert compile_and_check(coupling, problem, method="greedy",
+                                 greedy_cycle_cap=1000).circuit.depth() == \
+            compile_and_check(coupling, problem,
+                              method="greedy").circuit.depth()
 
     @pytest.mark.parametrize("matching", ["exat", "Greedy", "", None])
     def test_unknown_matching_rejected_before_any_pass(self, matching):

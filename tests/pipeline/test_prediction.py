@@ -1,6 +1,16 @@
-"""Direct unit tests for snapshot sampling."""
+"""Snapshot sampling, and candidate pruning checked against an unpruned
+re-scoring of the same pool."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.arch import NoiseModel, architecture_for
+from repro.ata.simulate import MetricTracker, candidate_metrics
+from repro.compiler import compile_qaoa
+from repro.compiler.greedy import replay_snapshots
 from repro.pipeline.prediction import sample_snapshots
+from repro.pipeline.selection import cost_f
+from repro.problems import random_problem_graph
 
 SNAPSHOTS = list(range(10))
 
@@ -32,3 +42,78 @@ class TestSampleSnapshots:
         for k in range(1, 6):
             sampled = sample_snapshots([0, 1, 2], k)
             assert len(sampled) == len(set(sampled))
+
+
+def unpruned_pool(context, max_predictions):
+    """Every candidate ``CandidatePass`` considers, in pool order, as
+    ``(label, (depth, cx, esp))``, each hybrid suffix scored to the end."""
+    pool = [(c.label, (c.depth, c.gate_count, c.esp))
+            for c in context.candidates if not c.label.startswith("hybrid@")]
+    trace, coupling = context.trace, context.coupling
+    tracker = MetricTracker(coupling.n_qubits, context.noise)
+    for snapshot, mapping, remaining in replay_snapshots(
+            trace.circuit, context.mapping, context.problem.edges,
+            sample_snapshots(trace.snapshots, max_predictions),
+            feed=tracker.feed_op):
+        if remaining and snapshot.op_count:
+            pool.append((f"hybrid@{snapshot.cycle}", candidate_metrics(
+                coupling, context.pattern, mapping, remaining,
+                noise=context.noise, prefix_tracker=tracker.copy(),
+                stop=None)))
+    return pool
+
+
+@settings(max_examples=80, deadline=None)
+@given(arch=st.sampled_from(["line", "grid", "heavyhex", "sycamore"]),
+       n=st.integers(4, 20),
+       density=st.floats(0.1, 1.0),
+       seed=st.integers(0, 2**16),
+       noisy=st.booleans(),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]),
+       max_predictions=st.sampled_from([1, 3, 24]))
+# Pools where a hybrid improves on the candidates before it and a later
+# hybrid improves again: pruning against the best of the *whole* pool
+# would drop the first of them.
+@example(arch="heavyhex", n=14, density=0.76, seed=34118, noisy=False,
+         alpha=0.0, max_predictions=24)
+@example(arch="grid", n=11, density=0.33, seed=49995, noisy=True,
+         alpha=1.0, max_predictions=24)
+def test_pruning_never_changes_metrics_or_selection(
+        arch, n, density, seed, noisy, alpha, max_predictions):
+    """A pruned candidate could not have been selected, a kept one has
+    its unpruned metrics, and the winner is the unpruned first argmin."""
+    coupling = architecture_for(arch, n)
+    problem = random_problem_graph(n, density, seed=seed)
+    noise = NoiseModel(coupling, seed=seed) if noisy else None
+    seen = {}
+
+    def observe(pass_, context, record):
+        if pass_.name == "candidates":
+            seen["kept"] = list(context.candidates)
+            seen["pool"] = unpruned_pool(context, max_predictions)
+
+    result = compile_qaoa(coupling, problem, method="hybrid", noise=noise,
+                          gamma=0.4, alpha=alpha,
+                          max_predictions=max_predictions,
+                          on_pass_end=observe)
+    kept, pool = seen["kept"], seen["pool"]
+    # F's normalisers: the finished greedy circuit, else cc0.
+    norm = next((c for c in kept if c.label == "greedy"), kept[0])
+    scores = [cost_f(depth, cx, norm.depth, norm.gate_count, esp, alpha)
+              for _, (depth, cx, esp) in pool]
+    stats = result.extra["candidates"]
+    assert stats["count"] == len(kept) == len(result.extra["scores"])
+    assert stats["pruned"] == len(pool) - len(kept)
+
+    position = 0
+    for index, (label, metrics) in enumerate(pool):
+        if (position < len(kept) and kept[position].label == label):
+            candidate = kept[position]
+            assert (candidate.depth, candidate.gate_count,
+                    candidate.esp) == metrics, label
+            position += 1
+        else:
+            assert index > 0 and scores[index] >= min(scores[:index]), label
+    assert position == len(kept)
+    first_argmin = min(range(len(pool)), key=scores.__getitem__)
+    assert result.extra["selected"] == pool[first_argmin][0]
