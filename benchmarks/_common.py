@@ -1,11 +1,17 @@
 """Shared infrastructure for the per-table/per-figure benchmarks.
 
+Every figure and table that averages random instances (Figs 17, 20-23,
+Tables 1 and 2) builds its cells with :func:`sweep`, a thin call to
+:func:`repro.analysis.run_sweep`: one batch-engine run per script, with
+workloads built by :func:`repro.problems.make_workload`.
+
 Scale control
 -------------
 By default every benchmark reproduces the *shape* of its paper table at
 64-128 qubits (pure Python is ~100x slower than the authors' toolchain).
 Set ``REPRO_FULL_SCALE=1`` to run the paper's full sizes (256 and 1024
-qubits) — budget several hours.
+qubits) — budget several hours.  ``REPRO_BATCH_WORKERS=N`` fans each
+sweep out over N processes.
 
 Each benchmark prints its table (visible with ``pytest -s``) and also
 writes it under ``benchmarks/results/`` so the numbers survive the run.
@@ -16,13 +22,9 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis import format_table
-from repro.arch import architecture_for
-from repro.batch import BatchJob, compile_many, resolve_compiler
-from repro.problems import (ProblemGraph, random_problem_graph,
-                            regular_for_density)
+from repro.analysis import SweepPoint, SweepResult, format_table, run_sweep
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -30,10 +32,8 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: keep the default run short while still smoothing variance).
 SEEDS = (0, 1)
 
-#: Benchmark column name -> batch-engine compiler method.  All compilation
-#: now routes through :mod:`repro.batch`, so every point benefits from the
-#: process-local distance-matrix/pattern caches and, with
-#: ``REPRO_BATCH_WORKERS=N``, from process-pool fan-out.
+#: Benchmark column name -> registry method name: the one label->method
+#: table of the figure scripts.
 COMPILER_METHODS: Dict[str, str] = {
     "ours": "hybrid",
     "greedy": "greedy",
@@ -61,65 +61,23 @@ def benchmark_sizes() -> List[int]:
     return [64, 256, 1024] if full_scale() else [64, 128]
 
 
-def problem_for(kind: str, n: int, density: float, seed: int) -> ProblemGraph:
-    if kind == "rand":
-        return random_problem_graph(n, density, seed=seed)
-    if kind == "reg":
-        return regular_for_density(n, density, seed=seed)
-    raise ValueError(f"unknown problem kind {kind!r}")
+def sweep(arches: Sequence[str], workloads: Sequence[Tuple[str, int, float]],
+          columns: Sequence[str],
+          seeds: Sequence[int] = SEEDS) -> SweepResult:
+    """Seed-averaged cells for benchmark ``columns`` (keys of
+    :data:`COMPILER_METHODS`); a failed cell raises."""
+    return run_sweep(arches, workloads,
+                     {name: COMPILER_METHODS[name] for name in columns},
+                     seeds=seeds, workers=batch_workers())
 
 
-def run_point(arch_kind: str, problem: ProblemGraph,
-              compilers: Sequence[str],
-              validate: bool = True) -> Dict[str, Dict[str, float]]:
-    """Compile one concrete problem with several compilers (in-process;
-    used by benchmarks that build non-random problem graphs)."""
-    coupling = architecture_for(arch_kind, problem.n_vertices)
-    out: Dict[str, Dict[str, float]] = {}
-    for name in compilers:
-        result = resolve_compiler(COMPILER_METHODS[name])(coupling, problem)
-        if validate:
-            result.validate(coupling, problem)
-        out[name] = {
-            "depth": result.depth(),
-            "cx": result.gate_count,
-            "time_s": result.wall_time_s,
-        }
-    return out
-
-
-def averaged_point(arch_kind: str, kind: str, n: int, density: float,
-                   compilers: Sequence[str],
-                   seeds: Sequence[int] = SEEDS) -> Dict[str, Dict[str, float]]:
-    """Average metrics over several random instances (paper methodology).
-
-    Runs through the batch engine: serial by default, fanned out over
-    ``REPRO_BATCH_WORKERS`` processes when set.  A failed instance raises
-    with the captured per-job error.
-    """
-    jobs = [
-        BatchJob(arch=arch_kind, n_qubits=n, workload=kind, density=density,
-                 seed=seed, method=COMPILER_METHODS[name])
-        for name in compilers for seed in seeds]
-    workers = batch_workers()
-    report = compile_many(
-        jobs, workers=workers,
-        executor="process" if workers > 1 else "serial")
-    if report.failures:
-        failed = report.failures[0]
-        raise RuntimeError(f"benchmark point failed — {failed.summary()}")
-    totals: Dict[str, Dict[str, float]] = {}
-    for name, result in zip(
-            [n_ for n_ in compilers for _ in seeds], report.results):
-        bucket = totals.setdefault(
-            name, {"depth": 0.0, "cx": 0.0, "time_s": 0.0})
-        bucket["depth"] += result.record["depth"]
-        bucket["cx"] += result.record["cx"]
-        bucket["time_s"] += result.record["wall_time_s"]
-    for metrics in totals.values():
-        for key in metrics:
-            metrics[key] /= len(seeds)
-    return totals
+def cells(result: SweepResult, arch: str,
+          workload: Tuple[str, int, float]) -> Dict[str, SweepPoint]:
+    """One (arch, workload) row of a sweep, keyed by column."""
+    kind, n, density = workload
+    label = f"{kind}-{n}-{density:g}"
+    return {point.compiler: point for point in result.points
+            if point.arch == arch and point.workload == label}
 
 
 def emit(name: str, table: str) -> None:

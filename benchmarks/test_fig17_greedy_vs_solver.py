@@ -7,7 +7,7 @@ dense ones, and the hybrid ("ours") matches or beats the better of the
 two everywhere.
 """
 
-from benchmarks._common import averaged_point, benchmark_sizes, table
+from benchmarks._common import benchmark_sizes, cells, sweep, table
 
 METHODS = ("greedy", "solver", "ours")
 DENSITIES = (0.1, 0.3)
@@ -15,24 +15,25 @@ ARCHES = ("heavyhex", "sycamore")
 
 
 def _compute():
+    workloads = [("rand", n, density)
+                 for density in DENSITIES for n in benchmark_sizes()]
+    result = sweep(ARCHES, workloads, METHODS)
     rows_depth, rows_cx = [], []
     hybrid_ok = True
     for arch in ARCHES:
-        for density in DENSITIES:
-            for n in benchmark_sizes():
-                point = averaged_point(arch, "rand", n, density, METHODS)
-                greedy = point["greedy"]
-                label = f"{arch} {n}-{density:g}"
-                rows_depth.append(
-                    [label] + [point[m]["depth"] / greedy["depth"]
-                               for m in METHODS])
-                rows_cx.append(
-                    [label] + [point[m]["cx"] / greedy["cx"]
-                               for m in METHODS])
-                best = min(point[m]["depth"] for m in ("greedy", "solver"))
-                # Section 5.4: ours is at least the better of the two
-                # (selector mixes depth and gates, allow 10% slack).
-                hybrid_ok &= point["ours"]["depth"] <= 1.1 * best + 1
+        for workload in workloads:
+            point = cells(result, arch, workload)
+            greedy = point["greedy"]
+            _, n, density = workload
+            label = f"{arch} {n}-{density:g}"
+            rows_depth.append(
+                [label] + [point[m].depth / greedy.depth for m in METHODS])
+            rows_cx.append(
+                [label] + [point[m].cx / greedy.cx for m in METHODS])
+            best = min(point[m].depth for m in ("greedy", "solver"))
+            # Section 5.4: ours is at least the better of the two
+            # (selector mixes depth and gates, allow 10% slack).
+            hybrid_ok &= point["ours"].depth <= 1.1 * best + 1
     table("fig17_depth", "Fig 17 (a/c): depth normalized to greedy",
           ["instance", *METHODS], rows_depth)
     table("fig17_gates", "Fig 17 (b/d): gate count normalized to greedy",

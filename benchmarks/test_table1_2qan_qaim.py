@@ -6,28 +6,30 @@ over a day).  Expected shape: ours ahead of QAIM everywhere and ahead of
 or close to 2QAN, with 2QAN's compile time growing much faster.
 """
 
-from benchmarks._common import averaged_point, benchmark_sizes, table
+from benchmarks._common import benchmark_sizes, cells, sweep, table
 
 COMPILERS = ("ours", "2qan", "qaim")
+ARCHES = ("heavyhex", "sycamore")
 
 
 def _compute():
+    workloads = [("rand", n, density)
+                 for density in (0.3, 0.5) for n in benchmark_sizes()]
+    result = sweep(ARCHES, workloads, COMPILERS)
     rows = []
     ordering_ok = True
-    for arch in ("heavyhex", "sycamore"):
-        for density in (0.3, 0.5):
-            for n in benchmark_sizes():
-                point = averaged_point(arch, "rand", n, density, COMPILERS)
-                rows.append([
-                    f"{arch} {n}-{density:g}",
-                    point["ours"]["depth"], point["2qan"]["depth"],
-                    point["qaim"]["depth"],
-                    point["ours"]["cx"], point["2qan"]["cx"],
-                    point["qaim"]["cx"],
-                    point["ours"]["time_s"], point["2qan"]["time_s"],
-                ])
-                ordering_ok &= (point["ours"]["depth"]
-                                <= point["qaim"]["depth"] * 1.05 + 1)
+    for arch in ARCHES:
+        for workload in workloads:
+            point = cells(result, arch, workload)
+            ours, twoqan, qaim = (point[c] for c in COMPILERS)
+            _, n, density = workload
+            rows.append([
+                f"{arch} {n}-{density:g}",
+                ours.depth, twoqan.depth, qaim.depth,
+                ours.cx, twoqan.cx, qaim.cx,
+                ours.time_s, twoqan.time_s,
+            ])
+            ordering_ok &= ours.depth <= qaim.depth * 1.05 + 1
     table("table1_2qan_qaim",
           "Table 1: Ours vs 2QAN vs QAIM",
           ["instance", "ours D", "2qan D", "qaim D",

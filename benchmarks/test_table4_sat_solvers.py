@@ -10,20 +10,14 @@ from benchmarks._common import table
 from repro.arch import square_grid_for
 from repro.baselines import compile_olsq, compile_satmap
 from repro.compiler import compile_qaoa
-from repro.problems import random_problem_graph
-
-#: (n, density) pairs named as in the paper ("15-4" = 15 qubits, d=0.4).
-INSTANCES = [(10, 0.2), (10, 0.3), (10, 0.4),
-             (12, 0.2), (12, 0.3), (12, 0.4),
-             (15, 0.2), (15, 0.4)]
+from repro.problems import table4_instances
 
 
 def _compute():
     rows = []
     speed_ok = True
-    for n, density in INSTANCES:
-        problem = random_problem_graph(n, density, seed=0)
-        coupling = square_grid_for(n)
+    for name, problem in table4_instances():
+        coupling = square_grid_for(problem.n_vertices)
         ours = compile_qaoa(coupling, problem, method="hybrid")
         ours.validate(coupling, problem)
         olsq = compile_olsq(coupling, problem, exact_node_budget=40_000,
@@ -32,7 +26,7 @@ def _compute():
         satmap = compile_satmap(coupling, problem)
         satmap.validate(coupling, problem)
         rows.append([
-            f"{n}-{int(density * 10)}",
+            name,
             ours.depth(), olsq.depth(), satmap.depth(),
             ours.gate_count, olsq.gate_count, satmap.gate_count,
             ours.wall_time_s, olsq.wall_time_s, satmap.wall_time_s,

@@ -1,31 +1,22 @@
 """Programmatic experiment sweeps (the library surface behind benchmarks/).
 
 A *sweep* compiles a grid of (architecture, workload, compiler) points and
-collects the paper's metrics, optionally averaging over random seeds.
+collects the paper's metrics, averaged over random seeds (Section 7.1).
 
-Compilers may be given either as callables (legacy, runs in-process) or as
-method-name strings resolved through the single method registry
+Compilers are method names resolved through the single method registry
 (:mod:`repro.pipeline.registry` — ``"hybrid"``, ``"greedy"``, ``"ata"``,
-or any registered baseline).  The string form routes every cell through
-the batch engine, which memoizes distance matrices and ATA patterns
-across cells and, with ``workers > 1``, fans the sweep out over a process
-pool.  This module keeps no method table of its own: registering a new
-compiler makes it sweepable by name immediately.
+or any registered baseline), and workloads are the kinds
+:func:`repro.problems.make_workload` builds.  Every cell runs through the
+batch engine, which memoizes distance matrices and ATA patterns across
+cells and, with ``workers > 1``, fans the sweep out over a process pool.
+This module keeps no method table of its own: registering a new compiler
+makes it sweepable by name immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
-
-from ..arch.coupling import CouplingGraph
-from ..arch.registry import architecture_for
-from ..compiler.result import CompiledResult
-from ..problems.graphs import (ProblemGraph, random_problem_graph,
-                               regular_for_density)
-
-CompilerFn = Callable[[CouplingGraph, ProblemGraph], CompiledResult]
-CompilerSpec = Union[str, CompilerFn]
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -40,10 +31,6 @@ class SweepPoint:
     swaps: float
     time_s: float
     n_seeds: int = 1
-
-    def as_row(self) -> List[object]:
-        return [f"{self.arch} {self.workload}", self.compiler,
-                self.depth, self.cx, self.time_s]
 
 
 @dataclass
@@ -80,83 +67,26 @@ class SweepResult:
                 for arch, workload in order]
 
 
-def make_workload(kind: str, n: int, density: float,
-                  seed: int) -> ProblemGraph:
-    """Paper-style workloads: ``rand`` (G(n,m)) or ``reg`` (regular)."""
-    if kind == "rand":
-        return random_problem_graph(n, density, seed=seed)
-    if kind == "reg":
-        return regular_for_density(n, density, seed=seed)
-    raise ValueError(f"unknown workload kind {kind!r}")
-
-
 def run_sweep(
     arch_kinds: Sequence[str],
-    workloads: Sequence[tuple],
-    compilers: Dict[str, CompilerSpec],
+    workloads: Sequence[Tuple[str, int, float]],
+    compilers: Dict[str, str],
     seeds: Sequence[int] = (0,),
     validate: bool = True,
-    coupling_factory: Optional[Callable[[str, int], CouplingGraph]] = None,
     workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
 ) -> SweepResult:
     """Compile every (arch, workload, compiler) cell, averaged over seeds.
 
     ``workloads`` entries are ``(kind, n, density)`` tuples; the workload
-    label in the result is ``"{kind}-{n}-{density}"``.
+    label in the result is ``"{kind}-{n}-{density:g}"``.  ``compilers``
+    maps a column label to a registry method name.
 
-    ``compilers`` values that are strings (and no custom
-    ``coupling_factory``) run through :func:`repro.batch.compile_many` —
-    serially by default, over ``workers`` processes when given.  A failed
-    cell raises ``RuntimeError`` naming the job and the captured error.
+    Every cell runs through :func:`repro.batch.compile_many` — serially
+    by default, over ``workers`` processes when ``workers > 1``.  A
+    failed cell raises ``RuntimeError`` naming the job and the captured
+    error.
     """
-    batchable = (coupling_factory is None
-                 and all(isinstance(spec, str) for spec in compilers.values()))
-    if batchable:
-        return _run_sweep_batched(arch_kinds, workloads, compilers, seeds,
-                                  validate, workers, timeout_s)
-    if workers and workers > 1:
-        raise ValueError(
-            "workers > 1 needs picklable cells: name compilers by method "
-            "string and drop coupling_factory")
-    factory = coupling_factory or architecture_for
-    result = SweepResult()
-    for arch in arch_kinds:
-        for kind, n, density in workloads:
-            label = f"{kind}-{n}-{density:g}"
-            coupling = factory(arch, n)
-            accumulators: Dict[str, List[float]] = {
-                name: [0.0, 0.0, 0.0, 0.0] for name in compilers}
-            for seed in seeds:
-                problem = make_workload(kind, n, density, seed)
-                for name, compile_fn in compilers.items():
-                    compiled = compile_fn(coupling, problem)
-                    if validate:
-                        compiled.validate(coupling, problem)
-                    acc = accumulators[name]
-                    acc[0] += compiled.depth()
-                    acc[1] += compiled.gate_count
-                    acc[2] += compiled.swap_count
-                    acc[3] += compiled.wall_time_s
-            for name, acc in accumulators.items():
-                k = len(seeds)
-                result.points.append(SweepPoint(
-                    arch=arch, workload=label, compiler=name,
-                    depth=acc[0] / k, cx=acc[1] / k, swaps=acc[2] / k,
-                    time_s=acc[3] / k, n_seeds=k))
-    return result
-
-
-def _run_sweep_batched(
-    arch_kinds: Sequence[str],
-    workloads: Sequence[tuple],
-    compilers: Dict[str, str],
-    seeds: Sequence[int],
-    validate: bool,
-    workers: Optional[int],
-    timeout_s: Optional[float],
-) -> SweepResult:
-    """Route the sweep grid through the batch engine, then re-aggregate."""
     from ..batch import BatchJob, compile_many
 
     jobs: List[BatchJob] = []
@@ -180,25 +110,18 @@ def _run_sweep_batched(
         raise RuntimeError(
             f"{len(report.failures)} sweep cell(s) failed — {detail}")
 
-    result = SweepResult()
-    accumulators: Dict[tuple, List[float]] = {}
-    order: List[tuple] = []
+    totals: Dict[tuple, List[float]] = {}  # insertion order = cell order
     for cell, job_result in zip(cells, report.results):
-        if cell not in accumulators:
-            accumulators[cell] = [0.0, 0.0, 0.0, 0.0, 0]
-            order.append(cell)
-        acc = accumulators[cell]
         record = job_result.record
+        acc = totals.setdefault(cell, [0.0, 0.0, 0.0, 0.0, 0])
         acc[0] += record["depth"]
         acc[1] += record["cx"]
         acc[2] += record["swaps"]
         acc[3] += record["wall_time_s"]
         acc[4] += 1
-    for (arch, label, name) in order:
-        acc = accumulators[(arch, label, name)]
-        k = acc[4]
-        result.points.append(SweepPoint(
-            arch=arch, workload=label, compiler=name,
-            depth=acc[0] / k, cx=acc[1] / k, swaps=acc[2] / k,
-            time_s=acc[3] / k, n_seeds=k))
-    return result
+    return SweepResult([
+        SweepPoint(arch=arch, workload=label, compiler=name,
+                   depth=acc[0] / acc[4], cx=acc[1] / acc[4],
+                   swaps=acc[2] / acc[4], time_s=acc[3] / acc[4],
+                   n_seeds=int(acc[4]))
+        for (arch, label, name), acc in totals.items()])

@@ -16,12 +16,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import SpecificationError
 from ..pipeline.registry import available_methods, get_method
+from ..problems import WORKLOADS, make_workload
 
 if TYPE_CHECKING:  # runtime imports stay inside build(); see below
     from ..arch import CouplingGraph, NoiseModel
     from ..problems import ProblemGraph
-
-WORKLOADS = ("rand", "reg", "clique")
 
 #: Compiler methods the engine can name — everything in the single
 #: method registry (:mod:`repro.pipeline.registry`): the three paper
@@ -110,18 +109,10 @@ class BatchJob:
                              Optional["NoiseModel"]]:
         """Materialize ``(coupling, problem, noise)`` inside the worker."""
         from ..arch import NoiseModel, architecture_for
-        from ..problems import (clique, random_problem_graph,
-                                regular_for_density)
 
         coupling = architecture_for(self.arch, self.n_qubits)
-        if self.workload == "rand":
-            problem = random_problem_graph(self.n_qubits, self.density,
-                                           seed=self.seed)
-        elif self.workload == "reg":
-            problem = regular_for_density(self.n_qubits, self.density,
-                                          seed=self.seed)
-        else:
-            problem = clique(self.n_qubits)
+        problem = make_workload(self.workload, self.n_qubits, self.density,
+                                self.seed)
         noise = NoiseModel(coupling, seed=self.seed) if self.use_noise \
             else None
         return coupling, problem, noise

@@ -30,7 +30,7 @@ from .arch import NoiseModel, architecture_for
 from .compiler import compile_qaoa
 from .ir.qasm import to_qasm
 from .pipeline.registry import available_methods, get_method
-from .problems import clique, random_problem_graph
+from .problems import WORKLOADS, clique, make_workload, random_problem_graph
 
 _ARCH_CHOICES = ["line", "grid", "sycamore", "hexagon", "heavyhex",
                  "mumbai", "cube"]
@@ -137,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "SEED..SEED+COUNT-1")
     batch_p.add_argument("--seed", type=int, default=0)
     batch_p.add_argument("--density", type=_density, default=0.3)
-    batch_p.add_argument("--workload", default="rand",
-                         choices=["rand", "reg", "clique"])
+    batch_p.add_argument("--workload", default="rand", choices=WORKLOADS)
     batch_p.add_argument("--method", default="hybrid",
                          help="comma-separated compiler methods; any of: "
                               f"{', '.join(available_methods())}")
@@ -214,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--problem", metavar="FILE",
                         help="problem-graph JSON "
                              "(repro.ir.serialize.problem_to_dict format)")
-    lint_p.add_argument("--workload", default="rand",
-                        choices=["rand", "reg", "clique"])
+    lint_p.add_argument("--workload", default="rand", choices=WORKLOADS)
     lint_p.add_argument("--density", type=_density, default=0.3)
     lint_p.add_argument("--seed", type=int, default=0)
     lint_p.add_argument("--format", default="text",
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--qubits", type=_positive_int, default=4)
     solve_p.add_argument("--seed", type=int, default=0)
     solve_p.add_argument("--workload", default="clique",
-                         choices=["clique", "biclique", "rand", "reg"],
+                         choices=[*WORKLOADS, "biclique"],
                          help="biclique splits the qubits into two "
                               "all-to-all-connected halves")
     solve_p.add_argument("--density", type=_density, default=0.3)
@@ -458,7 +456,6 @@ def _load_lint_target(path: str):
 def _lint_problem(args):
     """Resolve the problem graph a lint run checks against."""
     from .ir.serialize import problem_from_dict
-    from .problems import regular_for_density
 
     if args.problem:
         with open(args.problem) as handle:
@@ -468,12 +465,7 @@ def _lint_problem(args):
             "lint needs the problem the circuit should implement: pass "
             "--problem FILE, or --qubits N (with --workload/--density/"
             "--seed) to regenerate it")
-    if args.workload == "clique":
-        return clique(args.qubits)
-    if args.workload == "reg":
-        return regular_for_density(args.qubits, args.density,
-                                   seed=args.seed)
-    return random_problem_graph(args.qubits, args.density, seed=args.seed)
+    return make_workload(args.workload, args.qubits, args.density, args.seed)
 
 
 def _cmd_lint(args) -> int:
@@ -613,16 +605,12 @@ def _cmd_clique(args) -> int:
 
 def _solve_problem(args):
     """The problem graph a ``solve`` run schedules."""
-    from .problems import biclique, regular_for_density
+    from .problems import biclique
 
-    if args.workload == "clique":
-        return clique(args.qubits)
     if args.workload == "biclique":
         half = args.qubits // 2
         return biclique(args.qubits - half, half)
-    if args.workload == "reg":
-        return regular_for_density(args.qubits, args.density, seed=args.seed)
-    return random_problem_graph(args.qubits, args.density, seed=args.seed)
+    return make_workload(args.workload, args.qubits, args.density, args.seed)
 
 
 def _cmd_solve(args) -> int:

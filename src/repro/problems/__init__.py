@@ -6,7 +6,7 @@ from .graphs import (ProblemGraph, biclique, clique, random_problem_graph,
 from .hamiltonian import (hamiltonian_benchmarks, nnn_heisenberg_3d,
                           nnn_ising_1d, nnn_xy_2d)
 from .qaoa import QaoaProblem, maxcut_expectation_energy
-from .suite import (random_suite, regular_suite, table4_instances)
+from .suite import WORKLOADS, make_workload, table4_instances
 
 __all__ = [
     "ProblemGraph",
@@ -22,7 +22,7 @@ __all__ = [
     "nnn_xy_2d",
     "nnn_heisenberg_3d",
     "hamiltonian_benchmarks",
-    "random_suite",
-    "regular_suite",
+    "WORKLOADS",
+    "make_workload",
     "table4_instances",
 ]

@@ -1,39 +1,34 @@
-"""Named benchmark suites matching the paper's Section 7.1 setup."""
+"""Named benchmark instances matching the paper's Section 7.1 setup.
+
+:func:`make_workload` is the one builder for the named workload kinds in
+:data:`WORKLOADS`: batch jobs, sweeps and the CLI all build their
+instances through it.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .graphs import (ProblemGraph, random_problem_graph, regular_for_density)
-from .hamiltonian import hamiltonian_benchmarks
+from ..exceptions import SpecificationError
+from .graphs import (ProblemGraph, clique, random_problem_graph,
+                     regular_for_density)
 
-#: The paper's random-graph sweep: densities 0.3/0.5, sizes 64..1024.
-PAPER_DENSITIES = (0.3, 0.5)
-PAPER_SIZES = (64, 128, 256, 1024)
-#: The Fig 17 sweep uses sparser graphs.
-FIG17_DENSITIES = (0.1, 0.3)
-#: Cases averaged per point in the paper.
-PAPER_CASES_PER_POINT = 10
+#: Workload kinds :func:`make_workload` builds.
+WORKLOADS = ("rand", "reg", "clique")
 
 
-def random_suite(sizes: Sequence[int] = PAPER_SIZES,
-                 densities: Sequence[float] = PAPER_DENSITIES,
-                 n_cases: int = 2) -> Iterator[ProblemGraph]:
-    """Random-graph benchmark instances (seeded, reproducible)."""
-    for n in sizes:
-        for density in densities:
-            for seed in range(n_cases):
-                yield random_problem_graph(n, density, seed=seed)
-
-
-def regular_suite(sizes: Sequence[int] = PAPER_SIZES,
-                  densities: Sequence[float] = PAPER_DENSITIES,
-                  n_cases: int = 2) -> Iterator[ProblemGraph]:
-    """Regular-graph benchmark instances with density-matched degrees."""
-    for n in sizes:
-        for density in densities:
-            for seed in range(n_cases):
-                yield regular_for_density(n, density, seed=seed)
+def make_workload(kind: str, n: int, density: float,
+                  seed: int) -> ProblemGraph:
+    """Paper-style workloads: ``rand`` (G(n,m)), ``reg`` (regular at the
+    density-matched degree) or ``clique`` (density and seed unused)."""
+    if kind == "rand":
+        return random_problem_graph(n, density, seed=seed)
+    if kind == "reg":
+        return regular_for_density(n, density, seed=seed)
+    if kind == "clique":
+        return clique(n)
+    raise SpecificationError(
+        f"unknown workload {kind!r}; expected one of {WORKLOADS}")
 
 
 def table4_instances() -> List[Tuple[str, ProblemGraph]]:
@@ -43,13 +38,3 @@ def table4_instances() -> List[Tuple[str, ProblemGraph]]:
             (15, 0.2), (15, 0.4)]
     return [(f"{n}-{int(d * 10)}", random_problem_graph(n, d, seed=0))
             for n, d in spec]
-
-
-def all_suites_summary() -> List[Tuple[str, int]]:
-    """Instance counts per suite (for docs / sanity checks)."""
-    return [
-        ("random", len(list(random_suite(sizes=(64,), n_cases=1)))),
-        ("regular", len(list(regular_suite(sizes=(64,), n_cases=1)))),
-        ("hamiltonian", len(hamiltonian_benchmarks())),
-        ("table4", len(table4_instances())),
-    ]

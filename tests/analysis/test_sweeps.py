@@ -2,28 +2,10 @@
 
 import pytest
 
-from repro.analysis import make_workload, run_sweep
-from repro.compiler import compile_qaoa
+from repro.analysis import run_sweep
 
 
-COMPILERS = {
-    "greedy": lambda c, p: compile_qaoa(c, p, method="greedy"),
-    "ata": lambda c, p: compile_qaoa(c, p, method="ata"),
-}
-
-
-class TestMakeWorkload:
-    def test_random(self):
-        g = make_workload("rand", 12, 0.3, seed=0)
-        assert g.n_vertices == 12
-
-    def test_regular(self):
-        g = make_workload("reg", 12, 0.3, seed=0)
-        assert len(set(g.degrees().values())) == 1
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_workload("tree", 12, 0.3, seed=0)
+COMPILERS = {"greedy": "greedy", "ata": "ata"}
 
 
 class TestRunSweep:
@@ -52,41 +34,42 @@ class TestRunSweep:
         assert len(rows) == 2  # one per (arch, workload)
         assert len(rows[0]) == 3  # label + 2 compilers
 
-    def test_metrics_are_averages(self):
-        single = run_sweep(["line"], [("rand", 8, 0.4)], COMPILERS,
-                           seeds=(0,))
-        point = single.get("line", "rand-8-0.4", "greedy")
-        assert point.n_seeds == 1
+    def test_metrics_are_averages(self, sweep):
+        singles = [run_sweep(["line"], [("rand", 8, 0.4)], COMPILERS,
+                             seeds=(seed,)).get("line", "rand-8-0.4", "ata")
+                   for seed in (0, 1)]
+        assert [point.n_seeds for point in singles] == [1, 1]
+        point = sweep.get("line", "rand-8-0.4", "ata")
+        assert point.depth == (singles[0].depth + singles[1].depth) / 2
+        assert point.cx == (singles[0].cx + singles[1].cx) / 2
 
 
 class TestBatchedSweep:
-    """Method-name strings route the sweep through the batch engine."""
+    """Every sweep runs through the batch engine, serially or pooled."""
 
     def test_string_compilers_produce_points(self):
         sweep = run_sweep(["line", "grid"], [("rand", 8, 0.4)],
-                          {"greedy": "greedy", "ata": "ata"}, seeds=(0, 1))
+                          COMPILERS, seeds=(0, 1))
         assert len(sweep.points) == 4
         assert sweep.compilers() == ["greedy", "ata"]
         point = sweep.get("line", "rand-8-0.4", "greedy")
         assert point.depth > 0
         assert point.n_seeds == 2
 
-    def test_matches_legacy_callable_results(self):
-        legacy = run_sweep(["grid"], [("rand", 8, 0.4)], COMPILERS,
-                           seeds=(0, 1))
-        batched = run_sweep(["grid"], [("rand", 8, 0.4)],
-                            {"greedy": "greedy", "ata": "ata"}, seeds=(0, 1))
-        for compiler in ("greedy", "ata"):
-            old = legacy.get("grid", "rand-8-0.4", compiler)
-            new = batched.get("grid", "rand-8-0.4", compiler)
-            assert new.depth == old.depth
-            assert new.cx == old.cx
+    def test_process_pool_matches_serial(self):
+        args = (["line", "grid"], [("rand", 8, 0.4), ("reg", 8, 0.5)],
+                COMPILERS)
+        serial = run_sweep(*args, seeds=(0, 1))
+        pooled = run_sweep(*args, seeds=(0, 1), workers=2)
+
+        def cells(sweep):
+            return [(p.arch, p.workload, p.compiler, p.depth, p.cx,
+                     p.swaps, p.n_seeds) for p in sweep.points]
+
+        assert cells(pooled) == cells(serial)
+        assert len(serial.points) == 8
 
     def test_failed_cell_raises_with_job_name(self):
         with pytest.raises(RuntimeError, match="mumbai"):
             run_sweep(["mumbai"], [("rand", 100, 0.3)],
                       {"greedy": "greedy"})
-
-    def test_workers_with_callables_rejected(self):
-        with pytest.raises(ValueError, match="picklable"):
-            run_sweep(["line"], [("rand", 8, 0.4)], COMPILERS, workers=4)

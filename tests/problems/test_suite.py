@@ -1,25 +1,31 @@
-"""Tests for the named benchmark suites."""
+"""Tests for the named workload builder and the Table 4 instances."""
 
-from repro.problems.suite import (all_suites_summary, random_suite,
-                                  regular_suite, table4_instances)
+import pytest
+
+from repro.exceptions import SpecificationError
+from repro.problems import make_workload
+from repro.problems.suite import table4_instances
+
+
+class TestMakeWorkload:
+    def test_random(self):
+        g = make_workload("rand", 12, 0.3, seed=0)
+        assert g.n_vertices == 12
+
+    def test_regular(self):
+        g = make_workload("reg", 12, 0.3, seed=0)
+        assert len(set(g.degrees().values())) == 1
+
+    def test_clique_ignores_density_and_seed(self):
+        g = make_workload("clique", 6, 0.1, seed=3)
+        assert g.n_edges == 15
+
+    def test_unknown_kind(self):
+        with pytest.raises(SpecificationError, match="tree"):
+            make_workload("tree", 12, 0.3, seed=0)
 
 
 class TestSuites:
-    def test_random_suite_shape(self):
-        instances = list(random_suite(sizes=(16,), densities=(0.3, 0.5),
-                                      n_cases=2))
-        assert len(instances) == 4
-        assert all(g.n_vertices == 16 for g in instances)
-
-    def test_random_suite_reproducible(self):
-        a = [g.edges for g in random_suite(sizes=(16,), n_cases=1)]
-        b = [g.edges for g in random_suite(sizes=(16,), n_cases=1)]
-        assert a == b
-
-    def test_regular_suite_is_regular(self):
-        for g in regular_suite(sizes=(16,), densities=(0.3,), n_cases=1):
-            assert len(set(g.degrees().values())) == 1
-
     def test_table4_names(self):
         names = [name for name, _ in table4_instances()]
         assert names == ["10-2", "10-3", "10-4", "12-2", "12-3", "12-4",
@@ -29,8 +35,3 @@ class TestSuites:
         for name, graph in table4_instances():
             n = int(name.split("-")[0])
             assert graph.n_vertices == n
-
-    def test_summary(self):
-        summary = dict(all_suites_summary())
-        assert summary["hamiltonian"] == 3
-        assert summary["table4"] == 8
