@@ -16,8 +16,9 @@ Public API highlights
   a process pool with shared caches, per-job timeouts and telemetry.
 * :func:`repro.lint_circuit` / :mod:`repro.lint` — the diagnostics-based
   static analyzer for compiled circuits (rule codes ``RL0xx``; see
-  ``docs/linting.md``), also available as a ``LintPass``, the batch
-  engine's ``lint=True`` and the ``python -m repro lint`` subcommand.
+  ``docs/linting.md``), also available as the batch engine's
+  ``lint=True`` and the ``python -m repro lint`` subcommand;
+  ``CompiledResult.validate`` raises on its blocking rules.
 * :mod:`repro.arch` — line / grid / Sycamore / hexagon / heavy-hex coupling
   graphs with synthetic noise calibration.
 * :mod:`repro.ata` — structured all-to-all swap-network patterns.
@@ -89,8 +90,7 @@ def lint_result(*args, **kwargs):
 
 _LAZY_PIPELINE_EXPORTS = (
     "CompilationContext", "Pass", "Pipeline", "MethodSpec",
-    "register_method", "get_method", "build_pipeline", "LintPass",
-    "ValidatePass",
+    "register_method", "get_method", "build_pipeline",
 )
 
 

@@ -176,11 +176,11 @@ _EVENTS_LOCK = threading.Lock()
 
 
 def count_event(name: str, n: int = 1) -> None:
-    """Bump a process-local event counter (e.g. ``lint.errors``).
+    """Bump a process-local event counter (e.g. ``serve.requests``).
 
     Events complement the cache counters: anything that wants a cheap
-    "how often did X happen in this process" tally — lint runs, rule
-    hits, fallbacks — counts here and shows up in :func:`event_info`.
+    "how often did X happen in this process" tally — requests, retries,
+    fallbacks — counts here and shows up in :func:`event_info`.
     Increments are lock-protected so concurrent request handlers (the
     serve daemon's thread executor) never lose a read-modify-write.
     """

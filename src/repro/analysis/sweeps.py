@@ -44,28 +44,6 @@ class SweepResult:
                 return point
         raise KeyError((arch, workload, compiler))
 
-    def compilers(self) -> List[str]:
-        seen: List[str] = []
-        for point in self.points:
-            if point.compiler not in seen:
-                seen.append(point.compiler)
-        return seen
-
-    def rows(self, metric: str = "depth") -> List[List[object]]:
-        """One row per (arch, workload), one column per compiler."""
-        compilers = self.compilers()
-        cells: Dict[tuple, Dict[str, float]] = {}
-        order: List[tuple] = []
-        for point in self.points:
-            key = (point.arch, point.workload)
-            if key not in cells:
-                cells[key] = {}
-                order.append(key)
-            cells[key][point.compiler] = getattr(point, metric)
-        return [[f"{arch} {workload}"]
-                + [cells[(arch, workload)].get(c, "") for c in compilers]
-                for arch, workload in order]
-
 
 def run_sweep(
     arch_kinds: Sequence[str],

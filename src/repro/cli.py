@@ -29,11 +29,17 @@ from .analysis import format_table, result_metrics
 from .arch import NoiseModel, architecture_for
 from .compiler import compile_qaoa
 from .ir.qasm import to_qasm
+from .ir.serialize import mapping_to_dict
 from .pipeline.registry import available_methods, get_method
 from .problems import WORKLOADS, clique, make_workload, random_problem_graph
 
 _ARCH_CHOICES = ["line", "grid", "sycamore", "hexagon", "heavyhex",
                  "mumbai", "cube"]
+
+#: Comment ``compile --qasm`` writes so ``lint`` can read the initial
+#: mapping back: QASM has no notion of one, and the QASM parser skips
+#: ``//`` comments.  The rest of the line is ``mapping_to_dict`` JSON.
+_QASM_MAPPING_COMMENT = "initial_mapping: "
 
 
 def _positive_int(text: str) -> int:
@@ -341,6 +347,8 @@ def _cmd_compile(args) -> int:
         else:
             exported = result.circuit
             comment = f"{problem.name} on {coupling.name}"
+        comment += "\n" + _QASM_MAPPING_COMMENT + json.dumps(
+            mapping_to_dict(result.initial_mapping))
         with open(args.qasm, "w") as handle:
             handle.write(to_qasm(exported, comment=comment))
         print(f"qasm written to {args.qasm}")
@@ -431,13 +439,20 @@ def _load_lint_target(path: str):
     Returns ``(circuit, mapping_or_None, expected_metrics_or_None)``.
     Circuits load through the *unchecked* deserializer so corrupt
     documents become RL002/RL003 diagnostics instead of load failures.
+    A ``.qasm`` file yields the mapping its ``compile --qasm`` comment
+    records, else none.
     """
     from .ir.qasm import from_qasm
     from .ir.serialize import circuit_from_dict, mapping_from_dict
 
     if path.endswith(".qasm"):
         with open(path) as handle:
-            return from_qasm(handle.read()), None, None
+            text = handle.read()
+        prefix = "// " + _QASM_MAPPING_COMMENT
+        mapping = next((mapping_from_dict(json.loads(line[len(prefix):]))
+                        for line in text.splitlines()
+                        if line.startswith(prefix)), None)
+        return from_qasm(text), mapping, None
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):

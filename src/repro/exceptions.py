@@ -79,15 +79,6 @@ class ValidationError(ReproError):
     """A compiled circuit violates a hardware or semantic constraint."""
 
 
-class LintError(ValidationError):
-    """A lint run found error-severity diagnostics (``fail_on_error``).
-
-    Subclasses :class:`ValidationError` because every lint *error* is a
-    hardware or semantic violation; callers that already catch
-    ``ValidationError`` keep working when they switch to ``LintPass``.
-    """
-
-
 class ArchitectureError(ReproError):
     """An architecture was constructed or queried inconsistently."""
 

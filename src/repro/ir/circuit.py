@@ -146,12 +146,6 @@ class Circuit:
 
         return count_cx(self, unify=unify)
 
-    def cx_depth(self, unify: bool = True) -> int:
-        """Depth of the decomposed circuit counting only CX gates."""
-        from .decompose import decompose_to_cx
-
-        return decompose_to_cx(self, unify=unify).depth(two_qubit_only=True)
-
 
 def circuit_from_layers(n_qubits: int,
                         layers: Iterable[Iterable[Op]]) -> Circuit:

@@ -9,7 +9,7 @@ qubit is allowed and common in the structured patterns).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 class Mapping:
@@ -70,10 +70,6 @@ class Mapping:
             self.log_to_phys[lu] = v
         if lv is not None:
             self.log_to_phys[lv] = u
-
-    def apply_swaps(self, swaps: Iterable[tuple]) -> None:
-        for u, v in swaps:
-            self.swap_physical(u, v)
 
     def as_tuple(self) -> tuple:
         """Hashable snapshot of the physical occupancy (for solver states)."""

@@ -71,10 +71,6 @@ class ProgramLayer:
         """The layer's starting layout as a :class:`Mapping`."""
         return Mapping(list(self.input_log_to_phys), n_physical)
 
-    def output_mapping(self, n_physical: int) -> Mapping:
-        """The layer's finishing layout as a :class:`Mapping`."""
-        return Mapping(list(self.output_log_to_phys), n_physical)
-
 
 class Program:
     """An ordered list of layers over one physical register.

@@ -17,7 +17,6 @@ from typing import (TYPE_CHECKING, Iterable, Optional, Sequence, Set,
 from ..exceptions import ValidationError
 from .circuit import Circuit
 from .mapping import Mapping
-from .program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - repro.lint imports repro.ir
     from ..lint.diagnostics import LintReport
@@ -92,27 +91,3 @@ def validate_compiled(
     return validate_lint_report(blocking_lint([build_context(
         circuit, coupling_edges, initial_mapping, problem_edges,
         allow_repeats=allow_repeats, require_all_edges=require_all_edges)]))
-
-
-def validate_program(program: Program,
-                     coupling_edges: Iterable[Tuple[int, int]],
-                     problem_edges: Iterable[Tuple[int, int]],
-                     allow_repeats: bool = False) -> dict:
-    """Hold every layer to the blocking rules from its own recorded input
-    mapping — including provenance (RL031) and, after an even number of
-    cost layers, the reversed-layer cancellation (RL032) — and return the
-    plain-data record that lands in ``extra["validate"]["program"]``."""
-    from ..lint.engine import program_contexts
-
-    contexts = program_contexts(program, coupling_edges, problem_edges,
-                                allow_repeats=allow_repeats)
-    validate_lint_report(blocking_lint(contexts))
-    return {
-        "p": program.p,
-        "layers": [{"role": layer.role,
-                    "final_log_to_phys":
-                        list(context.final_mapping.log_to_phys)}
-                   for layer, context in zip(program.layers, contexts)],
-        "final_log_to_phys": list(program.final_log_to_phys),
-        "net_permutation_identity": program.net_permutation_is_identity,
-    }

@@ -6,7 +6,7 @@ one tolerant scan and reports **every** finding as a structured
 message, fix hint) collected into a :class:`LintReport`.
 
 It is the one definition of a correct circuit: validation
-(:mod:`repro.ir.validate`, ``CompiledResult.validate``, ``ValidatePass``,
+(:mod:`repro.ir.validate`, ``CompiledResult.validate``,
 ``BatchJob(validate=True)``) raises on the first diagnostic of a rule in
 :data:`BLOCKING_RULES` — every error-severity rule plus RL032.
 
@@ -24,8 +24,6 @@ Rule groups (full catalogue in ``docs/linting.md``):
 Entry points:
 
 * :func:`lint_circuit` / :func:`lint_result` — library API;
-* :class:`repro.pipeline.LintPass` — in-pipeline linting with per-rule
-  counts in ``CompiledResult.extra["lint"]``;
 * ``python -m repro lint`` — CLI over serialized circuits/results/QASM;
 * ``BatchJob(lint=True)`` — per-job diagnostics aggregated into the
   :class:`repro.batch.BatchReport`.

@@ -1,7 +1,7 @@
 """Text and JSON rendering of lint reports.
 
 Both reporters are pure functions of a :class:`~repro.lint.diagnostics.
-LintReport`; the CLI, the batch engine and ``LintPass`` all share them so
+LintReport`; the CLI and the batch engine share them so
 a diagnostic looks the same everywhere it surfaces.
 """
 

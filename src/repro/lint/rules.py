@@ -16,9 +16,8 @@ raises on.
 Each rule is a pure function over the precomputed
 :class:`~repro.lint.engine.LintContext`; registering one is a
 :func:`rule` decoration, after which it participates in
-:func:`~repro.lint.engine.lint_circuit`, ``LintPass``, the batch
-engine's ``lint=True`` and the ``repro lint`` CLI with no further
-wiring.
+:func:`~repro.lint.engine.lint_circuit`, the batch engine's
+``lint=True`` and the ``repro lint`` CLI with no further wiring.
 """
 
 from __future__ import annotations

@@ -21,14 +21,12 @@ from .base import Pass, PassObserver, Pipeline
 from .baseline import BaselinePass
 from .context import CompilationContext
 from .greedy import GreedyPass
-from .lint import LintPass
 from .placement import PatternPass, PlacementPass
 from .prediction import CandidatePass, PredictionPass, sample_snapshots
 from .presets import PAPER_KNOBS, PRESETS, build_context, build_pipeline
 from .registry import (MethodSpec, available_methods, get_method,
                        method_table, register_method)
 from .selection import SelectionPass
-from .validate import ValidatePass
 
 __all__ = [
     "CompilationContext",
@@ -43,8 +41,6 @@ __all__ = [
     "SelectionPass",
     "AssemblyPass",
     "assemble_program",
-    "ValidatePass",
-    "LintPass",
     "BaselinePass",
     "sample_snapshots",
     "PAPER_KNOBS",

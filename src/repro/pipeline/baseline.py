@@ -28,16 +28,13 @@ class BaselinePass(Pass):
     pipeline telemetry merged into its ``extra``.
     """
 
-    def __init__(self, method_name: str, fn: Callable,
-                 forward_gamma: bool = True) -> None:
+    def __init__(self, method_name: str, fn: Callable) -> None:
         self.name = method_name
         self.fn = fn
-        self.forward_gamma = forward_gamma
 
     def run(self, context: CompilationContext):
         kwargs = dict(context.knobs)
-        if self.forward_gamma:
-            kwargs.setdefault("gamma", context.gamma)
+        kwargs.setdefault("gamma", context.gamma)
         result = self.fn(context.coupling, context.problem, **kwargs)
         context.baseline_result = result
         context.circuit = result.circuit

@@ -12,6 +12,8 @@ out as data rather than control flow:
 :data:`PAPER_KNOBS` (an unknown keyword raises ``TypeError``, matching
 the old explicit-signature behaviour) and :func:`build_pipeline` turns a
 preset name into a runnable :class:`~repro.pipeline.base.Pipeline`.
+No preset checks its own output: a compiled result is checked afterwards
+by ``CompiledResult.validate`` or :func:`repro.lint.lint_result`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .placement import PatternPass, PlacementPass
 from .prediction import CandidatePass, PredictionPass
 from .registry import PAPER_KNOBS
 from .selection import SelectionPass, check_alpha
-from .validate import ValidatePass
 
 #: Pass factories per method, in execution order.  Every preset ends
 #: with ``AssemblyPass``, which turns the compiled cost layer into the
@@ -90,28 +91,11 @@ def _is_int(value: object) -> bool:
 def build_pipeline(
     method: str,
     on_pass_end: Optional[PassObserver] = None,
-    validate: bool = False,
-    lint: bool = False,
 ) -> Pipeline:
-    """Instantiate the preset pipeline for ``method``.
-
-    ``validate=True`` appends a :class:`ValidatePass`, turning semantic
-    violations into in-pipeline failures.  ``lint=True`` appends a
-    :class:`~repro.pipeline.lint.LintPass`, which records the full
-    diagnostic report in ``extra["lint"]`` without failing (combine with
-    ``validate=True`` to both report and fail; the linter runs first so
-    the diagnostics survive the validator's exception path only when
-    passes are ordered that way — hence lint before validate).
-    """
+    """Instantiate the preset pipeline for ``method``."""
     if method not in PRESETS:
         raise SpecificationError(
             f"no pipeline preset for method {method!r}; "
             f"expected one of {tuple(PRESETS)}")
-    passes = [factory() for factory in PRESETS[method]]
-    if lint:
-        from .lint import LintPass
-
-        passes.append(LintPass())
-    if validate:
-        passes.append(ValidatePass())
-    return Pipeline(passes, name=method, on_pass_end=on_pass_end)
+    return Pipeline([factory() for factory in PRESETS[method]],
+                    name=method, on_pass_end=on_pass_end)

@@ -45,7 +45,6 @@ PAPER_KNOBS: Dict[str, object] = {
     "pattern": None,
     "greedy_cycle_cap": None,
     "unify_swaps": True,
-    "allow_repeats": False,
     "layers": 1,
     "mixer": "rx",
     "gammas": None,
@@ -180,8 +179,8 @@ def _pop_assembly(options: Dict) -> "object":
         betas=options.pop("betas", None))
 
 
-def _baseline_runner(name: str, loader: Callable[[], Callable],
-                     forward_gamma: bool = True) -> MethodRunner:
+def _baseline_runner(name: str,
+                     loader: Callable[[], Callable]) -> MethodRunner:
     def run(coupling, problem, noise, gamma, on_pass_end, options):
         from .base import Pipeline
         from .baseline import BaselinePass
@@ -193,8 +192,7 @@ def _baseline_runner(name: str, loader: Callable[[], Callable],
             coupling=coupling, problem=problem, method=name, noise=noise,
             gamma=gamma, knobs=options)
         pipeline = Pipeline(
-            [BaselinePass(name, loader(), forward_gamma=forward_gamma),
-             assembly],
+            [BaselinePass(name, loader()), assembly],
             name=name, on_pass_end=on_pass_end)
         return pipeline.compile(context)
     return run

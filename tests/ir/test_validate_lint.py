@@ -1,8 +1,10 @@
 """Validation is lint's blocking rules: regressions and a differential test.
 
 ``reference_validate`` and ``reference_validate_program`` freeze the
-hand-written fail-fast loops that ``validate_compiled`` and
-``validate_program`` used to be.  The lint-backed validator must reach
+hand-written fail-fast loops that ``validate_compiled`` and the
+per-layer program check used to be; that check is now the blocking
+rules over ``program_contexts``, the scan ``CompiledResult.validate``
+makes for p > 1.  The lint-backed validator must reach
 the same verdict, and the same :class:`ValidationReport` on acceptance,
 on every lint fixture, on every method's output at p=1 and p=2, and on
 mutated compiled circuits.  On malformed ops (out-of-range or duplicated
@@ -28,9 +30,10 @@ from repro.ir.program import (ROLE_COST, Program, ProgramLayer,
                               layer_permutation)
 from repro.ir.serialize import (circuit_from_dict, mapping_from_dict,
                                 problem_from_dict, program_from_dict)
-from repro.ir.validate import (ValidationReport, validate_compiled,
-                               validate_program)
+from repro.ir.validate import (ValidationReport, blocking_lint,
+                               validate_compiled, validate_lint_report)
 from repro.lint import BLOCKING_RULES, all_rules, build_context, lint_result
+from repro.lint.engine import program_contexts
 from repro.pipeline.registry import available_methods, get_method
 from repro.problems import clique, random_problem_graph
 
@@ -175,11 +178,13 @@ def test_fixture_verdicts_agree(name):
             reference_validate_program(program)
             return report
 
+        def scan():
+            return validate_lint_report(blocking_lint(program_contexts(
+                program, coupling, problem.edges)))
+
         ref = verdict(reference)
-        new = verdict(validate_program, program, coupling, problem.edges)
-        # On acceptance validate_program returns the program record,
-        # the reference a report: compare verdicts only.
-        accepted = not isinstance(new, str)
+        new = verdict(scan)
+        accepted = isinstance(new, ValidationReport)
         # RL030: a discontinuous program cannot be built by the checked
         # constructor, and the reference never looked for it.
         assert_agrees("accept" if isinstance(ref, ValidationReport) else ref,

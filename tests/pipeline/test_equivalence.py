@@ -13,7 +13,6 @@ import pytest
 from repro._telemetry import measure_cache_delta
 from repro.arch import grid, heavyhex, line
 from repro.compiler import compile_qaoa
-from repro.pipeline import ValidatePass, build_context, build_pipeline
 from repro.problems import random_problem_graph
 
 ARCHES = {
@@ -101,36 +100,3 @@ class TestTelemetryContract:
         assert result.cache_stats == summed
         # Every cache event of the compile happens inside some pass.
         assert result.cache_stats == scope.delta()
-
-
-class TestValidatePass:
-    def test_rejects_semantically_wrong_circuit(self):
-        from repro.exceptions import ValidationError
-        from repro.pipeline import Pass
-
-        class DropOps(Pass):
-            """Sabotage: replace the compiled circuit with an empty one,
-            so the validator sees every problem gate missing."""
-
-            name = "drop-ops"
-
-            def run(self, ctx):
-                ctx.circuit = type(ctx.circuit)(ctx.coupling.n_qubits)
-                return True
-
-        coupling = grid(3, 3)
-        problem = random_problem_graph(8, 0.35, seed=4)
-        context = build_context("greedy", coupling, problem)
-        pipeline = build_pipeline("greedy", validate=True)
-        assert isinstance(pipeline.passes[-1], ValidatePass)
-        pipeline.passes.insert(-1, DropOps())
-        with pytest.raises(ValidationError):
-            pipeline.compile(context)
-
-    def test_accepts_correct_circuit(self):
-        coupling = grid(3, 3)
-        problem = random_problem_graph(8, 0.35, seed=4)
-        context = build_context("greedy", coupling, problem)
-        result = build_pipeline("greedy", validate=True).compile(context)
-        assert result.extra["validate"]["n_edges"] == problem.n_edges
-        assert result.extra["passes"][-1]["name"] == "validate"

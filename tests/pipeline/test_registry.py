@@ -85,6 +85,17 @@ class TestCompileThroughRegistry:
                                                               seed=1),
                                          bogus=1)
 
+    def test_allow_repeats_is_not_a_paper_knob(self):
+        # Compiled output is checked after compilation, where
+        # ``lint_circuit(allow_repeats=...)`` takes the flag; no pass
+        # reads it, so ``compile_qaoa`` refuses it like any unknown knob.
+        from repro.compiler import compile_qaoa
+        from repro.exceptions import UnknownKnobError
+
+        with pytest.raises(UnknownKnobError, match="allow_repeats"):
+            compile_qaoa(grid(3, 3), random_problem_graph(8, 0.3, seed=1),
+                         allow_repeats=True)
+
     def test_optimal_method_carries_solver_telemetry(self):
         from repro.problems import clique
 

@@ -233,7 +233,7 @@ class TestLint:
                                    "layer", "hint"}
 
     def test_qasm_input(self, capsys, tmp_path):
-        # QASM carries no initial mapping, so the linter assumes the
+        # Without a recorded initial mapping the linter assumes the
         # trivial one; a hand-laid-out circuit lints clean through it.
         target = tmp_path / "c.qasm"
         target.write_text(
@@ -245,6 +245,18 @@ class TestLint:
         code, out = run_cli(capsys, [
             "lint", str(target), "--arch", "line",
             "--problem", f"{FIXTURES}/clean.problem.json"])
+        assert code == 0, out
+        assert "clean: no diagnostics" in out
+
+    def test_compiled_qasm_lints_clean(self, capsys, tmp_path):
+        # compile --qasm records its non-trivial placement in a comment,
+        # which lint reads back instead of assuming the trivial mapping.
+        target = tmp_path / "o.qasm"
+        problem = ["--arch", "grid", "--qubits", "8", "--density", "0.3"]
+        code, _ = run_cli(capsys, ["compile", *problem,
+                                   "--qasm", str(target)])
+        assert code == 0
+        code, out = run_cli(capsys, ["lint", str(target), *problem])
         assert code == 0, out
         assert "clean: no diagnostics" in out
 
