@@ -3,6 +3,8 @@
 
 ``golden64.json`` pins the 64-qubit compiles, ``golden_program16.json``
 a p=3 program and ``golden_noisy.json`` the noise-aware hybrid compiles.
+``golden64.json`` also pins, under ``wide_entries``, the greedy engine on
+dense problems, where each logical qubit has tens of pending partners.
 
 Every registered compiler method is run on fixed 64-logical-qubit
 instances (an 8x8 grid and the smallest heavy-hex holding 64 qubits,
@@ -35,11 +37,12 @@ FIXTURE_DIR = Path(__file__).resolve().parent
 REPO_ROOT = FIXTURE_DIR.parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.arch import NoiseModel, grid, line  # noqa: E402
+from repro.arch import NoiseModel, grid, line, sycamore_for  # noqa: E402
 from repro.arch.heavyhex import heavyhex_for  # noqa: E402
 from repro.compiler import compile_qaoa  # noqa: E402
 from repro.ir.serialize import circuit_to_dict, program_to_dict  # noqa: E402
 from repro.problems import random_problem_graph  # noqa: E402
+from repro.problems.graphs import clique  # noqa: E402
 
 GAMMA = 0.4
 
@@ -75,6 +78,20 @@ METHOD_OPTIONS = {
 #: Methods never run at 64 qubits.
 EXCLUDED_METHODS = ("optimal",)
 
+#: Wide partner sets (``wide_entries`` of ``golden64.json``): density 0.5
+#: gives each logical qubit about 30 pending partners, the clique 63, so
+#: these pin the SWAP scoring on partner lists far wider than the sparse
+#: ``PROBLEMS`` reach.  (label, factory) pairs, instantiated per compile.
+WIDE_ARCHITECTURES = (
+    ("heavyhex-64", lambda: heavyhex_for(64)),
+    ("sycamore-64", lambda: sycamore_for(64)),
+)
+WIDE_PROBLEMS = (
+    ("rand-64-0.5-s7", lambda: random_problem_graph(64, 0.5, seed=7)),
+    ("clique-64", lambda: clique(64)),
+)
+WIDE_METHODS = ("greedy", "hybrid")
+
 #: Noise-aware hybrid compiles (``golden_noisy.json``): with a
 #: ``NoiseModel`` the selector's cost F scores every candidate's ESP.
 #: Each entry is (arch label, problem label, noise seed); both golden
@@ -98,6 +115,35 @@ def circuit_digest(circuit) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def pin(coupling, problem, method: str, **options) -> dict:
+    """The fixture fields of one compile: digest, depth, CX and SWAPs."""
+    result = compile_qaoa(coupling, problem, method=method, gamma=GAMMA,
+                          **options)
+    result.validate(coupling, problem)
+    return {
+        "sha256": circuit_digest(result.circuit),
+        "depth": result.depth(),
+        "cx": result.circuit.cx_count(unify=True),
+        "swaps": result.circuit.swap_count,
+    }
+
+
+def wide_entries() -> list:
+    """``WIDE_METHODS`` on every wide (architecture, problem) pair."""
+    entries = []
+    for arch_label, arch_factory in WIDE_ARCHITECTURES:
+        for prob_label, prob_factory in WIDE_PROBLEMS:
+            for method in WIDE_METHODS:
+                entry = {"arch": arch_label, "problem": prob_label,
+                         "method": method,
+                         **pin(arch_factory(), prob_factory(), method)}
+                entries.append(entry)
+                print(f"{arch_label:12s} {prob_label:18s} {method:12s} "
+                      f"depth={entry['depth']:4d} cx={entry['cx']:5d} "
+                      f"{entry['sha256'][:12]}", flush=True)
+    return entries
+
+
 def main() -> int:
     from repro.pipeline.registry import available_methods
 
@@ -109,18 +155,9 @@ def main() -> int:
             problem = random_problem_graph(n, density, seed=seed)
             for method in methods:
                 options = METHOD_OPTIONS.get(method, {})
-                result = compile_qaoa(coupling, problem, method=method,
-                                      gamma=GAMMA, **options)
-                result.validate(coupling, problem)
-                entry = {
-                    "arch": arch_label,
-                    "problem": prob_label,
-                    "method": method,
-                    "sha256": circuit_digest(result.circuit),
-                    "depth": result.depth(),
-                    "cx": result.circuit.cx_count(unify=True),
-                    "swaps": result.circuit.swap_count,
-                }
+                entry = {"arch": arch_label, "problem": prob_label,
+                         "method": method,
+                         **pin(coupling, problem, method, **options)}
                 entries.append(entry)
                 print(f"{arch_label:12s} {prob_label:18s} {method:12s} "
                       f"depth={entry['depth']:4d} cx={entry['cx']:5d} "
@@ -131,10 +168,12 @@ def main() -> int:
         "gamma": GAMMA,
         "method_options": METHOD_OPTIONS,
         "entries": entries,
+        "wide_entries": wide_entries(),
     }
     out = FIXTURE_DIR / "golden64.json"
     out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(entries)} entries to {out}")
+    print(f"wrote {len(entries)} + {len(document['wide_entries'])} "
+          f"entries to {out}")
     write_program_fixture()
     write_noisy_fixture()
     return 0

@@ -26,7 +26,9 @@ from repro.ir.serialize import program_to_dict
 from .fixtures.generate import (ARCHITECTURES, NOISY_CASES, PROBLEMS,
                                 PROGRAM_ARCH, PROGRAM_LAYERS,
                                 PROGRAM_METHODS, PROGRAM_PROBLEM,
-                                circuit_digest, compile_noisy)
+                                WIDE_ARCHITECTURES, WIDE_METHODS,
+                                WIDE_PROBLEMS, circuit_digest,
+                                compile_noisy, pin)
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden64.json"
 DOCUMENT = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
@@ -70,6 +72,32 @@ class TestGolden64:
         assert result.circuit.cx_count(unify=True) == entry["cx"]
         assert result.circuit.swap_count == entry["swaps"]
         assert circuit_digest(result.circuit) == entry["sha256"], (
+            f"{entry['method']} on {entry['arch']}/{entry['problem']} no "
+            "longer produces a byte-identical circuit; if intentional, "
+            "regenerate tests/pipeline/fixtures/golden64.json")
+
+
+class TestGolden64Wide:
+    """Dense problems: tens of pending partners per logical qubit."""
+
+    def test_fixtures_are_fresh(self):
+        pinned = [(e["arch"], e["problem"], e["method"])
+                  for e in DOCUMENT["wide_entries"]]
+        assert pinned == [(arch, problem, method)
+                          for arch, _ in WIDE_ARCHITECTURES
+                          for problem, _ in WIDE_PROBLEMS
+                          for method in WIDE_METHODS]
+
+    @pytest.mark.parametrize(
+        "entry", DOCUMENT["wide_entries"],
+        ids=[f"{e['arch']}-{e['problem']}-{e['method']}"
+             for e in DOCUMENT["wide_entries"]])
+    def test_circuit_byte_identical(self, entry):
+        coupling = dict(WIDE_ARCHITECTURES)[entry["arch"]]()
+        problem = dict(WIDE_PROBLEMS)[entry["problem"]]()
+        pinned = {key: entry[key] for key in ("sha256", "depth", "cx",
+                                              "swaps")}
+        assert pin(coupling, problem, entry["method"]) == pinned, (
             f"{entry['method']} on {entry['arch']}/{entry['problem']} no "
             "longer produces a byte-identical circuit; if intentional, "
             "regenerate tests/pipeline/fixtures/golden64.json")
