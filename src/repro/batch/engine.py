@@ -161,6 +161,13 @@ class _deadline:
             # sys.modules and poison every later job in this process.
             if self.disarming or _inside_import_machinery(frame):
                 return
+            # Still inside __enter__: a raise here would leave it before
+            # the ``with`` body starts, so __exit__ would never restore
+            # the previous handler.  The deadline has passed all the
+            # same; the re-fire or __exit__ reports it.
+            if not self.armed:
+                self.fired = True
+                return
             # Once raised, re-fire no sooner than _REFIRE_S: a sub-ms
             # interval could land a second raise while the first one
             # unwinds, before __exit__ sets ``disarming``, and skip the

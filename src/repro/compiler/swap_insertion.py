@@ -16,6 +16,7 @@ Matching modes:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from ..arch.noise import NoiseModel
@@ -46,13 +47,13 @@ def select_swaps(
     ``fast`` is the run's :class:`repro.compiler.fastpath.GreedyFastPath`;
     it scores the candidate SWAPs on every idle link.  The matched SWAPs
     are then committed *sequentially*: each is re-scored against the
-    mirrors and, if still beneficial, applied to them before the next is
-    scored, so later choices see the effect of earlier ones.  Without
-    this, the two endpoints of a distant pending pair can each swap
-    towards the other's old position every cycle and orbit forever.
+    current mapping and, if still beneficial, applied to it before the
+    next is scored, so later choices see the effect of earlier ones.
+    Without this, the two endpoints of a distant pending pair can each
+    swap towards the other's old position every cycle and orbit forever.
 
-    The kept SWAPs are already applied to ``fast`` on return; the caller
-    applies them to its ``Mapping``.
+    The kept SWAPs are already applied to ``fast.mapping`` — the
+    engine's one mapping — on return.
     """
     candidates = fast.swap_candidates(busy)
     if not candidates:
@@ -61,19 +62,24 @@ def select_swaps(
         chosen = _exact_matching(candidates)
     else:
         chosen = _greedy_matching(candidates)
+    mapping = fast.mapping
     kept: List[Tuple[int, int]] = []
     for u, v in chosen:
         if fast.benefit(u, v) > 0:
             kept.append((u, v))
-            fast.swap(u, v)
+            mapping.swap_physical(u, v)
     return kept
 
 
 def _greedy_matching(candidates: Sequence[SwapCandidate]
                      ) -> List[Tuple[int, int]]:
+    # Heaviest first, ties by (u, v): the second sort is stable, and
+    # stays so under reverse=True.
+    ordered = sorted(candidates, key=itemgetter(1, 2))
+    ordered.sort(key=itemgetter(0), reverse=True)
     chosen: List[Tuple[int, int]] = []
     used: Set[int] = set()
-    for weight, u, v in sorted(candidates, key=lambda c: (-c[0], c[1], c[2])):
+    for _, u, v in ordered:
         if u in used or v in used:
             continue
         chosen.append((u, v))

@@ -164,6 +164,33 @@ class TestTimeout:
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
         assert signal.getsignal(signal.SIGALRM) is previous
 
+    def test_alarm_inside_enter_cannot_leak_the_handler(self,
+                                                        monkeypatch):
+        # An alarm delivered after __enter__ installs the handler but
+        # before it returns once raised out of __enter__, so __exit__
+        # never ran and the handler stayed installed.  A 5 ms stall right
+        # after the timer is armed makes that window certain.
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("needs SIGALRM")
+        real_setitimer = signal.setitimer
+
+        def stalled_setitimer(which, seconds, interval=0.0):
+            previous_timer = real_setitimer(which, seconds, interval)
+            if seconds:
+                until = time.perf_counter() + 0.005
+                while time.perf_counter() < until:
+                    pass
+            return previous_timer
+
+        monkeypatch.setattr(signal, "setitimer", stalled_setitimer)
+        previous = signal.getsignal(signal.SIGALRM)
+        job = BatchJob(arch="heavyhex", n_qubits=48, density=0.5)
+        result = execute_job(job, timeout_s=0.001)
+        monkeypatch.undo()
+        assert result.error_type == "JobTimeoutError"
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
+
     def test_swallowed_alarm_still_times_out(self):
         # A raise delivered inside a GC callback is swallowed; if the job
         # then finishes before the 50 ms re-fire, leaving the deadline

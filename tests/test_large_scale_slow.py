@@ -78,7 +78,11 @@ def test_heavyhex_512_hybrid_circuit_and_peak_rss():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _HYBRID_512], env=env,
                          check=True, capture_output=True, text=True)
-    report = json.loads(out.stdout.strip().splitlines()[-1])
+    line = out.stdout.strip().splitlines()[-1]
+    # The greedy pass's wall time is reported, not asserted: run with -s
+    # to see this line in the log.
+    print(line)
+    report = json.loads(line)
     assert (report["depth"], report["cx"]) == (1357, 348598)
     assert report["sha256"] == (
         "cd3a05152c59ac1a5a79a3f959c3efe9a46a69b632551368d9c6fd10509fe6f8")
