@@ -5,8 +5,8 @@ Starts a real ``python -m repro serve --stdio`` subprocess with a fresh
 result store and drives a mixed batch over it: distinct specs, repeats
 (which must be served from the store without a worker dispatch), and an
 identical back-to-back pair (which must dedupe in flight).  Asserts a
-positive store hit-rate, byte-identical repeat payloads, and a clean
-shutdown.
+positive store hit-rate, byte-identical repeat payloads, no corrupt
+store reads, and a clean shutdown.
 
 Usage::
 
@@ -102,11 +102,14 @@ def main() -> int:
         print(f"stats: hit_rate={stats['store_hit_rate']:.2f} "
               f"compiled={stats['compiled']} "
               f"dedupe={stats['inflight_dedupe']} "
-              f"entries={stats['store']['entries']}")
+              f"entries={stats['store']['entries']} "
+              f"corrupt_reads={stats['store']['corrupt_reads']}")
         if not stats["store_hit_rate"] > 0:
             failures.append(f"store hit-rate not positive: {stats}")
         if stats["inflight_dedupe"] != 1:
             failures.append(f"expected 1 in-flight dedupe: {stats}")
+        if stats["store"]["corrupt_reads"] != 0:
+            failures.append(f"store reads found corrupt entries: {stats}")
 
         ack = daemon.roundtrip({"op": "shutdown"})
         if ack != {"id": daemon.next_id, "ok": True, "op": "shutdown"}:

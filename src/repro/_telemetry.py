@@ -1,4 +1,4 @@
-"""Process-local cache registry, event counters and percentiles.
+"""Process-local cache registry, cache-delta scopes and percentiles.
 
 This is a leaf module (imports nothing from :mod:`repro`) so that the hot
 modules — :mod:`repro.arch.coupling`, :mod:`repro.ata.registry`,
@@ -11,6 +11,11 @@ single point-in-time view of all caches in this process.  Per-unit-of-work
 hit/miss deltas come from :func:`measure_cache_delta` scopes: the pipeline
 opens one per pass (the ``cache`` of each ``extra["passes"]`` record) and
 the batch engine one per job; :func:`sum_cache_deltas` adds them up.
+:func:`percentile` summarizes the serve daemon's latency window.
+
+There is no process-wide event tally: every other count lives in the
+record of the job or request that caused it (``SolverResult.stats``,
+``JobResult.attempts``, ``ServeStats``, ``ResultStore.corrupt_reads``).
 """
 
 from __future__ import annotations
@@ -169,35 +174,6 @@ def clear_caches() -> None:
     for counter, _size, clear_fn in _REGISTRY.values():
         clear_fn()
         counter.reset()
-
-
-_EVENTS: Dict[str, int] = {}
-_EVENTS_LOCK = threading.Lock()
-
-
-def count_event(name: str, n: int = 1) -> None:
-    """Bump a process-local event counter (e.g. ``serve.requests``).
-
-    Events complement the cache counters: anything that wants a cheap
-    "how often did X happen in this process" tally — requests, retries,
-    fallbacks — counts here and shows up in :func:`event_info`.
-    Increments are lock-protected so concurrent request handlers (the
-    serve daemon's thread executor) never lose a read-modify-write.
-    """
-    with _EVENTS_LOCK:
-        _EVENTS[name] = _EVENTS.get(name, 0) + n
-
-
-def event_info() -> Dict[str, int]:
-    """Point-in-time snapshot of every event counter, sorted by name."""
-    with _EVENTS_LOCK:
-        return dict(sorted(_EVENTS.items()))
-
-
-def clear_events() -> None:
-    """Zero all event counters (test isolation)."""
-    with _EVENTS_LOCK:
-        _EVENTS.clear()
 
 
 def percentile(samples: List[float], q: float) -> float:

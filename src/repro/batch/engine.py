@@ -26,8 +26,8 @@ Design (ISSUE 1 tentpole, hardened by the ISSUE 5 resilience layer):
   :class:`~repro.batch.pool.PersistentPool`, whose one worker-death
   policy (shared with ``repro serve``) quarantines each broken job on a
   private worker up to ``max_pool_restarts`` times, so one dead worker
-  never poisons the rest of the sweep (``batch.pool_restarts`` telemetry
-  + ``BatchReport.pool_restarts``).
+  never poisons the rest of the sweep (counted in
+  ``BatchReport.pool_restarts``).
 * **Crash-safe journal** — ``journal="sweep.jsonl"`` durably appends each
   finished result (:mod:`repro.resilience.journal`); re-running with
   ``resume=True`` skips completed jobs and reproduces the uninterrupted

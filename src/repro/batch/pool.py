@@ -24,7 +24,6 @@ from concurrent.futures import (BrokenExecutor, Executor, Future,
                                 ProcessPoolExecutor, ThreadPoolExecutor)
 from typing import Deque, Dict, List, Optional, Tuple
 
-from .._telemetry import count_event
 from ..exceptions import SpecificationError
 from ..resilience.retry import RetryPolicy
 from .engine import (DEFAULT_MAX_POOL_RESTARTS, execute_job,
@@ -114,7 +113,6 @@ class PersistentPool:
                 raise SpecificationError(
                     "pool is closed; build a new PersistentPool")
             self.submitted += 1
-            count_event("batch.pool_submitted")
             try:
                 # ``execute_job`` is looked up here, at call time, so a
                 # wrapper installed on this module's name reaches the
@@ -176,7 +174,6 @@ class PersistentPool:
                 self._pool = self._make(self.workers)
                 if max_restarts > 0:
                     self.restarts += 1
-                    count_event("batch.pool_restarts")
             quarantined = not closed and max_restarts > 0
             if quarantined:
                 self._quarantine.append((job, outcome, max_restarts, error))

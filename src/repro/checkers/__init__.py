@@ -13,8 +13,7 @@ CK010     no runtime mutation of module-level state outside the
 CK011     no lambdas/local functions crossing process boundaries
 CK020     every raise in retry-reachable code uses a classified
           exception from :mod:`repro.exceptions`
-CK021     ``fault_point`` sites registered; ``count_event`` names
-          follow the ``family.event`` convention
+CK021     ``fault_point`` site names registered in ``KNOWN_SITES``
 CK030     ``Pass`` knob reads declared by a registered ``MethodSpec``
 ========  ============================================================
 

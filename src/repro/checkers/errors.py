@@ -7,19 +7,16 @@
   silently treated as permanent, so an unclassified raise quietly
   disables retries for that failure.
 
-* **CK021** — chaos-test and telemetry names are stringly-typed
-  contracts: a :func:`~repro.resilience.faults.fault_point` site name
-  not in the registered :data:`~repro.resilience.faults.KNOWN_SITES`
-  list can never be targeted by a fault plan (a typo makes the chaos
-  suite vacuously pass), and a :func:`repro._telemetry.count_event`
-  counter outside the ``family.event`` dotted convention breaks every
-  dashboard grouping on the prefix.
+* **CK021** — chaos-test site names are stringly-typed contracts: a
+  :func:`~repro.resilience.faults.fault_point` site name not in the
+  registered :data:`~repro.resilience.faults.KNOWN_SITES` list can
+  never be targeted by a fault plan (a typo makes the chaos suite
+  vacuously pass).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import FrozenSet, Optional, Tuple
 
 from ..lint.diagnostics import ERROR
@@ -90,22 +87,14 @@ class RaiseClassificationVisitor(RuleVisitor):
                      "caller errors)")
 
 
-#: ``family.event`` counter names: at least two lowercase dotted parts.
-EVENT_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
-#: Leading literal chunk of an f-string counter name: complete dotted
-#: ``family.`` prefix segments up to the first interpolation.
-EVENT_PREFIX_RE = re.compile(r"^([a-z0-9_]+\.)+$")
-
-
 @checker(
-    "CK021", "telemetry-naming", ERROR,
+    "CK021", "fault-site-naming", ERROR,
     "A fault_point site name is not in the registered KNOWN_SITES "
-    "list, or a count_event counter drifts from the family.event "
-    "dotted naming convention.",
+    "list.",
     "register new sites in repro.resilience.faults.KNOWN_SITES (and "
-    "the module's site table); name counters '<family>.<event>'")
-class TelemetryNamingVisitor(RuleVisitor):
-    """Check fault-point site and telemetry counter name literals."""
+    "the module's site table)")
+class FaultSiteNamingVisitor(RuleVisitor):
+    """Check fault-point site name literals."""
 
     def __init__(self, rule: CheckerRule, module: ModuleContext) -> None:
         super().__init__(rule, module)
@@ -122,11 +111,8 @@ class TelemetryNamingVisitor(RuleVisitor):
         return ""
 
     def enter_Call(self, node: ast.Call) -> None:
-        callee = self._callee(node)
-        if callee == "fault_point":
+        if self._callee(node) == "fault_point":
             self._check_site(node)
-        elif callee == "count_event":
-            self._check_counter(node)
 
     def _check_site(self, node: ast.Call) -> None:
         if not node.args:
@@ -142,28 +128,3 @@ class TelemetryNamingVisitor(RuleVisitor):
                 f"repro.resilience.faults.KNOWN_SITES; fault plans can "
                 f"never target it",
                 symbol=site.value)
-
-    def _check_counter(self, node: ast.Call) -> None:
-        if not node.args:
-            return
-        name = node.args[0]
-        if isinstance(name, ast.Constant) and isinstance(name.value, str):
-            if not EVENT_NAME_RE.match(name.value):
-                self.report(
-                    name.lineno,
-                    f"counter name {name.value!r} drifts from the "
-                    f"'family.event' convention (lowercase dotted "
-                    f"segments)",
-                    symbol=name.value)
-        elif isinstance(name, ast.JoinedStr):
-            head = name.values[0] if name.values else None
-            prefix = head.value if (isinstance(head, ast.Constant)
-                                    and isinstance(head.value, str)) \
-                else ""
-            if not EVENT_PREFIX_RE.match(prefix):
-                self.report(
-                    name.lineno,
-                    "dynamic counter name must start with a literal "
-                    "'family.' dotted prefix so the family grouping "
-                    "stays static",
-                    symbol=prefix or None)

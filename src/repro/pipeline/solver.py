@@ -19,7 +19,6 @@ error, which is what ``python -m repro solve`` wants.
 
 from __future__ import annotations
 
-from .._telemetry import count_event
 from ..exceptions import ResourceExhaustedError, SpecificationError
 from .base import Pass
 from .context import CompilationContext
@@ -45,11 +44,10 @@ class SolverPass(Pass):
     knob names a chain (default ``"greedy"``): the pass runs the greedy
     preset's placement + greedy passes inline, records
     ``extras["degraded"]`` (``method``/``fallback``/``error_type``/
-    ``reason``) and counts ``resilience.fallback`` telemetry.  The
-    compiled circuit is then *valid but not depth-optimal*.
-    Infeasibility errors (plain ``SolverError``) still raise: no
-    fallback can fix an unsatisfiable instance, and silently compiling
-    something else would be worse than failing.
+    ``reason``).  The compiled circuit is then *valid but not
+    depth-optimal*.  Infeasibility errors (plain ``SolverError``) still
+    raise: no fallback can fix an unsatisfiable instance, and silently
+    compiling something else would be worse than failing.
     """
 
     name = "solve"
@@ -102,8 +100,6 @@ class SolverPass(Pass):
         from .greedy import GreedyPass
         from .placement import PlacementPass
 
-        count_event("resilience.fallback")
-        count_event(f"resilience.fallback.{fallback}")
         context.extras["degraded"] = {
             "method": "optimal",
             "fallback": fallback,

@@ -21,9 +21,9 @@ so two jobs retrying simultaneously de-synchronize, yet the exact same
 job replays the exact same schedule on every run — chaos tests can
 assert recorded backoffs to the microsecond.
 
-Every attempt emits ``resilience.retry.*`` telemetry
-(:func:`repro._telemetry.count_event`) and appends a structured record
-that the batch engine surfaces as ``JobResult.attempts``.
+Every failed attempt appends a structured record to
+:attr:`RetryOutcome.attempts`; the batch engine surfaces them as
+``JobResult.attempts`` and sums them in ``BatchReport.retry_totals()``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .._telemetry import count_event
 from ..exceptions import (JobTimeoutError, SpecificationError,
                           TransientError)
 
@@ -143,19 +142,16 @@ def execute_with_retry(
     ``sleep`` is injectable so tests retire backoffs instantly while
     still asserting the recorded schedule.
 
-    Telemetry: ``resilience.retry.attempts`` per call of ``fn``,
-    ``.retries`` per backoff taken, ``.recovered`` when a retry
-    succeeded, ``.exhausted`` when transient failures outlived the
-    budget, ``.permanent`` for a non-retryable failure.
+    The outcome is the whole record of the run: ``attempts`` holds one
+    entry per failure, ``retries`` counts the backoffs taken, and the
+    last record's ``transient`` flag says whether the final failure
+    outlived the budget (``True``) or was not retryable (``False``).
     """
     outcome = RetryOutcome(ok=False)
     for attempt in range(1, policy.max_attempts + 1):
-        count_event("resilience.retry.attempts")
         try:
             outcome.value = fn()
             outcome.ok = True
-            if attempt > 1:
-                count_event("resilience.retry.recovered")
             return outcome
         except Exception as exc:
             transient = policy.is_transient(exc)
@@ -167,16 +163,11 @@ def execute_with_retry(
             }
             outcome.attempts.append(record)
             outcome.error = exc
-            if not transient:
-                count_event("resilience.retry.permanent")
-                return outcome
-            if attempt == policy.max_attempts:
-                count_event("resilience.retry.exhausted")
+            if not transient or attempt == policy.max_attempts:
                 return outcome
             backoff = policy.delay_s(attempt, key)
             record["retried"] = True
             record["backoff_s"] = backoff
-            count_event("resilience.retry.retries")
             sleep(backoff)
     return outcome  # pragma: no cover — loop always returns
 

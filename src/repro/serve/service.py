@@ -24,7 +24,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from .._telemetry import count_event, percentile, sum_cache_deltas
+from .._telemetry import percentile, sum_cache_deltas
 from ..batch.jobs import BatchJob, JobResult
 from ..batch.pool import PersistentPool
 from ..resilience.faults import fault_point
@@ -42,10 +42,9 @@ __all__ = ["LATENCY_WINDOW", "CompileService", "ServeStats"]
 class ServeStats:
     """Cumulative counters plus a rolling latency window.
 
-    Mirrors of the ``serve.*`` process-local event counters
-    (:func:`repro._telemetry.count_event`), kept here as well so the
-    stats endpoint reports this service instance, not everything the
-    process ever did.
+    The one record of what this service instance did: every request,
+    store lookup, dedupe and compile is counted here and nowhere else,
+    and ``GET /stats`` (or ``op: stats``) reports it.
     """
 
     def __init__(self) -> None:
@@ -112,7 +111,6 @@ class CompileService:
     async def handle(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One request in, one response envelope out; never raises."""
         self.stats.requests += 1
-        count_event("serve.requests")
         try:
             op = request_op(payload)
             if op == "ping":
@@ -128,12 +126,10 @@ class CompileService:
             return await self.compile(payload)
         except Exception as exc:  # daemon survives any request
             self.stats.request_errors += 1
-            count_event("serve.request_errors")
             return error_response(payload, type(exc).__name__, str(exc))
 
     def stats_payload(self) -> Dict[str, Any]:
         payload = self.stats.snapshot()
-        payload["pool_recoveries"] = self.pool.restarts
         payload["pool"] = self.pool.stats()
         payload["store"] = self.store.stats() if self.store is not None \
             else None
@@ -148,7 +144,6 @@ class CompileService:
         job = normalize_request(payload)
         fingerprint = spec_fingerprint(job)
         self.stats.compile_requests += 1
-        count_event("serve.compile_requests")
         fault_point("serve.request", f"{job.name}:{fingerprint[:12]}")
 
         # NOTE: no await between the store probe, the in-flight probe
@@ -157,16 +152,13 @@ class CompileService:
             stored = self.store.get_result(job, fingerprint)
             if stored is not None:
                 self.stats.store_hits += 1
-                count_event("serve.store_hits")
                 return self._respond(payload, fingerprint, job, stored,
                                      "store", started)
             self.stats.store_misses += 1
-            count_event("serve.store_misses")
 
         shared = self._inflight.get(fingerprint)
         if shared is not None:
             self.stats.inflight_dedupe += 1
-            count_event("serve.inflight_dedupe")
             result = await asyncio.shield(shared)
             return self._respond(payload, fingerprint, job, result,
                                  "inflight", started)
@@ -199,11 +191,9 @@ class CompileService:
         result = await asyncio.wrap_future(self.pool.submit(job))
         if result.ok:
             self.stats.compiled += 1
-            count_event("serve.compiled")
             self.stats.absorb_cache_delta(result.cache)
         else:
             self.stats.compile_failures += 1
-            count_event("serve.compile_failures")
         return result
 
     def _respond(self, payload: Dict[str, Any], fingerprint: str,

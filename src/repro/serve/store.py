@@ -16,9 +16,9 @@ Durability contract:
   instant — including an injected ``serve.store_write`` kill — leaves
   either no entry or a complete one, never a truncated hybrid.
 * **Reads are skeptical**: a corrupt, truncated, version-skewed or
-  wrong-fingerprint document is treated as a miss (counted under
-  ``serve.store_corrupt``) rather than trusted or fatal, so a damaged
-  store heals itself the next time the entry is recompiled.
+  wrong-fingerprint document is treated as a miss (counted in
+  :attr:`ResultStore.corrupt_reads`) rather than trusted or fatal, so a
+  damaged store heals itself the next time the entry is recompiled.
 * Only ``ok`` results are stored.  Failures are often environmental
   (timeout, injected fault, resource exhaustion); caching them would
   pin a transient outage into every future response.
@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
-from .._telemetry import count_event
 from ..batch.jobs import BatchJob, JobResult
 from ..resilience.faults import fault_point
 from ..resilience.journal import (FINGERPRINT_VERSION, atomic_write_bytes,
@@ -52,12 +51,17 @@ class ResultStore:
     so concurrent daemons pointed at one directory can only ever race to
     write identical bytes, and the atomic rename makes the last one a
     no-op.
+
+    The one mutable counter, :attr:`corrupt_reads`, needs no lock: the
+    serve daemon reads the store only from its event loop.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         fsync_dir(self.root.parent)
+        #: Entries found unreadable or inconsistent and served as misses.
+        self.corrupt_reads = 0
 
     def path_for(self, fingerprint: str) -> Path:
         """Where an entry for ``fingerprint`` lives (existing or not)."""
@@ -78,14 +82,13 @@ class ResultStore:
         try:
             doc = json.loads(raw)
         except ValueError:
-            count_event("serve.store_corrupt")
-            return None
+            doc = None
         if (not isinstance(doc, dict)
                 or doc.get("version") != STORE_VERSION
                 or doc.get("fingerprint_version") != FINGERPRINT_VERSION
                 or doc.get("fingerprint") != fingerprint
                 or not isinstance(doc.get("result"), dict)):
-            count_event("serve.store_corrupt")
+            self.corrupt_reads += 1
             return None
         return doc
 
@@ -126,7 +129,6 @@ class ResultStore:
             path, data,
             publish_hook=lambda: fault_point("serve.store_write",
                                              fingerprint))
-        count_event("serve.store_writes")
         return True
 
     # -- inventory ---------------------------------------------------------
@@ -148,16 +150,6 @@ class ResultStore:
         falsy (``if store`` guards mean "is a store configured").
         """
         return sum(1 for _ in self.iter_fingerprints())
-
-    def size_bytes(self) -> int:
-        """Total bytes of published entries."""
-        total = 0
-        for fingerprint in self.iter_fingerprints():
-            try:
-                total += self.path_for(fingerprint).stat().st_size
-            except OSError:
-                continue
-        return total
 
     def sweep_temp_files(self) -> int:
         """Remove orphaned temp files from crashed writes; returns count.
@@ -181,12 +173,23 @@ class ResultStore:
         return removed
 
     def stats(self) -> Dict[str, object]:
-        """Plain-data inventory for the serve stats endpoint."""
-        entries = list(self.iter_fingerprints())
+        """Plain-data inventory for the serve stats endpoint.
+
+        One walk of the shards: an entry that vanishes between listing
+        and ``stat`` counts in neither ``entries`` nor ``bytes``.
+        """
+        entries = size = 0
+        for fingerprint in self.iter_fingerprints():
+            try:
+                size += self.path_for(fingerprint).stat().st_size
+            except OSError:
+                continue
+            entries += 1
         return {
             "root": str(self.root),
-            "entries": len(entries),
-            "bytes": self.size_bytes(),
+            "entries": entries,
+            "bytes": size,
+            "corrupt_reads": self.corrupt_reads,
         }
 
     def __repr__(self) -> str:

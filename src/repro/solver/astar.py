@@ -57,7 +57,6 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .._telemetry import count_event
 from ..arch.coupling import CouplingGraph
 from ..exceptions import (SolverError, SolverExhaustedError,
                           SpecificationError)
@@ -82,9 +81,9 @@ STRATEGIES = ("astar", "idastar")
 class SolverStats:
     """Search-effort counters for one :func:`solve_depth_optimal` run.
 
-    Mirrored into process-local telemetry (``solver.*`` events, see
-    :func:`repro._telemetry.event_info`) and, when the solver runs as the
-    registered ``optimal`` method, into ``CompiledResult.extra["solver"]``.
+    Returned as :attr:`SolverResult.stats`; when the solver runs as the
+    registered ``optimal`` method, :meth:`as_dict` is also copied into
+    that compile's ``CompiledResult.extra["solver"]``.
     """
 
     strategy: str = "astar"
@@ -185,7 +184,6 @@ def solve_depth_optimal(
     circuit = _replay(cycles, list(initial_mapping.phys_to_log),
                       coupling.n_qubits, gamma)
     stats.wall_time_s = time.perf_counter() - started
-    _record_events(stats)
     return SolverResult(
         circuit=circuit,
         depth=len(cycles),
@@ -618,12 +616,3 @@ def _replay(cycles: List[ActionSet], occupancy: List[Optional[int]],
                 circuit.append(Op.swap(u, v))
                 occupancy[u], occupancy[v] = occupancy[v], occupancy[u]
     return circuit
-
-
-def _record_events(stats: SolverStats) -> None:
-    """Mirror one run's counters into the process-local event telemetry."""
-    count_event("solver.runs")
-    count_event("solver.nodes_expanded", stats.nodes_expanded)
-    count_event("solver.nodes_generated", stats.nodes_generated)
-    count_event("solver.dedupe_hits", stats.dedupe_hits)
-    count_event("solver.heuristic_evals", stats.heuristic_evals)

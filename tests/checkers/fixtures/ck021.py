@@ -1,10 +1,6 @@
-"""CK021 fixture: fault-site and telemetry-counter naming drift."""
+"""CK021 fixture: fault-site naming drift."""
 
 
-def instrument(fault_point, count_event, kind):
+def instrument(fault_point, kind):
     fault_point("batch.job", "registered sites are clean")
     fault_point("batch.jobz")  # finding: typo'd, unregistered site
-    count_event("solver.expansions")
-    count_event("SolverExpansions")  # finding: not family.event shaped
-    count_event(f"solver{kind}.total")  # finding: no literal family prefix
-    count_event(f"solver.fallback.{kind}")

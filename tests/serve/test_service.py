@@ -10,7 +10,7 @@ import multiprocessing
 
 import pytest
 
-from repro._telemetry import clear_events, event_info, percentile
+from repro._telemetry import percentile
 from repro.batch.pool import PersistentPool
 from repro.resilience.faults import FaultPlan, FaultSpec, active_plan
 from repro.serve.protocol import normalize_request
@@ -192,7 +192,6 @@ class TestWorkerDeath:
         plan = FaultPlan([FaultSpec(site="batch.job", action="kill",
                                     match=normalize_request(poison).name,
                                     times=99)])
-        clear_events()
         with PersistentPool(workers=2, executor="process") as pool:
             service = CompileService(pool, store=None)
 
@@ -211,5 +210,4 @@ class TestWorkerDeath:
         assert after["ok"] is True and after["served_from"] == "compiled"
         # One breakage, one rebuild: concurrent victims share it.
         assert pool.restarts == 1
-        assert event_info()["batch.pool_restarts"] == 1
-        assert stats["pool_recoveries"] == 1
+        assert stats["pool"]["restarts"] == 1

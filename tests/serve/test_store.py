@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro._telemetry import clear_events, event_info
 from repro.batch.jobs import BatchJob, JobResult
 from repro.resilience.faults import FaultPlan, FaultSpec, active_plan
 from repro.resilience.journal import spec_fingerprint
@@ -57,9 +56,9 @@ class TestSkepticalReads:
         store.put(FP, JOB, ok_result())
         path = store.path_for(FP)
         path.write_bytes(path.read_bytes()[:20])
-        clear_events()
+        assert store.corrupt_reads == 0
         assert store.get(FP) is None
-        assert event_info().get("serve.store_corrupt") == 1
+        assert store.corrupt_reads == 1
 
     def test_version_skew_degrades_to_a_miss(self, store):
         store.put(FP, JOB, ok_result())
@@ -118,6 +117,23 @@ class TestInventory:
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] == store.path_for(FP).stat().st_size
+        assert stats["corrupt_reads"] == 0
+
+    def test_stats_skips_temp_files_and_reports_corrupt_reads(self, store):
+        jobs = [BatchJob(arch="grid", n_qubits=8, method="greedy", seed=s)
+                for s in range(3)]
+        fingerprints = [spec_fingerprint(job) for job in jobs]
+        for job, fingerprint in zip(jobs, fingerprints):
+            store.put(fingerprint, job, ok_result())
+        paths = [store.path_for(fp) for fp in fingerprints]
+        leftover = paths[0].with_name(paths[0].name + ".tmp.4242")
+        leftover.write_bytes(b"half a write")
+        paths[1].write_bytes(paths[1].read_bytes()[:20])
+        assert store.get(fingerprints[1]) is None
+        stats = store.stats()
+        assert stats["entries"] == 3
+        assert stats["bytes"] == sum(p.stat().st_size for p in paths)
+        assert stats["corrupt_reads"] == 1
 
     def test_empty_store_is_not_falsy(self, store):
         # `if store` guards mean "is a store configured"; an empty store

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _ARCH_CHOICES, main
+from repro.pipeline.registry import available_methods
 
 
 def run_cli(capsys, argv):
@@ -323,6 +324,49 @@ class TestLint:
                                      "--serial", "--lint"])
         assert code == 0
         assert "lint: 0 error(s)" in out
+
+
+class TestWriteThenLint:
+    """What ``compile --qasm`` / ``solve --qasm`` write, ``lint`` reads back
+    with zero errors: every method, every device, p in {1, 2}.
+
+    Warnings are not asserted: some methods emit SWAPs that cancel
+    (RL020), which wastes cycles but is not an incorrect circuit.
+    """
+
+    @staticmethod
+    def lint_errors(capsys, target, problem):
+        code, out = run_cli(capsys, ["lint", str(target), *problem,
+                                     "--format", "json"])
+        return code, json.loads(out)["totals"]["error"], out
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("arch", _ARCH_CHOICES)
+    @pytest.mark.parametrize("method", available_methods())
+    def test_compile_qasm_lints_without_errors(self, capsys, tmp_path,
+                                               method, arch, layers):
+        # The exact search stays in budget only on small instances.
+        qubits = "6" if method == "optimal" else "8"
+        problem = ["--arch", arch, "--qubits", qubits, "--density", "0.4"]
+        target = tmp_path / "out.qasm"
+        code, out = run_cli(capsys, ["compile", *problem, "--method", method,
+                                     "--layers", str(layers),
+                                     "--qasm", str(target)])
+        assert code == 0, out
+        code, errors, out = self.lint_errors(capsys, target, problem)
+        assert (code, errors) == (0, 0), out
+
+    @pytest.mark.parametrize("workload", ["rand", "clique"])
+    @pytest.mark.parametrize("arch", ["line", "grid", "sycamore", "cube"])
+    def test_solve_qasm_lints_without_errors(self, capsys, tmp_path, arch,
+                                             workload):
+        problem = ["--arch", arch, "--qubits", "5", "--workload", workload]
+        target = tmp_path / "opt.qasm"
+        code, out = run_cli(capsys, ["solve", *problem, "--qasm",
+                                     str(target)])
+        assert code == 0, out
+        code, errors, out = self.lint_errors(capsys, target, problem)
+        assert (code, errors) == (0, 0), out
 
 
 class TestSolve:
