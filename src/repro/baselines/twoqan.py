@@ -6,7 +6,9 @@
   minimising the summed physical distance of all problem edges.  The
   search evaluates ``iterations`` swap moves, each costing
   O(min(deg, n - 1 - deg)) for each of the two logical qubits it
-  exchanges (a dense vertex is scored through its non-neighbours).  The
+  exchanges (a dense vertex is scored through its non-neighbours), or
+  O(1) for a long sum once the search settles (see
+  :func:`~repro.compiler.mapping.quadratic_placement`).  The
   real 2QAN becomes intractable beyond ~128 qubits because its search
   grows quadratically with the qubit count; our default budget of
   ``20 * n^2`` moves scales the same way (capped so tests stay fast).

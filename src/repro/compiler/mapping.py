@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..arch.coupling import CouplingGraph
 from ..exceptions import SpecificationError
@@ -18,6 +20,23 @@ def _check_capacity(coupling: CouplingGraph, problem: ProblemGraph) -> None:
         raise SpecificationError(
             f"problem has {problem.n_vertices} vertices but "
             f"{coupling.name} has only {coupling.n_qubits} qubits")
+
+
+def check_initial_mapping(coupling: CouplingGraph, problem: ProblemGraph,
+                          mapping: Mapping) -> None:
+    """Raise unless ``mapping`` places exactly ``problem`` on ``coupling``."""
+    if not isinstance(mapping, Mapping):
+        raise SpecificationError(
+            f"initial mapping must be a Mapping, got "
+            f"{type(mapping).__name__}")
+    if mapping.n_logical != problem.n_vertices:
+        raise SpecificationError(
+            f"initial mapping places {mapping.n_logical} logical qubits "
+            f"but the problem has {problem.n_vertices} vertices")
+    if mapping.n_physical != coupling.n_qubits:
+        raise SpecificationError(
+            f"initial mapping covers {mapping.n_physical} physical qubits "
+            f"but {coupling.name} has {coupling.n_qubits}")
 
 
 def trivial_placement(coupling: CouplingGraph,
@@ -112,6 +131,43 @@ def noise_aware_placement(coupling: CouplingGraph,
     return Mapping(log_to_phys, coupling.n_qubits)
 
 
+#: Proposals between two checks of whether the placement search has
+#: settled enough to score from distance-sum rows.
+_WINDOW = 2048
+#: Rows engage once a window's accepted moves times the device's qubit
+#: count falls below this.  A proposal scored from rows saves a Python
+#: addition per term, but an accept rewrites a whole row (one entry per
+#: qubit) per term holding a mover, so rows pay off only once fewer than
+#: about 16 in every ``n_qubits`` proposals are accepted.
+_ROW_BOUND = 16 * _WINDOW
+#: Only a vertex with more terms than this gets a row; a shorter list is
+#: cheaper to sum directly than to keep up to date.
+_ROW_TERMS = 8
+
+
+def _sum_rows(distances: np.ndarray, log_to_phys: List[int],
+              terms: Sequence[Sequence[int]], vertices: Sequence[int],
+              ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
+    """Distance-sum rows of ``vertices`` and their inverse index.
+
+    ``table[r][s]`` is the sum of d(s, p(w)) over ``terms[vertices[r]]``
+    and ``users[w]`` indexes the rows whose term list holds ``w`` (None
+    when none does).
+    """
+    # occupied[w] = d(p(w), .), so a row is a sum of occupied rows.  A
+    # float64 matrix product would start BLAS worker threads, which cost
+    # placement at heavy-hex-512 more than the product saves.
+    occupied = distances[log_to_phys]
+    table = np.empty((len(vertices), distances.shape[0]), dtype=np.int64)
+    users: List[List[int]] = [[] for _ in terms]
+    for r, v in enumerate(vertices):
+        occupied[terms[v]].sum(axis=0, dtype=np.int64, out=table[r])
+        for w in terms[v]:
+            users[w].append(r)
+    return table, [np.array(rows, dtype=np.intp) if rows else None
+                   for rows in users]
+
+
 def quadratic_placement(
     coupling: CouplingGraph,
     problem: ProblemGraph,
@@ -129,11 +185,16 @@ def quadratic_placement(
     ``a`` and ``b`` change length, so the move is scored by its exact
     integer cost change and kept iff that change is not positive.  A
     vertex adjacent to more than half of the others is scored through
-    its non-neighbours instead, so a proposal costs O(min(deg,
-    n - 1 - deg)) per endpoint.  The default budget is capped so the
-    search stays effectively linear at large scale.
+    its non-neighbours instead, so an endpoint sums min(deg, n - 1 -
+    deg) terms.  Once a window of proposals accepts few moves, each
+    endpoint with more than a few terms is scored in O(1) from a kept
+    row of distance sums, and an accepted move updates the rows that
+    read its movers.  The default budget is capped so the search stays
+    effectively linear at large scale.
     """
     _check_capacity(coupling, problem)
+    if initial is not None:
+        check_initial_mapping(coupling, problem, initial)
     if iterations is not None and (isinstance(iterations, bool)
                                    or not isinstance(iterations, int)
                                    or iterations < 0):
@@ -183,8 +244,79 @@ def quadratic_placement(
     # faster than numpy scalar indexing in the tight loop below.
     steps: List[List[Optional[List[int]]]] = [
         [None] * len(sites) for sites in couplings]
+    # Without a vertex that could get a row, the search is one window.
+    long_terms = [v for v in range(n) if len(terms[v]) > _ROW_TERMS]
+    window = _WINDOW if long_terms else iterations
+    left = iterations
 
-    for _ in range(iterations):
+    while left:
+        count = min(window, left)
+        left -= count
+        accepted = 0
+        for _ in range(count):
+            a = getrandbits(n_bits)
+            while a >= n:
+                a = getrandbits(n_bits)
+            pa = log_to_phys[a]
+            k, width = bits[pa], widths[pa]
+            i = getrandbits(k)
+            while i >= width:
+                i = getrandbits(k)
+            pb = couplings[pa][i]
+            b = phys_to_log[pb]
+            step = steps[pa][i]
+            if step is None:
+                step = steps[pa][i] = (distances[pb]
+                                       - distances[pa]).tolist()
+            # delta = sum over N(a) of d(pb, p(w)) - d(pa, p(w)), minus
+            # the same sum over N(b).  The edge a~b keeps its length, but
+            # each sum counts it as shrinking by d(pa, pb) = 1, hence the
+            # +2.  For a complement vertex, step[p(a)] = step[pa] = +1
+            # and step[p(b)] = step[pb] = -1.
+            delta = 0
+            for w in terms[a]:
+                delta += step[log_to_phys[w]]
+            if complement[a]:
+                delta = reach[pb] - reach[pa] - 1 - delta
+            if b is not None:
+                other = 0
+                for w in terms[b]:
+                    other += step[log_to_phys[w]]
+                if complement[b]:
+                    other = reach[pb] - reach[pa] + 1 - other
+                delta -= other
+                if b in adjacent[a]:
+                    delta += 2
+            if delta <= 0:
+                accepted += 1
+                log_to_phys[a] = pb
+                phys_to_log[pb] = a
+                phys_to_log[pa] = b
+                if b is not None:
+                    log_to_phys[b] = pa
+                elif reach:
+                    # pa emptied and pb filled: every site's reach moves
+                    # by d(s, pb) - d(s, pa) = step[s].
+                    reach = [r + d for r, d in zip(reach, step)]
+        if accepted * coupling.n_qubits < _ROW_BOUND:
+            break
+    if not left:
+        return mapping
+
+    # The search has settled.  A long-term endpoint's sum over its terms
+    # is rows[v][pb] - rows[v][pa], the same integer as above; a short
+    # one still sums directly, reading the distance rows.  An accepted
+    # move shifts the rows whose term lists hold a by d(pb, .) - d(pa, .)
+    # and those holding b by the negation, as it shifts reach when b is
+    # a spare site.
+    table, users = _sum_rows(distances, log_to_phys, terms, long_terms)
+    rows: List[Optional[memoryview]] = [None] * n
+    for r, v in enumerate(long_terms):
+        rows[v] = memoryview(table[r])
+    site_rows = [memoryview(row) for row in distances]
+    reach_sums = np.array(reach, dtype=np.int64)
+    reach_row = memoryview(reach_sums)
+    for _ in range(left):
         a = getrandbits(n_bits)
         while a >= n:
             a = getrandbits(n_bits)
@@ -195,25 +327,29 @@ def quadratic_placement(
             i = getrandbits(k)
         pb = couplings[pa][i]
         b = phys_to_log[pb]
-        step = steps[pa][i]
-        if step is None:
-            step = steps[pa][i] = (distances[pb] - distances[pa]).tolist()
-        # delta = sum over N(a) of d(pb, p(w)) - d(pa, p(w)), minus the
-        # same sum over N(b).  The edge a~b keeps its length, but each
-        # sum counts it as shrinking by d(pa, pb) = 1, hence the +2.
-        # For a complement vertex, step[p(a)] = step[pa] = +1 and
-        # step[p(b)] = step[pb] = -1.
-        delta = 0
-        for w in terms[a]:
-            delta += step[log_to_phys[w]]
+        row = rows[a]
+        if row is not None:
+            delta = row[pb] - row[pa]
+        else:
+            near, far = site_rows[pb], site_rows[pa]
+            delta = 0
+            for w in terms[a]:
+                q = log_to_phys[w]
+                delta += near[q] - far[q]
         if complement[a]:
-            delta = reach[pb] - reach[pa] - 1 - delta
+            delta = reach_row[pb] - reach_row[pa] - 1 - delta
         if b is not None:
-            other = 0
-            for w in terms[b]:
-                other += step[log_to_phys[w]]
+            row = rows[b]
+            if row is not None:
+                other = row[pb] - row[pa]
+            else:
+                near, far = site_rows[pb], site_rows[pa]
+                other = 0
+                for w in terms[b]:
+                    q = log_to_phys[w]
+                    other += near[q] - far[q]
             if complement[b]:
-                other = reach[pb] - reach[pa] + 1 - other
+                other = reach_row[pb] - reach_row[pa] + 1 - other
             delta -= other
             if b in adjacent[a]:
                 delta += 2
@@ -221,10 +357,13 @@ def quadratic_placement(
             log_to_phys[a] = pb
             phys_to_log[pb] = a
             phys_to_log[pa] = b
+            shift = distances[pb] - distances[pa]
+            if users[a] is not None:
+                table[users[a]] += shift
             if b is not None:
                 log_to_phys[b] = pa
+                if users[b] is not None:
+                    table[users[b]] -= shift
             elif reach:
-                # pa emptied and pb filled: every site's reach moves by
-                # d(s, pb) - d(s, pa) = step[s].
-                reach = [r + d for r, d in zip(reach, step)]
+                reach_sums += shift
     return mapping

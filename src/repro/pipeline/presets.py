@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from ..compiler.mapping import check_initial_mapping
 from ..compiler.swap_insertion import MATCHING_MODES
 from ..exceptions import SpecificationError, UnknownKnobError
 from .assembly import AssemblyPass
@@ -77,9 +78,12 @@ def build_context(
         raise SpecificationError(
             f"unknown matching {knobs['matching']!r}; expected one of "
             f"{MATCHING_MODES}")
+    mapping = knobs.pop("initial_mapping")
+    if mapping is not None:
+        check_initial_mapping(coupling, problem, mapping)
     return CompilationContext(
         coupling=coupling, problem=problem, method=method, noise=noise,
-        gamma=gamma, mapping=knobs.pop("initial_mapping"),
+        gamma=gamma, mapping=mapping,
         pattern=knobs.pop("pattern"), knobs=knobs)
 
 

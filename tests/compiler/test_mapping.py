@@ -1,6 +1,7 @@
 """Tests for initial placement strategies."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from repro.arch import (CouplingGraph, NoiseModel, grid, heavyhex, line,
                         sycamore)
 from repro.baselines import quadratic_initial_mapping
 from repro.baselines.routing import mapping_cost
+from repro.compiler import mapping as placement_module
 from repro.compiler.mapping import (degree_placement, noise_aware_placement,
                                     quadratic_placement, trivial_placement)
 from repro.exceptions import SpecificationError
@@ -283,6 +285,186 @@ class TestQuadraticMatchesReference:
         want = reference_quadratic_placement(
             coupling, problem, iterations=min(20 * n * n, 200_000), seed=9)
         assert got == want
+
+
+# Devices of 36-70 qubits: problems of 30 or more vertices at density
+# 0.3-0.6 give most vertices more terms than ``_ROW_TERMS``, so the
+# settled search scores them from distance-sum rows.
+ROW_ARCHITECTURES = [grid(6, 6), grid(7, 8), heavyhex(3, 10),
+                     heavyhex(4, 14), sycamore(6, 8), sycamore(8, 8)]
+WINDOW = placement_module._WINDOW
+
+
+def place_counting_rows(place, coupling, problem, **kwargs):
+    """``place``'s mapping and how many times it built distance-sum rows."""
+    with mock.patch.object(placement_module, "_sum_rows",
+                           wraps=placement_module._sum_rows) as spy:
+        mapping = place(coupling, problem, **kwargs)
+    return mapping, spy.call_count
+
+
+def row_mixed_problem():
+    """44 vertices of every kind the settled search scores.
+
+    A 24-vertex clique sums its non-neighbours from rows, a hub adjacent
+    to all but eight vertices sums its few non-neighbours directly,
+    vertices 24-29 (11 neighbours each) sum their neighbours from rows
+    and a sparse tail sums its neighbours directly.  The tail ends in
+    four isolated vertices: every move of one onto a spare site is
+    kept, so the settled search keeps changing ``reach``.
+    """
+    core = [(u, v) for u in range(24) for v in range(u + 1, 24)]
+    hub = [(0, v) for v in range(24, 36)]
+    middle = [(v, c) for v in range(24, 30) for c in range(v - 20, v - 10)]
+    tail = [(v, v + 1) for v in range(30, 39)]
+    return ProblemGraph(44, core + hub + middle + tail)
+
+
+def vertex_kinds(problem):
+    """The (complement, row) kind of each vertex, as the search picks it."""
+    n = problem.n_vertices
+    degrees = problem.degrees()
+    kinds = []
+    for v in range(n):
+        complement = degrees[v] > (n - 1) // 2
+        terms = n - 1 - degrees[v] if complement else degrees[v]
+        kinds.append((complement, terms > placement_module._ROW_TERMS))
+    return kinds
+
+
+class TestRowsMatchReference:
+    """Scores read from distance-sum rows give the reference's mapping."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           arch=st.sampled_from(ROW_ARCHITECTURES),
+           density=st.floats(0.3, 0.6),
+           graph_seed=st.integers(0, 2**16),
+           seed=st.integers(0, 2**32),
+           iterations=st.sampled_from([WINDOW + 1, 2 * WINDOW + 7, None]),
+           with_initial=st.booleans())
+    def test_identical_mapping(self, data, arch, density, graph_seed, seed,
+                               iterations, with_initial):
+        n = data.draw(st.integers(30, arch.n_qubits), label="n")
+        problem = random_problem_graph(n, density, seed=graph_seed)
+        initial = None
+        if with_initial:
+            sites = data.draw(st.permutations(range(arch.n_qubits)),
+                              label="sites")
+            initial = Mapping(sites[:n], arch.n_qubits)
+
+        got, builds = place_counting_rows(
+            quadratic_placement, arch, problem, iterations=iterations,
+            seed=seed, initial=initial)
+        want = reference_quadratic_placement(
+            arch, problem, iterations=iterations, seed=seed, initial=initial)
+        assert builds == 1
+        assert got.log_to_phys == want.log_to_phys
+        assert got.phys_to_log == want.phys_to_log
+
+    # Spare sites (fewer vertices than qubits) move vertices onto empty
+    # sites, which updates ``reach`` once rows are kept.
+    @pytest.mark.parametrize("coupling, problem", [
+        (grid(6, 6), random_problem_graph(36, 0.3, seed=1)),
+        (grid(7, 8), random_problem_graph(50, 0.6, seed=2)),
+        (heavyhex(4, 14), random_problem_graph(60, 0.45, seed=3)),
+        (sycamore(8, 8), random_problem_graph(64, 0.5, seed=4)),
+        (sycamore(6, 8), row_mixed_problem()),
+        (grid(8, 8), row_mixed_problem()),
+    ], ids=["grid-6x6-rand-0.3", "grid-7x8-rand-0.6-spare",
+            "heavyhex-4x14-rand-0.45-spare", "sycamore-8x8-rand-0.5",
+            "sycamore-6x8-row-mixed-spare", "grid-8x8-row-mixed-spare"])
+    @pytest.mark.parametrize("iterations, rows", [
+        (WINDOW, 0), (WINDOW + 1, 1), (None, 1)],
+        ids=["ends-at-switch", "one-past-switch", "default-budget"])
+    def test_identical_either_side_of_switch(self, coupling, problem,
+                                             iterations, rows):
+        got, builds = place_counting_rows(
+            quadratic_placement, coupling, problem, iterations=iterations,
+            seed=5)
+        want = reference_quadratic_placement(
+            coupling, problem, iterations=iterations, seed=5)
+        assert builds == rows
+        assert got == want
+
+    def test_identical_from_initial_mapping(self):
+        coupling, problem = grid(7, 8), row_mixed_problem()
+        sites = list(range(coupling.n_qubits))
+        random.Random(8).shuffle(sites)
+        initial = Mapping(sites[:problem.n_vertices], coupling.n_qubits)
+        got, builds = place_counting_rows(
+            quadratic_placement, coupling, problem, seed=2, initial=initial)
+        want = reference_quadratic_placement(coupling, problem, seed=2,
+                                             initial=initial)
+        assert builds == 1
+        assert got == want
+
+    def test_row_mixed_problem_is_mixed(self):
+        kinds = set(vertex_kinds(row_mixed_problem()))
+        assert kinds == {(False, False), (False, True), (True, False),
+                         (True, True)}
+
+    @pytest.mark.parametrize("coupling, problem", [
+        (heavyhex(3, 10), random_problem_graph(36, 0.4, seed=6)),
+        (grid(7, 8), row_mixed_problem()),
+    ], ids=["heavyhex-3x10-rand-0.4", "grid-7x8-row-mixed"])
+    def test_identical_at_2qan_budget(self, coupling, problem):
+        n = problem.n_vertices
+        got, builds = place_counting_rows(
+            quadratic_initial_mapping, coupling, problem, seed=9)
+        want = reference_quadratic_placement(
+            coupling, problem, iterations=min(20 * n * n, 200_000), seed=9)
+        assert builds == 1
+        assert got == want
+
+
+class TestInitialMappingShape:
+    """A caller's mapping that does not fit gets a typed error."""
+
+    PROBLEM = random_problem_graph(5, 0.5, seed=1)
+
+    def test_placement_rejects_too_few_logical_qubits(self):
+        with pytest.raises(SpecificationError,
+                           match="places 3 logical qubits but the problem "
+                                 "has 5 vertices"):
+            quadratic_placement(grid(3, 3), self.PROBLEM,
+                                initial=Mapping([0, 1, 2], 9))
+
+    def test_placement_rejects_another_device_size(self):
+        with pytest.raises(SpecificationError,
+                           match="covers 12 physical qubits but grid-3x3 "
+                                 "has 9"):
+            quadratic_placement(grid(3, 3), self.PROBLEM,
+                                initial=Mapping([0, 1, 2, 3, 4], 12))
+
+    @pytest.mark.parametrize("method", ["hybrid", "greedy", "ata"])
+    def test_compile_rejects_too_few_logical_qubits(self, method):
+        from repro.compiler import compile_qaoa
+        with pytest.raises(SpecificationError,
+                           match="places 3 logical qubits"):
+            compile_qaoa(grid(3, 3), self.PROBLEM, method=method,
+                         initial_mapping=Mapping([0, 1, 2], 9))
+
+    @pytest.mark.parametrize("method", ["hybrid", "greedy", "ata"])
+    def test_compile_rejects_another_device_size(self, method):
+        from repro.compiler import compile_qaoa
+        with pytest.raises(SpecificationError,
+                           match="covers 12 physical qubits"):
+            compile_qaoa(grid(3, 3), self.PROBLEM, method=method,
+                         initial_mapping=Mapping([0, 1, 2, 3, 4], 12))
+
+    def test_compile_rejects_a_plain_list(self):
+        from repro.compiler import compile_qaoa
+        with pytest.raises(SpecificationError, match="must be a Mapping"):
+            compile_qaoa(grid(3, 3), self.PROBLEM,
+                         initial_mapping=[0, 1, 2, 3, 4])
+
+    def test_fitting_mapping_is_used(self):
+        from repro.compiler import compile_qaoa
+        initial = Mapping([8, 7, 6, 5, 4], 9)
+        result = compile_qaoa(grid(3, 3), self.PROBLEM,
+                              initial_mapping=initial)
+        assert result.initial_mapping == initial
 
 
 class TestNoiseAware:

@@ -3,7 +3,8 @@
 These pin the paper-scale behaviour that the default suite cannot afford:
 the 1024-qubit heavy-hex ATA schedule whose depth (2 792) lands within 4%
 of the paper's own Table-2 "Ours" value (2 910), and the 512-qubit
-heavy-hex hybrid compile — its exact circuit and its peak memory.
+heavy-hex hybrid compile — its exact circuit and its peak memory (its
+placement and greedy pass times are printed, not asserted).
 """
 
 import json
@@ -61,13 +62,14 @@ problem = random_problem_graph(512, 0.3, seed=0)
 result = compile_qaoa(heavyhex_for(512), problem, method="hybrid")
 payload = json.dumps(circuit_to_dict(result.circuit), sort_keys=True,
                      separators=(",", ":")).encode("utf-8")
-greedy = [p for p in result.extra["passes"] if p["name"] == "greedy"]
+wall_s = {p["name"]: p["wall_s"] for p in result.extra["passes"]}
 print(json.dumps({
     "sha256": hashlib.sha256(payload).hexdigest(),
     "depth": result.circuit.depth(),
     "cx": result.circuit.cx_count(unify=True),
     "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    "greedy_wall_s": greedy[0]["wall_s"],
+    "placement_wall_s": wall_s["placement"],
+    "greedy_wall_s": wall_s["greedy"],
 }))
 """
 
@@ -79,8 +81,8 @@ def test_heavyhex_512_hybrid_circuit_and_peak_rss():
     out = subprocess.run([sys.executable, "-c", _HYBRID_512], env=env,
                          check=True, capture_output=True, text=True)
     line = out.stdout.strip().splitlines()[-1]
-    # The greedy pass's wall time is reported, not asserted: run with -s
-    # to see this line in the log.
+    # The placement and greedy passes' wall times are reported, not
+    # asserted: run with -s to see this line in the log.
     print(line)
     report = json.loads(line)
     assert (report["depth"], report["cx"]) == (1357, 348598)
