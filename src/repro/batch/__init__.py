@@ -7,8 +7,8 @@ serially.  This package provides:
 * :func:`compile_many` — fan :class:`BatchJob` specs out over a
   :class:`PersistentPool` with per-job timeouts and graceful
   per-instance failure capture, plus the resilience hooks
-  (:mod:`repro.resilience`): retry policies, crash-safe journaled
-  resume, and worker-death recovery;
+  (:mod:`repro.resilience`): retry policies, worker-death recovery,
+  and resume from a :class:`~repro.serve.store.ResultStore`;
 * process-local memoization of distance matrices and ATA patterns
   (:mod:`repro._telemetry`), with hit/miss counters surfaced both per
   job and aggregated in the :class:`BatchReport`;

@@ -28,10 +28,11 @@ Design (ISSUE 1 tentpole, hardened by the ISSUE 5 resilience layer):
   private worker up to ``max_pool_restarts`` times, so one dead worker
   never poisons the rest of the sweep (counted in
   ``BatchReport.pool_restarts``).
-* **Crash-safe journal** — ``journal="sweep.jsonl"`` durably appends each
-  finished result (:mod:`repro.resilience.journal`); re-running with
-  ``resume=True`` skips completed jobs and reproduces the uninterrupted
-  report.
+* **Resume from the result store** — with ``store=ResultStore(dir)``
+  every finished ``ok`` result is durably published
+  (:mod:`repro.serve.store`) and every job the store already holds is
+  read back instead of recompiled, so a re-run after a crash reproduces
+  the uninterrupted report.
 
 ``compile_many`` returns a :class:`BatchReport` that preserves job order,
 aggregates cache hit/miss counters and per-pass timings, and renders a table
@@ -45,15 +46,18 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from types import FrameType
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Sequence)
 
 from .._telemetry import measure_cache_delta, sum_cache_deltas
 from ..exceptions import JobTimeoutError, SpecificationError
 from ..resilience.faults import fault_point, faults_active
 from ..resilience.retry import RetryPolicy, execute_with_retry
 from .jobs import BatchJob, JobResult
+
+if TYPE_CHECKING:
+    from ..serve.store import ResultStore
 
 EXECUTORS = ("process", "thread", "serial")
 
@@ -333,8 +337,8 @@ class BatchReport:
     #: Breakages of the shared executor recovered by resubmitting the
     #: jobs they took down (dead workers).
     pool_restarts: int = 0
-    #: Jobs whose results were recovered from a resume journal instead
-    #: of being recompiled.
+    #: Jobs whose results were read from the result store instead of
+    #: being recompiled.
     resumed_jobs: int = 0
 
     @property
@@ -446,8 +450,8 @@ class BatchReport:
                 f"{self.pool_restarts} time(s) after worker death")
         if self.resumed_jobs:
             lines.append(
-                f"resumed: {self.resumed_jobs} job(s) recovered from "
-                f"the journal, {len(self.results) - self.resumed_jobs} "
+                f"resumed: {self.resumed_jobs} job(s) read from the "
+                f"result store, {len(self.results) - self.resumed_jobs} "
                 f"compiled this run")
         if self.degraded_jobs:
             lines.append(
@@ -505,8 +509,7 @@ def compile_many(
     timeout_s: Optional[float] = None,
     executor: str = "process",
     retry: Optional[RetryPolicy] = None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
+    store: Optional[ResultStore] = None,
     max_pool_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
 ) -> BatchReport:
     """Compile every job, fanning out over a worker pool.
@@ -530,13 +533,13 @@ def compile_many(
         Optional :class:`~repro.resilience.retry.RetryPolicy`; transient
         job failures re-attempt in-worker with backoff.  ``None`` (the
         default) keeps the historic single-attempt behavior.
-    journal:
-        Path of a crash-safe JSONL journal; every finished job is
-        durably appended (:mod:`repro.resilience.journal`).
-    resume:
-        With ``journal``, load completed results from an existing
-        compatible journal and only compile the remainder.  The resumed
-        report's per-job records equal an uninterrupted run's.
+    store:
+        A :class:`~repro.serve.store.ResultStore`.  Jobs it already
+        holds are read from it (counted in ``resumed_jobs``), and every
+        ``ok`` result is durably published to it as it finishes, so a
+        re-run after a crash compiles only the remainder and reports
+        the same per-job records as an uninterrupted run.  Failed jobs
+        are never stored, so they are recompiled.
     max_pool_restarts:
         Resubmissions a job may take after its worker died before it is
         recorded as a failure (:class:`~repro.batch.pool.PersistentPool`).
@@ -559,44 +562,39 @@ def compile_many(
     start = time.perf_counter()
 
     results: List[Optional[JobResult]] = [None] * len(job_list)
-    journal_obj = None
-    if journal is not None:
-        from ..resilience.journal import BatchJournal
+    fingerprints: List[str] = []
+    if store is not None:
+        # Never a fresh import: building ``store`` loaded the module.
+        from ..serve.store import spec_fingerprint
 
-        journal_obj = BatchJournal(journal, job_list, resume=resume)
-        for index, recovered in sorted(journal_obj.completed.items()):
-            results[index] = recovered
+        fingerprints = [spec_fingerprint(job) for job in job_list]
+        results = [store.get_result(job, fingerprint)
+                   for job, fingerprint in zip(job_list, fingerprints)]
     resumed_jobs = sum(1 for r in results if r is not None)
     pending = [index for index, r in enumerate(results) if r is None]
 
     def finish(index: int, result: JobResult) -> None:
         results[index] = result
-        if journal_obj is not None:
-            journal_obj.record(index, result)
+        if store is not None:
+            store.put(fingerprints[index], job_list[index], result)
         fault_point("batch.collect", job_list[index].name)
 
     pool_restarts = 0
     if executor == "serial" or workers <= 1 or len(pending) <= 1:
         workers, executor = 1, "serial"
-    try:
-        if executor == "serial":
-            for index in pending:
-                finish(index, execute_job(job_list[index], timeout_s,
-                                          retry))
-        else:
-            from .pool import PersistentPool
+    if executor == "serial":
+        for index in pending:
+            finish(index, execute_job(job_list[index], timeout_s, retry))
+    else:
+        from .pool import PersistentPool
 
-            with PersistentPool(workers, executor, timeout_s,
-                                retry) as pool:
-                futures = [(index, pool.submit(job_list[index],
-                                               max_pool_restarts))
-                           for index in pending]
-                for index, future in futures:
-                    finish(index, future.result())
-            pool_restarts = pool.restarts
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
+        with PersistentPool(workers, executor, timeout_s, retry) as pool:
+            futures = [(index, pool.submit(job_list[index],
+                                           max_pool_restarts))
+                       for index in pending]
+            for index, future in futures:
+                finish(index, future.result())
+        pool_restarts = pool.restarts
     return BatchReport(_completed(results), time.perf_counter() - start,
                        workers=workers, executor=executor,
                        timeout_s=timeout_s, pool_restarts=pool_restarts,

@@ -175,9 +175,9 @@ class JobResult:
     def to_json(self) -> Dict:
         """The outcome as plain data (everything except the job spec).
 
-        This is the payload the crash-safe journal persists
-        (:mod:`repro.resilience.journal`); :meth:`from_json` rebuilds an
-        equal :class:`JobResult` given the same :class:`BatchJob`.
+        This is the payload the result store persists
+        (:mod:`repro.serve.store`); :meth:`from_json` rebuilds an equal
+        :class:`JobResult` given the same :class:`BatchJob`.
         """
         return {
             "ok": self.ok,
@@ -192,7 +192,7 @@ class JobResult:
 
     @classmethod
     def from_json(cls, job: BatchJob, payload: Dict) -> "JobResult":
-        """Rebuild a result journaled by :meth:`to_json` for ``job``."""
+        """Rebuild a result stored by :meth:`to_json` for ``job``."""
         return cls(
             job=job,
             ok=bool(payload.get("ok")),

@@ -6,6 +6,7 @@ Usage::
     python -m repro compile --arch grid --qubits 16 --method ata --qasm out.qasm
     python -m repro compare --arch sycamore --qubits 32 --density 0.3
     python -m repro batch --arch grid,heavyhex --qubits 24 --count 8 --workers 4
+    python -m repro batch --arch grid --qubits 24 --store .repro-store
     python -m repro serve --store .repro-store --workers 4
     python -m repro serve --stdio --store .repro-store
     python -m repro lint out.json --arch grid --qubits 16 --density 0.3
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .analysis import format_table, result_metrics
@@ -175,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="attempts per job for transient failures "
                               "(exponential backoff; default: no retries)")
-    batch_p.add_argument("--journal", metavar="FILE",
-                         help="crash-safe JSONL journal of finished jobs "
-                              "(each result fsync-ed before moving on)")
-    batch_p.add_argument("--resume", action="store_true",
-                         help="with --journal: skip jobs already "
-                              "completed by a previous (crashed) run")
+    batch_p.add_argument("--store", metavar="DIR",
+                         help="result-store directory, shared with "
+                              "'serve --store' (created if missing): "
+                              "jobs it holds are read back instead of "
+                              "recompiled, and each ok result is "
+                              "published to it as it finishes")
     batch_p.add_argument("--max-pool-restarts", type=int, default=None,
                          metavar="N",
                          help="resubmissions of a job whose worker "
@@ -312,6 +314,23 @@ def _unknown_method_error(method: str) -> int:
     return 2
 
 
+def _path_error(path: str, exc: OSError) -> int:
+    """Exit-2 path for an output file or store directory that cannot
+    be written."""
+    print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _write_output(path: str, text: str) -> bool:
+    """Write an output file; on failure report it via :func:`_path_error`."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _path_error(path, exc)
+        return False
+    return True
+
+
 def _cmd_compile(args) -> int:
     try:
         get_method(args.method)
@@ -358,8 +377,8 @@ def _cmd_compile(args) -> int:
             mapping_to_dict(result.initial_mapping))
         if layers is not None:
             comment += "\n" + _QASM_LAYERS_COMMENT + json.dumps(layers)
-        with open(args.qasm, "w") as handle:
-            handle.write(to_qasm(exported, comment=comment))
+        if not _write_output(args.qasm, to_qasm(exported, comment=comment)):
+            return 2
         print(f"qasm written to {args.qasm}")
     return 0
 
@@ -367,15 +386,12 @@ def _cmd_compile(args) -> int:
 def _cmd_batch(args) -> int:
     from .batch import compile_many, jobs_for
     from .batch.engine import DEFAULT_MAX_POOL_RESTARTS
-    from .resilience import JournalError, RetryPolicy
+    from .resilience import RetryPolicy
 
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         print("error: --method needs at least one compiler name",
               file=sys.stderr)
-        return 2
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal FILE", file=sys.stderr)
         return 2
     if args.max_pool_restarts is not None and args.max_pool_restarts < 0:
         print("error: --max-pool-restarts must be >= 0", file=sys.stderr)
@@ -391,18 +407,25 @@ def _cmd_batch(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     retry = RetryPolicy(max_attempts=args.retries) if args.retries else None
+    store = None
+    if args.store:
+        from .serve.store import ResultStore
+
+        try:
+            store = ResultStore(args.store)
+        except OSError as exc:
+            return _path_error(args.store, exc)
     try:
         report = compile_many(
             jobs, workers=args.workers, timeout_s=args.timeout,
             executor="serial" if args.serial else "process",
-            retry=retry, journal=args.journal, resume=args.resume,
+            retry=retry, store=store,
             max_pool_restarts=(DEFAULT_MAX_POOL_RESTARTS
                                if args.max_pool_restarts is None
                                else args.max_pool_restarts))
-    except (JournalError, ValueError) as exc:
-        # JournalError: incompatible resume.  ValueError: bad engine
-        # arguments or a malformed REPRO_FAULT_PLAN — config errors, not
-        # job failures.
+    except ValueError as exc:
+        # Bad engine arguments or a malformed REPRO_FAULT_PLAN — config
+        # errors, not job failures.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_table(
@@ -411,8 +434,9 @@ def _cmd_batch(args) -> int:
         title=f"batch: {len(jobs)} jobs on {','.join(args.arch)}"))
     print(report.summary())
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_json(), handle, indent=2)
+        if not _write_output(args.json,
+                             json.dumps(report.to_json(), indent=2)):
+            return 2
         print(f"report written to {args.json}")
     if report.failures:
         return 1
@@ -599,7 +623,6 @@ def _cmd_lint(args) -> int:
 
 def _cmd_check(args) -> int:
     from dataclasses import asdict
-    from pathlib import Path
 
     from .checkers import (DEFAULT_BASELINE_NAME, all_checkers,
                            apply_baseline, check_paths, load_baseline)
@@ -639,8 +662,9 @@ def _cmd_check(args) -> int:
     payload["suppressed_baseline"] = suppressed
     payload["stale_baseline"] = [asdict(entry) for entry in stale]
     if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n",
-                                     encoding="utf-8")
+        if not _write_output(args.output,
+                             json.dumps(payload, indent=2) + "\n"):
+            return 2
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -724,10 +748,10 @@ def _cmd_solve(args) -> int:
     print(f"h evals:  {stats.heuristic_evals}")
     print(f"time:     {stats.wall_time_s:.3f}s")
     if args.qasm:
-        with open(args.qasm, "w") as handle:
-            handle.write(to_qasm(result.circuit,
-                                 comment=f"optimal {problem.name} on "
-                                         f"{coupling.name}"))
+        if not _write_output(args.qasm, to_qasm(
+                result.circuit,
+                comment=f"optimal {problem.name} on {coupling.name}")):
+            return 2
         print(f"qasm written to {args.qasm}")
     if args.json:
         payload = {
@@ -737,8 +761,8 @@ def _cmd_solve(args) -> int:
             "swaps": result.circuit.swap_count,
             **stats.as_dict(),
         }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
+        if not _write_output(args.json, json.dumps(payload, indent=2)):
+            return 2
         print(f"report written to {args.json}")
     return 0
 

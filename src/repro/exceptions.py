@@ -15,7 +15,7 @@ layer (:mod:`repro.resilience`) keys on:
 Everything else is permanent: retrying is wasted work and the failure
 surfaces immediately.  :class:`SpecificationError` (and its subclasses)
 marks the *caller-error* half of that permanent set — invalid job specs,
-unknown knobs, unusable journals — distinct from genuine compilation
+unknown knobs, unenforceable timeouts — distinct from genuine compilation
 failures.
 
 Every ``raise`` in the retry-reachable subsystems (``batch``,
@@ -63,15 +63,6 @@ class UnknownKnobError(SpecificationError, TypeError):
 
     Additionally subclasses :class:`TypeError` to match the historic
     "unexpected keyword argument" contract of ``compile_qaoa``.
-    """
-
-
-class JournalError(SpecificationError):
-    """A journal file cannot be used for the requested resume.
-
-    Lives here (rather than in :mod:`repro.resilience.journal`, which
-    re-exports it) so the whole transient/permanent taxonomy is defined
-    in one module — the CK020 static check keys on exactly this set.
     """
 
 

@@ -1,11 +1,11 @@
-"""Resilience layer: fault injection, retries, crash-safe journaling.
+"""Resilience layer: fault injection and retries.
 
 Production sweeps fail in ways unit tests never exercise — worker OOM
 kills, flaky transient errors, exhausted solver budgets, interrupted
 runs.  This package makes each failure mode (a) *injectable on demand*
 so chaos tests prove the recovery path deterministically, and (b)
-*survivable* through retry policies, pool restarts, journaled resume,
-and graceful method degradation:
+*survivable* through retry policies, pool restarts and graceful method
+degradation:
 
 * :mod:`repro.resilience.faults` — ``FaultPlan`` / ``fault_point``:
   deterministic fault injection at named sites in the batch engine,
@@ -13,20 +13,18 @@ and graceful method degradation:
 * :mod:`repro.resilience.retry` — ``RetryPolicy`` /
   ``execute_with_retry``: exponential backoff with deterministic
   jitter, driven by the transient/permanent split in
-  :mod:`repro.exceptions`;
-* :mod:`repro.resilience.journal` — ``BatchJournal``: crash-safe
-  append-only JSONL of finished jobs; ``compile_many(..., journal=...,
-  resume=True)`` and ``python -m repro batch --journal --resume`` skip
-  completed work after a crash.
+  :mod:`repro.exceptions`.
+
+A sweep that dies outright resumes from the result store
+(:class:`repro.serve.store.ResultStore`): ``compile_many(...,
+store=...)`` and ``python -m repro batch --store DIR`` skip every job
+the store already holds.
 
 See ``docs/resilience.md`` for the full reference.
 """
 
 from .faults import (ENV_VAR, FaultPlan, FaultSpec, active_plan,
                      current_plan, fault_point, faults_active)
-from .journal import (FINGERPRINT_VERSION, JOURNAL_VERSION, BatchJournal,
-                      JournalError, atomic_write_bytes, canonical_job_spec,
-                      fsync_dir, job_fingerprint, spec_fingerprint)
 from .retry import (NO_RETRY, RetryOutcome, RetryPolicy, call_with_retry,
                     execute_with_retry)
 
@@ -43,13 +41,4 @@ __all__ = [
     "execute_with_retry",
     "call_with_retry",
     "NO_RETRY",
-    "BatchJournal",
-    "JournalError",
-    "job_fingerprint",
-    "spec_fingerprint",
-    "canonical_job_spec",
-    "atomic_write_bytes",
-    "fsync_dir",
-    "JOURNAL_VERSION",
-    "FINGERPRINT_VERSION",
 ]

@@ -36,7 +36,7 @@ an ``action``:
 * ``"kill"`` — ``os._exit(exit_code)``: the process dies mid-job with no
   cleanup, exactly like an OOM kill.  In a pool worker this surfaces as
   ``BrokenProcessPool`` in the parent; in a serial run the whole sweep
-  dies (the crash-safe journal is what survives).
+  dies (the result store given with ``--store`` is what survives).
 
 Activation is either explicit and process-local::
 

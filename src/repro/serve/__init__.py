@@ -11,8 +11,9 @@ concentrates on a small set of hot (architecture, problem-class) pairs.
   ``compile_many`` call;
 * a **content-addressed result store** (:class:`~repro.serve.store.ResultStore`)
   keyed by the canonical job fingerprint
-  (:func:`repro.resilience.journal.spec_fingerprint`) — a repeated
-  request is served byte-identically from disk with no worker dispatch;
+  (:func:`repro.serve.store.spec_fingerprint`) — a repeated request is
+  served byte-identically from disk with no worker dispatch (the same
+  store lets ``repro batch --store`` resume a sweep);
 * **in-flight dedupe** (:class:`~repro.serve.service.CompileService`) —
   N identical concurrent requests execute once and all N get the result.
 

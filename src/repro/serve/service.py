@@ -5,7 +5,7 @@ framings in :mod:`repro.serve.daemon` both funnel into
 :meth:`CompileService.handle`.  For each compile request:
 
 1. normalize into a :class:`~repro.batch.jobs.BatchJob` and fingerprint
-   it (:func:`~repro.resilience.journal.spec_fingerprint`);
+   it (:func:`~repro.serve.store.spec_fingerprint`);
 2. **store hit** — serve the persisted result, no worker touched;
 3. **in-flight hit** — an identical request is already compiling:
    await its shared future (one execution, N responses);
@@ -28,10 +28,9 @@ from .._telemetry import percentile, sum_cache_deltas
 from ..batch.jobs import BatchJob, JobResult
 from ..batch.pool import PersistentPool
 from ..resilience.faults import fault_point
-from ..resilience.journal import spec_fingerprint
 from .protocol import (error_response, normalize_request, request_op,
                        result_response)
-from .store import ResultStore
+from .store import ResultStore, spec_fingerprint
 
 #: Latency samples kept for the rolling percentile summary.
 LATENCY_WINDOW = 2048

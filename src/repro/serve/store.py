@@ -1,46 +1,215 @@
 """Content-addressed on-disk store of compiled results.
 
+The store is the one persisted record of a compiled job: ``repro serve
+--store DIR`` answers repeated requests from it, and ``repro batch
+--store DIR`` (``compile_many(store=...)``) resumes a crashed or
+repeated sweep from it.  This module also owns the rule for how a job
+is keyed and written: the spec canonicalization behind
+:func:`spec_fingerprint` and the durability helpers
+:func:`atomic_write_bytes` and :func:`fsync_dir`.
+
 Every entry is one JSON document at ``root/<ff>/<fingerprint>.json``,
-where the fingerprint is :func:`repro.resilience.journal.spec_fingerprint`
-of the canonical job spec — the same canonicalization the crash-safe
-journal uses, fixed in this PR precisely so it can key persistent state
-(an unstable key is a silent cache miss; an aliasing key is a poisoned
-result).  The two-hex-char shard level keeps directories small at
-millions of entries.
+where the fingerprint is :func:`spec_fingerprint` of the canonical job
+spec (an unstable key is a silent cache miss; an aliasing key is a
+poisoned result).  The two-hex-char shard level keeps directories small
+at millions of entries.
 
 Durability contract:
 
 * **Writes are atomic**: temp file in the same shard, ``fsync``, rename
-  over the final name, directory ``fsync``
-  (:func:`repro.resilience.journal.atomic_write_bytes`).  A crash at any
-  instant — including an injected ``serve.store_write`` kill — leaves
-  either no entry or a complete one, never a truncated hybrid.
+  over the final name, directory ``fsync`` (:func:`atomic_write_bytes`).
+  A crash at any instant — including an injected ``serve.store_write``
+  kill — leaves either no entry or a complete one, never a truncated
+  hybrid.
 * **Reads are skeptical**: a corrupt, truncated, version-skewed or
   wrong-fingerprint document is treated as a miss (counted in
   :attr:`ResultStore.corrupt_reads`) rather than trusted or fatal, so a
   damaged store heals itself the next time the entry is recompiled.
 * Only ``ok`` results are stored.  Failures are often environmental
   (timeout, injected fault, resource exhaustion); caching them would
-  pin a transient outage into every future response.
+  pin a transient outage into every future response, and a resumed
+  sweep recompiles them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Callable, Dict, Iterator, Optional, Union
 
 from ..batch.jobs import BatchJob, JobResult
 from ..resilience.faults import fault_point
-from ..resilience.journal import (FINGERPRINT_VERSION, atomic_write_bytes,
-                                  canonical_json, fsync_dir)
 
 #: Bumped whenever the entry document changes shape.
 STORE_VERSION = 1
 
-__all__ = ["STORE_VERSION", "ResultStore"]
+#: Bumped whenever :func:`canonical_job_spec` changes shape, so a store
+#: keyed by an older canonicalization can never alias a new one (the
+#: version is hashed into every fingerprint).
+FINGERPRINT_VERSION = 2
+
+__all__ = ["FINGERPRINT_VERSION", "STORE_VERSION", "ResultStore",
+           "atomic_write_bytes", "canonical_job_spec", "canonical_json",
+           "fsync_dir", "spec_fingerprint"]
+
+#: 2**53: the largest magnitude at which every integer is exactly
+#: representable as a float, so the integral-float -> int rewrite below
+#: is loss-free.
+_EXACT_INT_BOUND = 9007199254740992
+
+
+def _canonical_value(value: object) -> object:
+    """Recursively rewrite ``value`` into its canonical JSON-ready form.
+
+    Two values that compare semantically equal must canonicalize
+    identically — this is what makes the fingerprint usable as a
+    persistent content-address (an unstable key silently misses the
+    store; an aliasing one serves the wrong result):
+
+    * ``-0.0`` collapses to ``0`` (``json.dumps`` would render the two
+      equal floats differently);
+    * integral floats collapse to ``int`` (``gamma=2`` and
+      ``gamma=2.0`` specify the same compilation; the rewrite is bounded
+      to the exactly-representable range);
+    * non-finite floats get explicit string spellings (``json.dumps``
+      would emit non-standard ``NaN``/``Infinity`` tokens);
+    * tuples, lists and (frozen)sets of knob values all collapse to
+      sorted-or-ordered lists — a knob built as ``(1, 2)`` by one caller
+      and ``[1, 2]`` by another is the same knob;
+    * dict contents are canonicalized recursively with string keys, so
+      nested knob dicts hash by content, not insertion order.
+    """
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "float:nan"
+        if math.isinf(value):
+            return "float:inf" if value > 0 else "float:-inf"
+        if value == 0.0:
+            return 0  # merges 0.0 and -0.0 (and int 0)
+        if value.is_integer() and abs(value) < _EXACT_INT_BOUND:
+            return int(value)
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_canonical_value(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        canonical = [_canonical_value(item) for item in value]
+        return sorted(canonical,
+                      key=lambda item: json.dumps(item, sort_keys=True))
+    if isinstance(value, dict):
+        return {str(key): _canonical_value(item)
+                for key, item in value.items()}
+    # Last resort for exotic knob objects: a type-prefixed repr, so two
+    # different types can never alias through equal string forms.
+    return f"{type(value).__name__}:{value!r}"
+
+
+def canonical_job_spec(job: BatchJob) -> Dict[str, object]:
+    """The canonical plain-data spec of one job.
+
+    ``options`` becomes a content-keyed mapping (duplicate names
+    last-wins, ordering irrelevant — exactly :meth:`BatchJob.with_options`
+    semantics), and the presentation-only ``label`` is excluded: it
+    changes how a job is *named*, never what gets compiled, so it must
+    not force a store miss.
+    """
+    spec = asdict(job)
+    del spec["label"]
+    del spec["options"]
+    canonical = {key: _canonical_value(value)
+                 for key, value in spec.items()}
+    canonical["options"] = _canonical_value(dict(job.options))
+    return canonical
+
+
+def canonical_json(payload: object) -> str:
+    """Deterministic compact JSON of an already-canonicalized value."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def spec_fingerprint(job: BatchJob) -> str:
+    """SHA-256 content-address of a single job spec.
+
+    This is the result-store key, for ``repro serve`` and
+    ``repro batch --store`` alike: two
+    semantically-identical jobs built by different code paths (tuple vs
+    list knobs, ``-0.0`` vs ``0.0``, reordered knob dicts) produce the
+    same digest, and any canonicalization change bumps
+    :data:`FINGERPRINT_VERSION` into the hash.
+    """
+    payload = canonical_json([FINGERPRINT_VERSION,
+                              canonical_job_spec(job)])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# -- durability helpers ---------------------------------------------------
+
+
+def fsync_dir(path: Union[str, Path]) -> None:
+    """Flush directory metadata so a just-created entry survives a crash.
+
+    ``fsync`` on a file descriptor makes the *contents* durable; the
+    file's very existence lives in the parent directory and needs its
+    own fsync.  Platforms that refuse to open directories degrade to a
+    no-op (the historic, non-durable behavior).
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write_bytes(path: Union[str, Path], data: bytes,
+                       publish_hook: Optional[Callable[[], None]] = None,
+                       ) -> None:
+    """Durably publish ``data`` at ``path``: all-or-nothing.
+
+    Writes to a same-directory temp file, fsyncs it, renames it over
+    ``path`` (atomic on POSIX), then fsyncs the directory.  A crash at
+    any instant leaves either the old content or the new — never a
+    truncated hybrid — which is what lets :class:`ResultStore` treat
+    any parseable entry as trustworthy.
+
+    ``publish_hook`` runs between the temp-file fsync and the rename —
+    the narrowest crash window.  It exists for fault injection (the
+    store's ``serve.store_write`` site): a kill or raise there
+    leaves an orphaned ``*.tmp.<pid>`` file and no entry, which is the
+    exact on-disk state a real mid-publish crash produces.
+    """
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.tmp.{os.getpid()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        os.write(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if publish_hook is not None:
+        publish_hook()
+    try:
+        os.replace(tmp, target)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    fsync_dir(target.parent)
 
 
 class ResultStore:
@@ -53,7 +222,8 @@ class ResultStore:
     no-op.
 
     The one mutable counter, :attr:`corrupt_reads`, needs no lock: the
-    serve daemon reads the store only from its event loop.
+    serve daemon reads the store only from its event loop, and
+    ``compile_many`` only from its calling thread.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:

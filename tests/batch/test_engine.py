@@ -14,6 +14,7 @@ from repro.batch import (BatchJob, BatchReport, JobResult, PersistentPool,
                          clear_caches, compile_many, default_workers,
                          execute_job, jobs_for)
 from repro.exceptions import SpecificationError
+from repro.serve.store import ResultStore
 
 
 def mixed_jobs(n_qubits=12, seeds=(0, 1)):
@@ -243,11 +244,11 @@ class TestTimeout:
     def test_thread_executors_refuse_a_timeout_up_front(self, tmp_path):
         jobs = [BatchJob(arch="line", n_qubits=4, seed=seed)
                 for seed in (0, 1)]
-        journal = tmp_path / "sweep.jsonl"
+        store = ResultStore(tmp_path / "store")
         with pytest.raises(SpecificationError, match="thread workers"):
             compile_many(jobs, workers=2, executor="thread", timeout_s=5.0,
-                         journal=journal)
-        assert not journal.exists()  # refused before any work
+                         store=store)
+        assert store.count_entries() == 0  # refused before any work
         with pytest.raises(SpecificationError, match="thread workers"):
             PersistentPool(workers=1, executor="thread", timeout_s=5.0)
 

@@ -5,7 +5,7 @@ Each test drives a *real* engine/pipeline/solver path with a
 recovery behavior the resilience layer promises: transient faults are
 retried with backoff, killed workers restart the pool without poisoning
 peers, solver exhaustion degrades to greedy with provenance, and a
-journaled sweep resumes to the same report after a crash.
+sweep run with a result store resumes to the same report after a crash.
 """
 
 import json
@@ -20,6 +20,7 @@ from repro.batch import BatchJob, compile_many, execute_job
 from repro.exceptions import SolverExhaustedError
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, faults
 from repro.resilience.faults import ENV_VAR, active_plan
+from repro.serve.store import ResultStore
 from tests.resilience.support import normalize_report, small_jobs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -193,24 +194,26 @@ class TestSolverDegradation:
         assert result.extra["degraded"]["fallback"] == "greedy"
 
 
-class TestJournalResume:
+class TestStoreResume:
     def test_in_process_crash_and_resume_reproduce_the_report(self,
                                                               tmp_path):
         jobs = small_jobs(4)
-        journal = tmp_path / "sweep.jsonl"
+        root = tmp_path / "store"
 
         baseline = compile_many(jobs, executor="serial")
 
-        # Crash the parent after the second result is journaled.
+        # Crash the parent after the second result is stored.
         plan = FaultPlan([FaultSpec(site="batch.collect", at=1,
                                     error="runtime",
                                     message="simulated parent crash")])
         with active_plan(plan):
             with pytest.raises(RuntimeError, match="simulated parent"):
-                compile_many(jobs, executor="serial", journal=journal)
+                compile_many(jobs, executor="serial",
+                             store=ResultStore(root))
+        assert ResultStore(root).count_entries() == 2
 
-        resumed = compile_many(jobs, executor="serial", journal=journal,
-                               resume=True)
+        resumed = compile_many(jobs, executor="serial",
+                               store=ResultStore(root))
         assert resumed.resumed_jobs == 2
         assert "resumed: 2 job(s)" in resumed.summary()
         assert normalize_report(resumed.to_json()) \
@@ -218,13 +221,26 @@ class TestJournalResume:
 
     def test_resume_with_nothing_pending_is_a_no_op_run(self, tmp_path):
         jobs = small_jobs(2)
-        journal = tmp_path / "sweep.jsonl"
-        first = compile_many(jobs, executor="serial", journal=journal)
-        resumed = compile_many(jobs, executor="serial", journal=journal,
-                               resume=True)
+        store = ResultStore(tmp_path / "store")
+        first = compile_many(jobs, executor="serial", store=store)
+        resumed = compile_many(jobs, executor="serial", store=store)
         assert resumed.resumed_jobs == 2
         assert normalize_report(resumed.to_json()) \
             == normalize_report(first.to_json())
+
+    def test_failed_jobs_are_recompiled_on_resume(self, tmp_path):
+        jobs = small_jobs(3)
+        store = ResultStore(tmp_path / "store")
+        plan = FaultPlan([FaultSpec(site="batch.job", at=1)])
+        with active_plan(plan):
+            first = compile_many(jobs, executor="serial", store=store)
+        assert [r.ok for r in first.results] == [True, False, True]
+        assert store.count_entries() == 2
+
+        resumed = compile_many(jobs, executor="serial", store=store)
+        assert resumed.resumed_jobs == 2
+        assert [r.ok for r in resumed.results] == [True, True, True]
+        assert store.count_entries() == 3
 
 
 class TestCliChaos:
@@ -233,21 +249,21 @@ class TestCliChaos:
     CMD = ["batch", "--arch", "line", "--qubits", "6", "--count", "4",
            "--method", "greedy", "--serial"]
 
-    def _run(self, tmp_path, name, fault_env=None, resume=False):
+    def _run(self, tmp_path, name, fault_env=None, store=None,
+             cmd=CMD):
         out = tmp_path / f"{name}.json"
-        journal = tmp_path / f"{name}.jsonl"
+        store = store or tmp_path / f"{name}-store"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         env.pop(ENV_VAR, None)
         if fault_env is not None:
             env[ENV_VAR] = fault_env
-        cmd = [sys.executable, "-m", "repro", *self.CMD,
-               "--json", str(out), "--journal", str(journal)]
-        if resume:
-            cmd.append("--resume")
-        proc = subprocess.run(cmd, env=env, cwd=REPO_ROOT,
-                              capture_output=True, text=True, timeout=120)
-        return proc, out, journal
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *cmd, "--json", str(out),
+             "--store", str(store)],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=120)
+        return proc, out, store
 
     def test_killed_sweep_resumes_to_the_uninterrupted_report(self,
                                                               tmp_path):
@@ -257,25 +273,14 @@ class TestCliChaos:
         kill_after_two = FaultPlan([FaultSpec(
             site="batch.collect", action="kill", at=1,
             exit_code=77)]).to_env()
-        proc, crashed_json, journal = self._run(
+        proc, crashed_json, store = self._run(
             tmp_path, "crashed", fault_env=kill_after_two)
         assert proc.returncode == 77  # died mid-sweep, no report written
         assert not crashed_json.exists()
-        journaled = [json.loads(line)
-                     for line in journal.read_text().splitlines()]
-        assert [e["kind"] for e in journaled] \
-            == ["header", "result", "result"]
+        assert ResultStore(store).count_entries() == 2
 
-        # Resume against the crashed journal (same job list, no faults).
-        out = tmp_path / "crashed.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        env.pop(ENV_VAR, None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *self.CMD,
-             "--json", str(out), "--journal", str(journal), "--resume"],
-            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
-            timeout=120)
+        # Re-run the same sweep on the crashed store, with no faults.
+        proc, out, _ = self._run(tmp_path, "crashed", store=store)
         assert proc.returncode == 0, proc.stderr
         assert "resumed: 2 job(s)" in proc.stdout
 
@@ -284,39 +289,30 @@ class TestCliChaos:
         assert resumed["resumed_jobs"] == 2
         assert normalize_report(resumed) == normalize_report(baseline)
 
-    def test_resume_against_a_different_sweep_exits_2(self, tmp_path):
-        proc, _, journal = self._run(tmp_path, "first")
+    def test_overlapping_sweep_reuses_the_shared_jobs(self, tmp_path):
+        proc, _, store = self._run(tmp_path, "first")
         assert proc.returncode == 0, proc.stderr
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "batch", "--arch", "line",
-             "--qubits", "6", "--count", "5", "--method", "greedy",
-             "--serial", "--journal", str(journal), "--resume"],
-            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 2
-        assert "different job list" in proc.stderr
-
-    def test_resume_without_journal_exits_2(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "batch", "--resume"],
-            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 2
-        assert "--resume requires --journal" in proc.stderr
+        # Seeds 0..4 over a store holding seeds 0..3: each entry is keyed
+        # by its own spec, so exactly the four shared jobs are reused.
+        wider = [*self.CMD, "--count", "5"]
+        proc, out, _ = self._run(tmp_path, "wider", store=store, cmd=wider)
+        assert proc.returncode == 0, proc.stderr
+        proc, fresh_out, _ = self._run(tmp_path, "fresh", cmd=wider)
+        assert proc.returncode == 0, proc.stderr
+        resumed = json.loads(out.read_text())
+        fresh = json.loads(fresh_out.read_text())
+        assert (resumed["resumed_jobs"], fresh["resumed_jobs"]) == (4, 0)
+        assert normalize_report(resumed) == normalize_report(fresh)
 
     def test_malformed_fault_plan_exits_2_before_any_work(self, tmp_path):
         # A typo'd chaos plan must abort the sweep as a config error,
         # not degrade into per-job ValueError failures.
-        proc, out, journal = self._run(
+        proc, out, store = self._run(
             tmp_path, "badplan", fault_env='[{"site": "batch.job"}]')
         assert proc.returncode == 2
         assert ENV_VAR in proc.stderr
         assert not out.exists()
-        assert not journal.exists()
+        assert ResultStore(store).count_entries() == 0
 
     def test_malformed_fault_plan_aborts_compile_many(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "not json")

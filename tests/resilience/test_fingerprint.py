@@ -1,8 +1,8 @@
 """Canonical-fingerprint regression tests.
 
-The fingerprint is a *persistent* content-address: the crash-safe
-journal keys resume compatibility on it and the serve result store keys
-cached compilations on it.  Two semantically identical job specs built
+The fingerprint is a *persistent* content-address: the result store
+keys every cached compilation on it, for ``repro serve`` and for a
+resumed ``repro batch --store`` sweep alike.  Two semantically identical job specs built
 by different code paths must therefore hash identically — and any
 semantic difference must not.
 """
@@ -12,10 +12,9 @@ from dataclasses import replace
 import pytest
 
 from repro.batch.jobs import BatchJob
-from repro.resilience.journal import (FINGERPRINT_VERSION,
-                                      _canonical_value, canonical_job_spec,
-                                      canonical_json, job_fingerprint,
-                                      spec_fingerprint)
+from repro.serve.store import (FINGERPRINT_VERSION, _canonical_value,
+                               canonical_job_spec, canonical_json,
+                               spec_fingerprint)
 
 
 def job(**kwargs):
@@ -117,19 +116,7 @@ class TestSpecFingerprint:
 
     def test_version_is_hashed_in(self, monkeypatch):
         before = spec_fingerprint(job())
-        monkeypatch.setattr("repro.resilience.journal.FINGERPRINT_VERSION",
+        monkeypatch.setattr("repro.serve.store.FINGERPRINT_VERSION",
                             FINGERPRINT_VERSION + 1000)
         assert spec_fingerprint(job()) != before
 
-
-class TestJobListFingerprint:
-    def test_order_sensitive(self):
-        a, b = job(seed=0), job(seed=1)
-        assert job_fingerprint([a, b]) != job_fingerprint([b, a])
-
-    def test_same_canonicalization_as_specs(self):
-        # Two lists of pairwise-equivalent specs must match.
-        assert job_fingerprint([job(gamma=-0.0),
-                                job().with_options(k=(1,))]) \
-            == job_fingerprint([job(gamma=0.0),
-                                job().with_options(k=[1])])

@@ -1,12 +1,12 @@
-"""Property test: journal resume is equivalent to an uninterrupted run.
+"""Property test: resuming from the result store equals an uninterrupted run.
 
-For *any* crash point inside a sweep, resuming from the journal must
-produce a report whose deterministic core (job identity, order,
+For *any* crash point inside a sweep, resuming from the result store
+must produce a report whose deterministic core (job identity, order,
 ok-ness, compiled metrics, error classification) equals the
 uninterrupted run's.  Hypothesis drives the crash index and the seed
 window; the crash itself is an injected fault at the ``batch.collect``
 site, which fires in the batch parent *after* the result was durably
-journaled — exactly where a real interruption is survivable.
+stored — exactly where a real interruption is survivable.
 """
 
 import tempfile
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.batch import compile_many, jobs_for
 from repro.resilience import FaultPlan, FaultSpec
 from repro.resilience.faults import active_plan
+from repro.serve.store import ResultStore
 from tests.resilience.support import normalize_report
 
 N_JOBS = 4
@@ -33,18 +34,19 @@ def test_resume_after_crash_matches_uninterrupted_run(crash_at, seed_base):
     baseline = compile_many(jobs, executor="serial")
 
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "sweep.jsonl"
+        root = Path(tmp) / "store"
         plan = FaultPlan([FaultSpec(site="batch.collect", at=crash_at,
                                     error="runtime",
                                     message="injected crash")])
         with active_plan(plan):
             with pytest.raises(RuntimeError, match="injected crash"):
-                compile_many(jobs, executor="serial", journal=journal)
+                compile_many(jobs, executor="serial",
+                             store=ResultStore(root))
 
-        resumed = compile_many(jobs, executor="serial", journal=journal,
-                               resume=True)
+        resumed = compile_many(jobs, executor="serial",
+                               store=ResultStore(root))
 
-    # The crash fired after result #crash_at was journaled.
+    # The crash fired after result #crash_at was stored.
     assert resumed.resumed_jobs == crash_at + 1
     assert len(resumed.results) == N_JOBS
     assert normalize_report(resumed.to_json()) \

@@ -1,13 +1,27 @@
-"""The content-addressed result store: durability and skeptical reads."""
+"""The content-addressed result store: durability and skeptical reads.
 
+Both compile surfaces persist through it — ``repro serve`` answers
+repeated requests from it and ``compile_many(store=...)`` resumes a
+sweep from it — so the cross-surface tests below pin that either one
+reads what the other wrote.
+"""
+
+import asyncio
 import json
+import os
 
 import pytest
 
+from repro.batch import compile_many
 from repro.batch.jobs import BatchJob, JobResult
+from repro.batch.pool import PersistentPool
 from repro.resilience.faults import FaultPlan, FaultSpec, active_plan
-from repro.resilience.journal import spec_fingerprint
-from repro.serve.store import STORE_VERSION, ResultStore
+from repro.serve.protocol import normalize_request
+from repro.serve.service import CompileService
+from repro.serve.store import (STORE_VERSION, ResultStore,
+                               atomic_write_bytes, fsync_dir,
+                               spec_fingerprint)
+from tests.resilience.support import normalize_report
 
 JOB = BatchJob(arch="grid", n_qubits=8, method="greedy")
 FP = spec_fingerprint(JOB)
@@ -139,3 +153,135 @@ class TestInventory:
         # `if store` guards mean "is a store configured"; an empty store
         # silently disabling itself was a real bug.
         assert bool(store) is True
+
+
+class TestJobResultRoundTrip:
+    """The stored payload is :meth:`JobResult.to_json`; it must be lossless."""
+
+    @staticmethod
+    def _result(job):
+        return JobResult(job=job, ok=True, wall_time_s=0.25,
+                         record={"depth": 7, "cx": 9, "swaps": 1,
+                                 "extra": {"greedy_cycles": 4}},
+                         cache={"distance_matrix": {"hits": 1,
+                                                    "misses": 0}},
+                         attempts=[{"attempt": 1,
+                                    "error_type": "TransientError",
+                                    "error": "blip", "transient": True,
+                                    "retried": True, "backoff_s": 0.05}])
+
+    def test_to_json_from_json_is_lossless(self):
+        original = self._result(JOB)
+        rebuilt = JobResult.from_json(JOB, json.loads(
+            json.dumps(original.to_json())))
+        assert rebuilt == original
+        assert rebuilt.retries == 1
+
+    def test_failure_round_trip(self):
+        original = JobResult(job=JOB, ok=False, error="boom",
+                             error_type="TransientError")
+        assert JobResult.from_json(JOB, original.to_json()) == original
+
+
+class TestFsyncDir:
+    def test_fsyncs_a_real_directory(self, tmp_path):
+        fsync_dir(tmp_path)  # must not raise
+
+    def test_degrades_to_noop_on_unopenable_path(self, tmp_path):
+        fsync_dir(tmp_path / "does-not-exist")  # must not raise
+
+
+class TestAtomicWriteBytes:
+    def test_round_trip_and_no_temp_leftovers(self, tmp_path):
+        target = tmp_path / "entry.json"
+        atomic_write_bytes(target, b"first")
+        assert target.read_bytes() == b"first"
+        atomic_write_bytes(target, b"second")
+        assert target.read_bytes() == b"second"
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
+    def test_failed_replace_cleans_up_and_keeps_old_content(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "entry.json"
+        atomic_write_bytes(target, b"old")
+
+        def boom(src, dst):
+            raise OSError("injected replace failure")
+
+        monkeypatch.setattr(os, "replace", boom)
+        with pytest.raises(OSError, match="injected"):
+            atomic_write_bytes(target, b"new")
+        monkeypatch.undo()
+        assert target.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
+    def test_publish_hook_runs_in_the_crash_window(self, tmp_path):
+        target = tmp_path / "entry.json"
+        seen = {}
+
+        def hook():
+            # The temp file exists and is complete; the target does not.
+            tmp = list(tmp_path.glob("*.tmp.*"))
+            seen["tmp_content"] = tmp[0].read_bytes() if tmp else None
+            seen["target_exists"] = target.exists()
+
+        atomic_write_bytes(target, b"payload", publish_hook=hook)
+        assert seen == {"tmp_content": b"payload", "target_exists": False}
+        assert target.read_bytes() == b"payload"
+
+    def test_raising_hook_leaves_orphaned_temp_not_target(self, tmp_path):
+        target = tmp_path / "entry.json"
+
+        def hook():
+            raise RuntimeError("crash mid-publish")
+
+        with pytest.raises(RuntimeError):
+            atomic_write_bytes(target, b"payload", publish_hook=hook)
+        assert not target.exists()
+        assert len(list(tmp_path.glob("*.tmp.*"))) == 1
+
+
+class TestCrossSurface:
+    """A store written by one compile surface is read by the other."""
+
+    REQUESTS = [{"arch": "line", "qubits": 6, "method": "greedy",
+                 "seed": seed} for seed in range(3)]
+
+    @staticmethod
+    def _serve(store, requests):
+        async def scenario(service):
+            return [await service.handle(dict(request, id=index))
+                    for index, request in enumerate(requests)]
+
+        with PersistentPool(workers=2, executor="thread") as pool:
+            responses = asyncio.run(scenario(CompileService(pool, store)))
+            return responses, pool.submitted
+
+    def test_batch_filled_store_answers_serve_requests(self, tmp_path):
+        jobs = [normalize_request(request) for request in self.REQUESTS]
+        report = compile_many(jobs, executor="serial",
+                              store=ResultStore(tmp_path / "store"))
+        assert report.resumed_jobs == 0 and len(report.ok) == len(jobs)
+
+        responses, submitted = self._serve(ResultStore(tmp_path / "store"),
+                                           self.REQUESTS)
+        assert [r["served_from"] for r in responses] \
+            == ["store"] * len(jobs)
+        assert submitted == 0  # no worker dispatch
+        assert [r["result"]["record"]["depth"] for r in responses] \
+            == [r.record["depth"] for r in report.results]
+
+    def test_serve_filled_store_resumes_a_batch(self, tmp_path):
+        responses, submitted = self._serve(ResultStore(tmp_path / "store"),
+                                           self.REQUESTS)
+        assert [r["served_from"] for r in responses] \
+            == ["compiled"] * len(self.REQUESTS)
+        assert submitted == len(self.REQUESTS)
+
+        jobs = [normalize_request(request) for request in self.REQUESTS]
+        baseline = compile_many(jobs, executor="serial")
+        resumed = compile_many(jobs, executor="serial",
+                               store=ResultStore(tmp_path / "store"))
+        assert resumed.resumed_jobs == len(jobs)
+        assert normalize_report(resumed.to_json()) \
+            == normalize_report(baseline.to_json())

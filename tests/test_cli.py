@@ -412,6 +412,31 @@ class TestSolve:
         assert "node budget" in capsys.readouterr().err
 
 
+class TestUnwritablePaths:
+    """An output file or store directory that cannot be written is a
+    usage error: exit 2 with ``error: <path>: ...``, never a traceback."""
+
+    BATCH = ["batch", "--arch", "line", "--qubits", "6", "--count", "2",
+             "--method", "greedy", "--serial"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (BATCH, "--json"),
+        (BATCH, "--store"),
+        (["compile", "--arch", "line", "--qubits", "6"], "--qasm"),
+        (["solve", "--arch", "line", "--qubits", "4"], "--json"),
+        (["solve", "--arch", "line", "--qubits", "4"], "--qasm"),
+        (["check", "src/repro/cli.py"], "--output"),
+    ])
+    def test_exits_2_naming_the_path(self, capsys, tmp_path, argv, flag):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        # Below a regular file: neither a file nor a directory can be
+        # created there.
+        target = str(blocker / "out")
+        assert main([*argv, flag, target]) == 2
+        assert f"error: {target}: " in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_compare(self, capsys):
         code, out = run_cli(capsys, ["compare", "--arch", "grid",
