@@ -4,7 +4,9 @@
 :func:`repro.ata.executor.execute_pattern` turns a schedule into a circuit
 for an arbitrary (sub-clique) problem graph, and
 :func:`repro.ata.executor.ata_suffix` finishes a partly-compiled one
-region by region (Section 6.3).
+region by region (Section 6.3).  Both are one walk of the schedule
+(:class:`repro.ata.executor.Walk`) fed to a circuit; candidate scoring
+(:mod:`repro.ata.simulate`) feeds the same walk to a metric tracker.
 """
 
 from .base import GATE, SWAP, Action, AtaPattern, merge_parallel, pattern_length

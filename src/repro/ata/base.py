@@ -13,6 +13,9 @@ Patterns are *position-based*: they guarantee that every pair of physical
 positions in their region becomes adjacent with a gate opportunity, so any
 initial logical placement works ("all initial mappings have the same
 behavior", Section 4 Discussion).
+
+A pattern only generates its schedule; :mod:`repro.ata.executor` walks
+it, and caches each instance's cycles in the walk's compact form.
 """
 
 from __future__ import annotations
@@ -21,17 +24,10 @@ from abc import ABC, abstractmethod
 from itertools import zip_longest
 from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
-from .._telemetry import CacheCounter, register_cache
-
 Action = Tuple[str, int, int]
 
 GATE = "gate"
 SWAP = "swap"
-
-#: Replays of a materialized cycle list vs. fresh generator walks, across
-#: every cycle-cached pattern in this process (see ``enable_cycle_cache``).
-_CYCLE_COUNTER = register_cache(
-    "pattern_cycles", CacheCounter("pattern_cycles"), lambda: 0, lambda: None)
 
 
 class AtaPattern(ABC):
@@ -45,31 +41,6 @@ class AtaPattern(ABC):
     @abstractmethod
     def region(self) -> FrozenSet[int]:
         """Physical qubits this pattern touches (and never leaves)."""
-
-    def enable_cycle_cache(self) -> "AtaPattern":
-        """Materialize this pattern's full schedule on first iteration.
-
-        Intended for the registry-cached, architecture-wide patterns that
-        many compilations replay: the first ``iter_cycles`` walk pays the
-        full generation cost once, every later walk is a list replay.  Not
-        enabled on per-snapshot restricted patterns, whose executors
-        usually stop early and would lose the lazy-generation win.
-        """
-        self._cache_cycles_on_iter = True
-        return self
-
-    def iter_cycles(self) -> Iterator[List[Action]]:
-        """The schedule, replayed from the materialized cache when enabled."""
-        cached = getattr(self, "_cycle_cache", None)
-        if cached is not None:
-            _CYCLE_COUNTER.hit()
-            return iter(cached)
-        if getattr(self, "_cache_cycles_on_iter", False):
-            _CYCLE_COUNTER.miss()
-            cached = [list(cycle) for cycle in self.cycles()]
-            self._cycle_cache = cached
-            return iter(cached)
-        return self.cycles()
 
     def restrict(self, qubits: Iterable[int]) -> "AtaPattern":
         """A pattern covering at least ``qubits`` on a smaller region.
@@ -85,10 +56,10 @@ class AtaPattern(ABC):
 
         Range detection restricts the same architecture pattern to the
         same boxes over and over (once per candidate per region); sharing
-        the instance lets per-instance caches (the simulator's
-        ``_compiled_cycles`` tuples) amortise to one build per box.  The
-        memo is FIFO-capped so adversarial workloads cannot grow it
-        unboundedly.
+        the instance lets the per-instance cycle cache
+        (:func:`repro.ata.executor.compiled_cycles`) amortise to one
+        build per box.  The memo is FIFO-capped so adversarial workloads
+        cannot grow it unboundedly.
         """
         memo = getattr(self, "_restrict_memo", None)
         if memo is None:

@@ -1,14 +1,16 @@
-"""Pattern executor: turn an abstract ATA schedule into a compiled circuit.
+"""Pattern executor: the one walk of an ATA schedule.
 
-The executor walks a pattern's cycles with a live logical<->physical
-mapping, emits a CPHASE for every ``gate`` opportunity whose logical pair
-still needs one ("skip the gates that are not in the practical circuit",
-Section 5.2), emits every structural SWAP, and stops as soon as no needed
-edges remain — so trailing pattern cycles cost nothing.
+A :class:`Walk` follows a pattern's cycles with a live logical<->physical
+placement and hands every action it keeps to a ``feed2(code, u, v)``
+callback.  It applies the executor rules of Section 5.2: a ``gate``
+opportunity whose logical pair does not need a CPHASE is skipped ("skip
+the gates that are not in the practical circuit"), a SWAP between two
+finished occupants is dropped, and the walk stops as soon as no needed
+edges remain, so trailing pattern cycles cost nothing.
 
 Any residual edges a pattern could not cover (possible only for heavy-hex
-on irregular devices) are finished by :func:`greedy_completion`, keeping
-the overall compilation unconditionally correct.
+on irregular devices) are finished with plain shortest-path SWAPs,
+keeping the overall compilation unconditionally correct.
 
 :func:`ata_suffix` is the ATA-prediction component of Section 6.3, built
 on those two:
@@ -18,20 +20,232 @@ on those two:
   structured sub-region of the architecture (via ``pattern.restrict``),
   and merge regions that overlap.  Disjoint regions run their patterns
   in parallel (ASAP layering overlaps them automatically).
-* **Pattern generator** — execute each region's pattern from the current
+* **Pattern generator** — walk each region's pattern from the current
   mapping, skipping absent gates and stopping at the last needed one.
+
+The same walk both scores and builds.  :mod:`repro.ata.simulate` feeds
+it to a ``MetricTracker`` to score a candidate without a circuit;
+:func:`execute_pattern` and :func:`ata_suffix` feed it to
+:meth:`Walk.sink`, which appends the ops to a :class:`Circuit`.  A
+schedule therefore cannot score one way and materialise another.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..ir.circuit import Circuit
 from ..ir.gates import Op, canonical_edge, canonical_edges
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
-from .base import GATE, AtaPattern
+from .base import GATE, Action, AtaPattern
+
+#: Op-kind codes a walk passes to ``feed2``.  The two kinds that can
+#: fuse take the lowest codes, so a tracker tests ``code <= K_SWAP``.
+K_CPHASE = 0
+K_SWAP = 1
+
+#: One pattern action as the walk reads it: ``(is_gate, u, v)``.
+CompiledCycle = Tuple[Tuple[bool, int, int], ...]
+
+#: The per-action callback of a walk: ``feed2(code, u, v)``.
+Feed = Callable[[int, int, int], None]
+
+
+def _compile_cycle(cycle: Iterable[Action]) -> CompiledCycle:
+    return tuple((action == GATE, u, v) for action, u, v in cycle)
+
+
+def compiled_cycles(pattern: AtaPattern) -> List[CompiledCycle]:
+    """The pattern's schedule as ``(is_gate, u, v)`` tuples, cached on it.
+
+    Memoised on the instance — combined with the restrict memo and the
+    registry pattern cache, repeated walks of the same (sub-)pattern
+    cost O(1) lookups.  Patterns exposing a ``_compiled_plan`` (a
+    ``(distinct cycles, schedule)`` pair) convert each distinct cycle
+    once and share it across the schedule by reference; everything else
+    walks ``cycles()`` once.
+    """
+    compiled: Optional[List[CompiledCycle]] = getattr(
+        pattern, "_compiled_cycles", None)
+    if compiled is not None:
+        return compiled
+    plan = getattr(pattern, "_compiled_plan", None)
+    if plan is not None:
+        distinct, schedule = plan()
+        built = [_compile_cycle(cycle) for cycle in distinct]
+        compiled = [built[index] for index in schedule]
+    else:
+        compiled = [_compile_cycle(cycle) for cycle in pattern.cycles()]
+    pattern._compiled_cycles = compiled  # type: ignore[attr-defined]
+    return compiled
+
+
+class Walk:
+    """Placement and pending-pair state of one walk of an ATA schedule.
+
+    ``p2l[q]`` is the logical on physical ``q``, or -1 for a spare.  A
+    pending pair ``(a, b)`` is stored as both ``a*stride+b`` and
+    ``b*stride+a`` with ``stride = n_log + 1``, and ``degree`` has one
+    extra slot that stays 0, so ``degree[-1]`` reads a spare as
+    finished.  A spare never matches a key either: a product with a -1
+    factor is negative, and ``a*stride - 1`` names the non-logical
+    ``n_log`` as its partner.
+    """
+
+    def __init__(self, mapping: Mapping,
+                 edges: Iterable[Tuple[int, int]]) -> None:
+        self.initial = mapping
+        self.edges: Set[Tuple[int, int]] = set(canonical_edges(edges))
+        n_log = mapping.n_logical
+        stride = n_log + 1
+        self.stride = stride
+        self.p2l = [-1] * mapping.n_physical
+        for logical, physical in enumerate(mapping.log_to_phys):
+            self.p2l[physical] = logical
+        self.needed: Set[int] = set()
+        self.degree = [0] * stride
+        for a, b in self.edges:  # det: ok — counts only
+            self.needed.add(a * stride + b)
+            self.needed.add(b * stride + a)
+            self.degree[a] += 1
+            self.degree[b] += 1
+
+    def done(self, a: int, b: int) -> None:
+        """Mark the pair ``(a, b)`` executed."""
+        self.needed.discard(a * self.stride + b)
+        self.needed.discard(b * self.stride + a)
+        self.degree[a] -= 1
+        self.degree[b] -= 1
+
+    def mapping(self) -> Mapping:
+        """The walk's current placement."""
+        log_to_phys = [0] * self.initial.n_logical
+        for physical, logical in enumerate(self.p2l):
+            if logical >= 0:
+                log_to_phys[logical] = physical
+        return Mapping(log_to_phys, len(self.p2l))
+
+    def sink(self, circuit: Circuit, gamma: float) -> Feed:
+        """A ``feed2`` that appends each walked action to ``circuit``.
+
+        A CPHASE is tagged with the canonical logical pair it runs, read
+        from ``p2l`` (a gate moves no qubit, so ``p2l`` holds the pair
+        when it is fed).
+        """
+        p2l = self.p2l
+        append = circuit.append
+
+        def feed2(code: int, u: int, v: int) -> None:
+            if code == K_CPHASE:
+                a = p2l[u]
+                b = p2l[v]
+                append(Op.cphase(u, v, gamma,
+                                 tag=(a, b) if a < b else (b, a)))
+            else:
+                append(Op.swap(u, v))
+        return feed2
+
+    def region(self, pattern: AtaPattern, edges: Set[Tuple[int, int]],
+               feed2: Feed, stop: Optional[Callable[[], bool]] = None
+               ) -> Optional[List[Tuple[int, int]]]:
+        """Walk one region's pattern until its ``edges`` are executed.
+
+        Inside a cycle a qubit takes part in at most one action, first
+        come first served.  Returns the region's residual pairs in
+        sorted order (the order :meth:`complete` consumes them), or
+        ``None`` once ``stop`` fires after a cycle.
+        """
+        count = len(edges)
+        if not count:
+            return []
+        p2l = self.p2l
+        needed = self.needed
+        degree = self.degree
+        stride = self.stride
+        # ``used[q] == stamp`` while an action fed in the current cycle
+        # holds ``q``.
+        used = [0] * len(p2l)
+        stamp = 0
+        for cycle in compiled_cycles(pattern):
+            stamp += 1
+            for is_gate, u, v in cycle:
+                lu = p2l[u]
+                lv = p2l[v]
+                if is_gate:
+                    if (lu * stride + lv not in needed
+                            or used[u] == stamp or used[v] == stamp):
+                        continue
+                    self.done(lu, lv)
+                    count -= 1
+                    feed2(K_CPHASE, u, v)
+                else:
+                    # Moving two finished occupants is a no-op: dropped.
+                    if (not (degree[lu] or degree[lv])
+                            or used[u] == stamp or used[v] == stamp):
+                        continue
+                    p2l[u] = lv
+                    p2l[v] = lu
+                    feed2(K_SWAP, u, v)
+                used[u] = stamp
+                used[v] = stamp
+            if not count:
+                return []
+            if stop is not None and stop():
+                return None
+        return sorted(e for e in edges if e[0] * stride + e[1] in needed)
+
+    def complete(self, coupling: CouplingGraph,
+                 residual: Iterable[Tuple[int, int]], feed2: Feed,
+                 stop: Optional[Callable[[], bool]] = None) -> bool:
+        """Route each residual pair with shortest-path SWAPs, as
+        :func:`route_and_execute` does; True once ``stop`` fires after a
+        completed pair."""
+        p2l = self.p2l
+        l2p = {logical: physical for physical, logical in enumerate(p2l)
+               if logical >= 0}
+        for lu, lv in residual:
+            path = coupling.shortest_path(l2p[lu], l2p[lv])
+            for k in range(len(path) - 1, 1, -1):
+                a, b = path[k], path[k - 1]
+                feed2(K_SWAP, a, b)
+                la = p2l[a]
+                lb = p2l[b]
+                p2l[a] = lb
+                p2l[b] = la
+                l2p[la] = b
+                l2p[lb] = a
+            feed2(K_CPHASE, path[0], path[1])
+            self.done(lu, lv)
+            if stop is not None and stop():
+                return True
+        return False
+
+    def suffix(self, coupling: CouplingGraph, pattern: AtaPattern,
+               feed2: Feed, use_range_detection: bool = True,
+               stop: Optional[Callable[[], bool]] = None) -> bool:
+        """Walk :func:`ata_suffix`'s schedule for every pending edge.
+
+        Range detection, then per region the pattern walk and residual
+        completion.  Returns True when ``stop`` fired (on entry, after a
+        cycle or after a residual pair) and the suffix was left
+        unfinished.
+        """
+        edges = self.edges
+        if not edges:
+            return False
+        if stop is not None and stop():
+            return True
+        plan = (detect_ranges(pattern, self.initial, edges)
+                if use_range_detection else [(pattern, edges)])
+        for region_pattern, group in plan:
+            residual = self.region(region_pattern, group, feed2, stop)
+            if residual is None:
+                return True
+            if residual and self.complete(coupling, residual, feed2, stop):
+                return True
+        return False
 
 
 def execute_pattern(
@@ -47,54 +261,35 @@ def execute_pattern(
     Returns ``(circuit, final_mapping, residual_edges)``.  ``circuit`` may
     be passed in to append onto an existing prefix.
     """
-    mapping = initial_mapping.copy()
-    needed: Set[Tuple[int, int]] = set(canonical_edges(edges))
     if circuit is None:
-        circuit = Circuit(n_physical or mapping.n_physical)
-    if not needed:
-        return circuit, mapping, needed
+        circuit = Circuit(n_physical or initial_mapping.n_physical)
+    walk = Walk(initial_mapping, edges)
+    residual = walk.region(pattern, walk.edges, walk.sink(circuit, gamma))
+    assert residual is not None  # no ``stop``: walked to the end
+    return circuit, walk.mapping(), set(residual)
 
-    # Remaining problem degree per logical qubit.  A SWAP whose occupants
-    # are both finished (or spare) is semantically inert — every future
-    # gate opportunity involving them is skipped anyway — so it is elided.
-    # Unfinished qubits' trajectories are unaffected: none of *their*
-    # swaps are ever skipped.
-    degree: dict = {}
-    for u, v in needed:  # det: ok — counts only; degree is never iterated
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
 
-    def active(logical) -> bool:
-        return logical is not None and degree.get(logical, 0) > 0
+def route_and_execute(
+    coupling: CouplingGraph,
+    circuit: Circuit,
+    mapping: Mapping,
+    pair: Tuple[int, int],
+    gamma: float = 0.0,
+) -> None:
+    """Bring a logical pair together with shortest-path SWAPs, run the gate.
 
-    for cycle in pattern.iter_cycles():
-        if not needed:
-            break
-        used: Set[int] = set()
-        for action, u, v in cycle:
-            if action == GATE:
-                lu, lv = mapping.logical(u), mapping.logical(v)
-                if lu is None or lv is None:
-                    continue
-                pair = canonical_edge(lu, lv)
-                if pair in needed and u not in used and v not in used:
-                    circuit.append(Op.cphase(u, v, gamma, tag=pair))
-                    needed.discard(pair)
-                    degree[lu] -= 1
-                    degree[lv] -= 1
-                    used.add(u)
-                    used.add(v)
-            else:  # structural swap
-                if u in used or v in used:
-                    continue
-                lu, lv = mapping.logical(u), mapping.logical(v)
-                if not active(lu) and not active(lv):
-                    continue  # moving two finished occupants is a no-op
-                circuit.append(Op.swap(u, v))
-                mapping.swap_physical(u, v)
-                used.add(u)
-                used.add(v)
-    return circuit, mapping, needed
+    The endpoint with more routing freedom is not analysed — one endpoint
+    simply walks to the other, which is what the non-regularity-aware
+    baselines do per gate.  Mutates ``circuit`` and ``mapping``.
+    """
+    lu, lv = pair
+    pu, pv = mapping.physical(lu), mapping.physical(lv)
+    path = coupling.shortest_path(pu, pv)
+    for k in range(len(path) - 1, 1, -1):
+        circuit.append(Op.swap(path[k], path[k - 1]))
+        mapping.swap_physical(path[k], path[k - 1])
+    circuit.append(Op.cphase(path[0], path[1], gamma,
+                             tag=canonical_edge(lu, lv)))
 
 
 def greedy_completion(
@@ -111,14 +306,7 @@ def greedy_completion(
     not optimality.
     """
     for pair in sorted(residual):
-        lu, lv = pair
-        pu, pv = mapping.physical(lu), mapping.physical(lv)
-        path = coupling.shortest_path(pu, pv)
-        # Walk lv's occupant down the path until adjacent to lu.
-        for k in range(len(path) - 1, 1, -1):
-            circuit.append(Op.swap(path[k], path[k - 1]))
-            mapping.swap_physical(path[k], path[k - 1])
-        circuit.append(Op.cphase(path[0], path[1], gamma, tag=pair))
+        route_and_execute(coupling, circuit, mapping, pair, gamma)
     residual.clear()
 
 
@@ -212,29 +400,7 @@ def ata_suffix(
     """
     if circuit is None:
         circuit = Circuit(coupling.n_qubits)
-    mapping = mapping.copy()
-    remaining = set(remaining)
-    if not remaining:
-        return circuit, mapping
-
-    if use_range_detection:
-        plan = detect_ranges(pattern, mapping, remaining)
-    else:
-        plan = [(pattern, set(remaining))]
-
-    for region_pattern, edges in plan:
-        _, region_mapping, residual = execute_pattern(
-            region_pattern, mapping, edges, gamma=gamma, circuit=circuit)
-        _absorb(mapping, region_mapping, region_pattern.region)
-        if residual:
-            greedy_completion(coupling, circuit, mapping, residual, gamma)
-    return circuit, mapping
-
-
-def _absorb(target: Mapping, source: Mapping, region) -> None:
-    """Copy region-local occupancy changes from ``source`` into ``target``."""
-    for physical in region:
-        occupant = source.phys_to_log[physical]
-        target.phys_to_log[physical] = occupant
-        if occupant is not None:
-            target.log_to_phys[occupant] = physical
+    walk = Walk(mapping, remaining)
+    walk.suffix(coupling, pattern, walk.sink(circuit, gamma),
+                use_range_detection)
+    return circuit, walk.mapping()

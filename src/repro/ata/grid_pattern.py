@@ -183,9 +183,9 @@ class OptimizedGridPattern(AtaPattern):
         return cycle
 
     def _compiled_plan(self):
-        """(distinct cycles, schedule indices) for the simulator's replay.
+        """(distinct cycles, schedule indices) for the schedule walk.
 
-        ``repro.ata.simulate.compiled_cycles`` converts each distinct
+        ``repro.ata.executor.compiled_cycles`` converts each distinct
         cycle to ``(is_gate, u, v)`` tuples once.
 
         Cycle content depends on ``k`` and the placement index only

@@ -79,9 +79,9 @@ class HeavyHexPattern(AtaPattern):
             yield from self._pass_cycles()
 
     def _compiled_plan(self):
-        """(distinct cycles, schedule indices) for the simulator's replay.
+        """(distinct cycles, schedule indices) for the schedule walk.
 
-        ``repro.ata.simulate.compiled_cycles`` converts each distinct
+        ``repro.ata.executor.compiled_cycles`` converts each distinct
         cycle to ``(is_gate, u, v)`` tuples once.
 
         Both passes replay the line pattern's four distinct cycles; the

@@ -58,9 +58,9 @@ class LinePattern(AtaPattern):
             yield [(SWAP, path[i], path[i + 1]) for i in range(0, m - 1, 2)]
 
     def _compiled_plan(self):
-        """(distinct cycles, schedule indices) for the simulator's replay.
+        """(distinct cycles, schedule indices) for the schedule walk.
 
-        ``repro.ata.simulate.compiled_cycles`` converts each distinct
+        ``repro.ata.executor.compiled_cycles`` converts each distinct
         cycle to ``(is_gate, u, v)`` tuples once.
 
         The schedule is one four-cycle block repeated ``ceil(m/2)`` times,

@@ -3,10 +3,11 @@
 ``get_pattern`` memoizes the constructed pattern process-wide, keyed by
 ``(kind, n_qubits, frozen(metadata))`` — patterns are stateless schedules
 over *physical positions*, so two architecturally identical devices share
-one instance.  Cached patterns also materialize their cycle list on first
-execution (:meth:`AtaPattern.enable_cycle_cache`), turning the per-compile
-schedule generation into a list replay.  The batch engine leans on both
-caches; counters are exposed through :func:`repro._telemetry.cache_info`.
+one instance, and with it the compact cycle list the executor's walk
+caches on the instance (:func:`repro.ata.executor.compiled_cycles`), so
+the schedule is generated once per process.  The batch engine leans on
+this cache; counters are exposed through
+:func:`repro._telemetry.cache_info`.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def get_pattern(coupling: CouplingGraph, cached: bool = True) -> AtaPattern:
     """The architecture-appropriate full-clique ATA pattern.
 
     With ``cached=True`` (default) the pattern instance is memoized by
-    :func:`pattern_cache_key` and its cycle list materialized on first
-    execution; pass ``cached=False`` for a fresh, fully lazy instance.
+    :func:`pattern_cache_key`; pass ``cached=False`` for a fresh instance
+    with no cycles cached on it.
     """
     if not cached:
         return _build_pattern(coupling)
@@ -93,7 +94,7 @@ def get_pattern(coupling: CouplingGraph, cached: bool = True) -> AtaPattern:
     pattern = _PATTERN_CACHE.get(key)
     if pattern is None:
         _PATTERN_COUNTER.miss()
-        pattern = _build_pattern(coupling).enable_cycle_cache()
+        pattern = _build_pattern(coupling)
         if len(_PATTERN_CACHE) >= _PATTERN_CACHE_CAP:
             _PATTERN_CACHE.pop(next(iter(_PATTERN_CACHE)))
         _PATTERN_CACHE[key] = pattern

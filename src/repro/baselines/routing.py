@@ -1,37 +1,18 @@
-"""Shared routing helpers for the baseline compilers."""
+"""Shared routing helpers for the baseline compilers.
+
+``route_and_execute`` is defined next to ``greedy_completion`` in
+:mod:`repro.ata.executor`, which runs it per residual pair, and is
+re-exported here.
+"""
 
 from __future__ import annotations
 
 from typing import List, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
-from ..ir.circuit import Circuit
-from ..ir.gates import Op, canonical_edge
+from ..ata.executor import route_and_execute as route_and_execute
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
-
-
-def route_and_execute(
-    coupling: CouplingGraph,
-    circuit: Circuit,
-    mapping: Mapping,
-    pair: Tuple[int, int],
-    gamma: float = 0.0,
-) -> None:
-    """Bring a logical pair together with shortest-path SWAPs, run the gate.
-
-    The endpoint with more routing freedom is not analysed — one endpoint
-    simply walks to the other, which is what the non-regularity-aware
-    baselines do per gate.  Mutates ``circuit`` and ``mapping``.
-    """
-    lu, lv = pair
-    pu, pv = mapping.physical(lu), mapping.physical(lv)
-    path = coupling.shortest_path(pu, pv)
-    for k in range(len(path) - 1, 1, -1):
-        circuit.append(Op.swap(path[k], path[k - 1]))
-        mapping.swap_physical(path[k], path[k - 1])
-    circuit.append(Op.cphase(path[0], path[1], gamma,
-                             tag=canonical_edge(lu, lv)))
 
 
 def matching_layers(problem: ProblemGraph) -> List[List[Tuple[int, int]]]:

@@ -331,6 +331,22 @@ def _write_output(path: str, text: str) -> bool:
     return True
 
 
+def _probe_output(path: str) -> bool:
+    """Check that an output file can be written, leaving no file behind;
+    on failure report it via :func:`_path_error`."""
+    target = Path(path)
+    existed = target.exists()
+    try:
+        with target.open("a", encoding="utf-8"):
+            pass
+        if not existed:
+            target.unlink()
+    except OSError as exc:
+        _path_error(path, exc)
+        return False
+    return True
+
+
 def _cmd_compile(args) -> int:
     try:
         get_method(args.method)
@@ -407,6 +423,10 @@ def _cmd_batch(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     retry = RetryPolicy(max_attempts=args.retries) if args.retries else None
+    # Refuse an unwritable report path before the sweep, not after: a
+    # late failure would throw the finished sweep away.
+    if args.json and not _probe_output(args.json):
+        return 2
     store = None
     if args.store:
         from .serve.store import ResultStore

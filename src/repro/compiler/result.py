@@ -57,8 +57,8 @@ class CompiledResult:
     @property
     def cache_stats(self) -> dict:
         """Hit/miss deltas of the process-local caches during this
-        compilation, keyed by cache name (``distance_matrix``, ``pattern``,
-        ``pattern_cycles``): the sum of the ``extra["passes"]`` records'
+        compilation, keyed by cache name (``distance_matrix``,
+        ``pattern``): the sum of the ``extra["passes"]`` records'
         ``cache``."""
         return sum_cache_deltas(record["cache"]
                                 for record in self.extra.get("passes", []))

@@ -36,9 +36,10 @@ class Candidate:
 
     ``circuit`` may be ``None`` for a lazily-scored candidate whose
     metrics were streamed by :mod:`repro.ata.simulate`; ``materialize``
-    then rebuilds the real circuit on demand.  Only the selection
-    winner is ever materialised — the losing candidates' circuits are
-    never constructed at all.
+    then builds the circuit on demand, by the same schedule walk fed to
+    a circuit instead of a tracker.  Only the selection winner is ever
+    materialised — the losing candidates' circuits are never
+    constructed at all.
     """
 
     label: str

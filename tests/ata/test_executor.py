@@ -1,8 +1,10 @@
 """Tests for the pattern executor (sparse skipping, early stop, residuals)."""
 
+import random
+
 import pytest
 
-from repro.arch import grid, heavyhex, line
+from repro.arch import architecture_for, grid, heavyhex, line
 from repro.ata import (ata_suffix, execute_pattern, get_pattern,
                        greedy_completion)
 from repro.ir.circuit import Circuit
@@ -10,6 +12,7 @@ from repro.ir.gates import CPHASE, SWAP
 from repro.ir.mapping import Mapping
 from repro.ir.validate import validate_compiled
 from repro.problems import clique, random_problem_graph
+from repro.sim.qaoa_runner import final_mapping_of
 
 
 class TestSparseSkipping:
@@ -145,6 +148,66 @@ class TestSparseRandomGraphs:
         circuit, _ = ata_suffix(coupling, get_pattern(coupling), mapping,
                                 problem.edges, use_range_detection=False)
         validate_compiled(circuit, coupling.edges, mapping, problem.edges)
+
+
+#: Every architecture ``get_pattern`` has a structured schedule for.
+PATTERN_ARCHS = ["line", "grid", "sycamore", "hexagon", "heavyhex", "cube"]
+
+
+def _walk_case(kind, shape):
+    """A 16-qubit-class device with three spare physical qubits.
+
+    ``random`` is a random graph on a shuffled placement; ``cliques``
+    is two 4-cliques at the two ends of a trivial placement, which range
+    detection can give separate regions.
+    """
+    coupling = architecture_for(kind, 16)
+    n_logical = coupling.n_qubits - 3
+    if shape == "random":
+        physical = list(range(coupling.n_qubits))
+        random.Random(7).shuffle(physical)
+        mapping = Mapping(physical[:n_logical], coupling.n_qubits)
+        edges = random_problem_graph(n_logical, 0.3, seed=11).edges
+    else:
+        mapping = Mapping.trivial(n_logical, coupling.n_qubits)
+        edges = [(base + a, base + b) for base in (0, n_logical - 4)
+                 for a in range(4) for b in range(a + 1, 4)]
+    return coupling, mapping, edges
+
+
+class TestWalkState:
+    """The placement and residual a walk returns agree with the ops it
+    emitted."""
+
+    @pytest.mark.parametrize("kind", PATTERN_ARCHS)
+    @pytest.mark.parametrize("shape", ["random", "cliques"])
+    @pytest.mark.parametrize("use_range_detection", [True, False])
+    def test_suffix_mapping_follows_the_emitted_swaps(
+            self, kind, shape, use_range_detection):
+        coupling, mapping, edges = _walk_case(kind, shape)
+        circuit, final = ata_suffix(
+            coupling, get_pattern(coupling), mapping, edges,
+            use_range_detection=use_range_detection)
+        validate_compiled(circuit, coupling.edges, mapping, edges)
+        assert final == final_mapping_of(circuit, mapping)
+
+    @pytest.mark.parametrize("kind", PATTERN_ARCHS)
+    @pytest.mark.parametrize("shape", ["random", "cliques"])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_pattern_residual_is_the_edges_not_emitted(
+            self, kind, shape, restricted):
+        """A pattern restricted to half the placed qubits leaves every
+        pair reaching outside it as residual."""
+        coupling, mapping, edges = _walk_case(kind, shape)
+        pattern = get_pattern(coupling)
+        if restricted:
+            pattern = pattern.restrict(
+                [mapping.physical(v) for v in range(mapping.n_logical // 2)])
+        circuit, final, residual = execute_pattern(pattern, mapping, edges)
+        emitted = [op.tag for op in circuit if op.kind == CPHASE]
+        assert len(emitted) == len(set(emitted))
+        assert residual == set(edges) - set(emitted)
+        assert final == final_mapping_of(circuit, mapping)
 
 
 class TestRestriction:

@@ -436,6 +436,19 @@ class TestUnwritablePaths:
         assert main([*argv, flag, target]) == 2
         assert f"error: {target}: " in capsys.readouterr().err
 
+    def test_batch_report_path_is_checked_before_the_sweep(self, capsys,
+                                                          tmp_path):
+        from repro.serve.store import ResultStore
+
+        store = tmp_path / "store"
+        target = str(tmp_path / "missing" / "dir" / "r.json")
+        assert main(["batch", "--arch", "line", "--qubits", "6",
+                     "--count", "2", "--serial", "--store", str(store),
+                     "--json", target]) == 2
+        assert f"error: {target}: " in capsys.readouterr().err
+        # No job was compiled, so none reached the store.
+        assert ResultStore(str(store)).count_entries() == 0
+
 
 class TestOtherCommands:
     def test_compare(self, capsys):
