@@ -93,6 +93,7 @@ class CouplingGraph:
         self._edges: FrozenSet[Tuple[int, int]] = frozenset(edge_set)
         self._adjacency = [tuple(sorted(nbrs)) for nbrs in adjacency]
         self._distances: Optional[np.ndarray] = None
+        self._distance_rows: Optional[List[memoryview]] = None
 
     # -- topology -----------------------------------------------------------------
 
@@ -147,6 +148,25 @@ class CouplingGraph:
                 _DISTANCE_COUNTER.hit()
             self._distances = cached
         return self._distances
+
+    @property
+    def distance_rows(self) -> List[memoryview]:
+        """The distance matrix as one memoryview per row (cached).
+
+        No copy is made, and each item reads as a Python int: hot scalar
+        loops index ``rows[p][q]`` where a numpy scalar per read would
+        cost more than the read.  Not pickled (memoryviews cannot be);
+        an unpickled graph rebuilds the rows on first use.
+        """
+        if self._distance_rows is None:
+            self._distance_rows = [memoryview(row)
+                                   for row in self.distance_matrix]
+        return self._distance_rows
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        state["_distance_rows"] = None
+        return state
 
     def distance(self, u: int, v: int) -> int:
         """Shortest-path hop count; raises if disconnected."""

@@ -38,7 +38,7 @@ from ..arch.coupling import CouplingGraph
 from ..ir.circuit import Circuit
 from ..ir.gates import Op, canonical_edge, canonical_edges
 from ..ir.mapping import Mapping
-from ..problems.graphs import ProblemGraph
+from ..problems.graphs import edge_components
 from .base import GATE, Action, AtaPattern
 
 #: Op-kind codes a walk passes to ``feed2``.  The two kinds that can
@@ -323,18 +323,15 @@ def detect_ranges(
     only clusters that actually grew.  Region bounding boxes only grow
     under union, so any overlap persists until merged — the result is
     the same least fixpoint the quadratic restart-on-every-merge loop
-    computed, with final regions never re-restricted.
+    computed, with final regions never re-restricted.  ``remaining``
+    holds canonical logical pairs.
     """
     remaining = list(remaining)
     if not remaining:
         return []
-    # Size the component graph by the true problem size, not the highest
-    # index with a *pending* edge — the graphs are equivalent (isolated
-    # vertices are omitted from components), but the problem's own vertex
-    # count is the honest bound and cannot be invalidated by whichever
-    # qubit happens to finish its edges first.
-    components = ProblemGraph(
-        mapping.n_logical, remaining).connected_components()
+    # Iterating a frozenset of the pairs gives the component order that
+    # ``ProblemGraph(n, remaining).connected_components()`` gives.
+    components = edge_components(mapping.n_logical, frozenset(remaining))
 
     groups: List[Set[int]] = [set(c) for c in components]
     regions: List[AtaPattern] = [

@@ -11,12 +11,23 @@ architectures with arbitrary connectivity" strawman of Section 1 — a
 correct, widely deployed technique that leaves the permutable-operator
 freedom on the table.  Including it lets the benchmarks quantify how much
 of the paper's win comes from commutativity alone vs from regularity.
+
+The lookahead window is built a whole successor layer at a time, and its
+size is checked only between layers: ``_LOOKAHEAD_SIZE`` is where the
+growth stops (unless the DAG runs out first), not a cap.  On 64-qubit
+density-0.3 graphs (grid 8x8 and heavy-hex, seeds 0-2) 92% of routing
+steps score a window larger than 20 gates (mean 33, max 54).  The
+baseline's circuits are defined by this behaviour, so it stays.
+
+Each candidate SWAP is scored from the layer sums of the current mapping
+plus the distance change of the gates on its two occupants, which is
+the same integer as re-summing every gate under a trial mapping.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..compiler.mapping import degree_placement
@@ -45,7 +56,6 @@ def compile_sabre(
         initial_mapping = degree_placement(coupling, problem)
     mapping = initial_mapping.copy()
     circuit = Circuit(coupling.n_qubits)
-    dist = coupling.distance_matrix
 
     gates: List[Tuple[int, int]] = sorted(problem.edges)
     # DAG: gate i depends on the latest earlier gate using each qubit.
@@ -63,13 +73,13 @@ def compile_sabre(
     front: Set[int] = {i for i, d in enumerate(indegree) if d == 0}
     decay = [1.0] * coupling.n_qubits
 
+    rows = coupling.distance_rows
+    log_to_phys = mapping.log_to_phys
+    phys_to_log = mapping.phys_to_log
+
     def executable(gate: int) -> bool:
         u, v = gates[gate]
-        return coupling.has_edge(mapping.physical(u), mapping.physical(v))
-
-    def gate_distance(gate: int, trial: Mapping) -> int:
-        u, v = gates[gate]
-        return int(dist[trial.physical(u), trial.physical(v)])
+        return rows[log_to_phys[u]][log_to_phys[v]] == 1
 
     def lookahead(front_set: Set[int]) -> List[int]:
         window: List[int] = []
@@ -85,6 +95,19 @@ def compile_sabre(
                         nxt.append(s)
             frontier = nxt
         return window
+
+    def layer_sum(layer: Iterable[int],
+                  partners: Dict[int, List[Tuple[int, int]]]) -> int:
+        """Total distance of ``layer``; fills each logical qubit's
+        ``(partner, partner position)`` list."""
+        total = 0
+        for g in layer:
+            u, v = gates[g]
+            pu, pv = log_to_phys[u], log_to_phys[v]
+            total += rows[pu][pv]
+            partners.setdefault(u, []).append((v, pv))
+            partners.setdefault(v, []).append((u, pu))
+        return total
 
     guard = 0
     guard_limit = 60 * coupling.n_qubits + 10 * len(gates) + 200
@@ -115,18 +138,43 @@ def compile_sabre(
             front.clear()
             break
 
+        # A SWAP of (pu, pv) moves only the gates on its two occupants:
+        # the layer sums change by those gates' distance changes.  The
+        # gate between the two occupants keeps its length and is skipped.
         window = lookahead(front)
+        front_partners: Dict[int, List[Tuple[int, int]]] = {}
+        window_partners: Dict[int, List[Tuple[int, int]]] = {}
+        front_sum = layer_sum(front, front_partners)
+        window_sum = layer_sum(window, window_partners)
         best_swap, best_score = None, None
-        candidate_qubits = {mapping.physical(q)
-                            for g in front for q in gates[g]}
+        candidate_qubits = {log_to_phys[q] for g in front for q in gates[g]}
         for pu in sorted(candidate_qubits):
+            lu = phys_to_log[pu]
+            row_u = rows[pu]
+            lu_front = front_partners.get(lu, ())
+            lu_window = window_partners.get(lu, ())
             for pv in coupling.neighbors(pu):
-                trial = mapping.copy()
-                trial.swap_physical(pu, pv)
-                score = sum(gate_distance(g, trial) for g in front)
+                lv = phys_to_log[pv]
+                row_v = rows[pv]
+                front_after = front_sum
+                window_after = window_sum
+                for q, pq in lu_front:
+                    if q != lv:
+                        front_after += row_v[pq] - row_u[pq]
+                for q, pq in lu_window:
+                    if q != lv:
+                        window_after += row_v[pq] - row_u[pq]
+                # A spare pv (lv None) has no partners.
+                for q, pq in front_partners.get(lv, ()):
+                    if q != lu:
+                        front_after += row_u[pq] - row_v[pq]
+                for q, pq in window_partners.get(lv, ()):
+                    if q != lu:
+                        window_after += row_u[pq] - row_v[pq]
+                score = front_after
                 if window:
-                    score += _LOOKAHEAD_WEIGHT * sum(
-                        gate_distance(g, trial) for g in window) / len(window)
+                    score += (_LOOKAHEAD_WEIGHT * window_after
+                              / len(window))
                 score *= max(decay[pu], decay[pv])
                 key = (score, pu, pv)
                 if best_score is None or key < best_score:

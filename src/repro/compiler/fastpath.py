@@ -23,13 +23,15 @@ Derived numpy state, read only by the two scans:
 * ``partners`` — ``pending`` as a fixed-width matrix, row for row in the
   same order, padded with a sentinel logical qubit whose "position" is a
   virtual node at distance ``BIG`` from everything, so
-  nearest-pending-partner minima never need masking.
+  nearest-pending-partner minima never need masking;
+* ``width`` — the longest pending row: the candidate scan reads only
+  that many columns of ``partners``, since the rest hold the sentinel.
 
-``rem`` and ``partners`` are kept in step by :meth:`mark_done`.  The
-sequential re-validation (:meth:`GreedyFastPath.benefit`) reads only the
-authoritative lists and memoryview rows of the coupling's distance
-matrix, so each re-scored SWAP costs O(partners) reads and no numpy
-call.
+``rem``, ``partners`` and ``width`` are kept in step by
+:meth:`mark_done`.  The sequential re-validation
+(:meth:`GreedyFastPath.benefit`) reads only the authoritative lists and
+the coupling's memoryview distance rows, so each re-scored SWAP costs
+O(partners) reads and no numpy call.
 
 Byte-identity is a hard contract (the golden fixtures pin it): the edge
 list is captured **once** from ``coupling.edges`` — per-cycle results
@@ -88,11 +90,8 @@ class GreedyFastPath:
             (_link_factor(u, v, noise) for u, v in edge_list),
             dtype=np.float64, count=len(edge_list))
 
-        # Distance rows as memoryviews of the coupling's cached matrix:
-        # no copy, and each item reads as a Python int, where a numpy
-        # scalar per read would cost more than the read.
         dist = coupling.distance_matrix
-        self.dist_rows = [memoryview(row) for row in dist]
+        self.dist_rows = coupling.distance_rows
         # Distance matrix extended by a virtual node at distance BIG;
         # the sentinel logical qubit "lives" there, so min() over a
         # padded partner row never sees a spurious small distance.
@@ -121,6 +120,14 @@ class GreedyFastPath:
         self.partners = np.full((n_log + 1, width), n_log, dtype=np.int64)
         for logical, row in enumerate(pending):
             self.partners[logical, :len(row)] = row
+        # The live width: the longest pending row, at least 1.  Columns
+        # past it hold only the sentinel, so the candidate scan slices
+        # them off.  ``_rows_of_length[k]`` counts the rows of length k,
+        # so mark_done lowers the width without a per-cycle max.
+        self.width = width
+        self._rows_of_length = [0] * (width + 1)
+        for row in pending:
+            self._rows_of_length[len(row)] += 1
 
     # -- state updates ------------------------------------------------------
 
@@ -140,6 +147,10 @@ class GreedyFastPath:
                 row[index] = last
                 partners[q, index] = last
             partners[q, count] = self.n_log
+            self._rows_of_length[count + 1] -= 1
+            self._rows_of_length[count] += 1
+        while self.width > 1 and not self._rows_of_length[self.width]:
+            self.width -= 1
 
     # -- sequential re-validation -------------------------------------------
 
@@ -218,8 +229,9 @@ class GreedyFastPath:
         # BIG - BIG = 0 exactly as the scalar loop's `continue` does.
         lu = np.where(p2l[us] >= 0, p2l[us], self.n_log)
         lv = np.where(p2l[vs] >= 0, p2l[vs], self.n_log)
-        pos_u = l2p[self.partners[lu]]
-        pos_v = l2p[self.partners[lv]]
+        partners = self.partners[:, :self.width]
+        pos_u = l2p[partners[lu]]
+        pos_v = l2p[partners[lv]]
         benefit = (
             self.dist_ext[us[:, None], pos_u].min(axis=1)
             - self.dist_ext[vs[:, None], pos_u].min(axis=1)

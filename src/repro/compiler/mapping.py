@@ -313,7 +313,7 @@ def quadratic_placement(
     rows: List[Optional[memoryview]] = [None] * n
     for r, v in enumerate(long_terms):
         rows[v] = memoryview(table[r])
-    site_rows = [memoryview(row) for row in distances]
+    site_rows = coupling.distance_rows
     reach_sums = np.array(reach, dtype=np.int64)
     reach_row = memoryview(reach_sums)
     for _ in range(left):

@@ -91,29 +91,47 @@ class ProblemGraph:
     def connected_components(self) -> List[FrozenSet[int]]:
         """Components of the *edge-supported* subgraph; isolated vertices
         (no pending gates) are omitted."""
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        groups: Dict[int, set] = {}
-        for vertex in parent:
-            groups.setdefault(find(vertex), set()).add(vertex)
-        return [frozenset(g) for g in groups.values()]
+        return edge_components(self.n_vertices, self.edges)
 
     def __repr__(self) -> str:
         tail = ", weighted" if self.is_weighted else ""
         return (f"ProblemGraph({self.name!r}, n={self.n_vertices}, "
                 f"edges={self.n_edges}{tail})")
+
+
+def edge_components(n_vertices: int,
+                    edges: Iterable[Tuple[int, int]]) -> List[FrozenSet[int]]:
+    """Connected components of the graph ``edges`` span on vertices
+    ``0..n_vertices-1``; vertices on no edge are omitted.
+
+    ``edges`` must already be valid, canonical pairs: nothing is checked.
+    Components are listed in the order their first vertex appears in
+    ``edges``, and each is filled in first-appearance order.
+    """
+    parent = list(range(n_vertices))
+    seen = [False] * n_vertices
+    order: List[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        if not seen[u]:
+            seen[u] = True
+            order.append(u)
+        if not seen[v]:
+            seen[v] = True
+            order.append(v)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups: Dict[int, set] = {}
+    for vertex in order:
+        groups.setdefault(find(vertex), set()).add(vertex)
+    return [frozenset(g) for g in groups.values()]
 
 
 def clique(n_vertices: int) -> ProblemGraph:

@@ -1,5 +1,7 @@
 """Tests for CouplingGraph basics."""
 
+import pickle
+
 import pytest
 
 from repro.arch.coupling import CouplingGraph
@@ -69,6 +71,19 @@ class TestDistances:
     def test_distance_matrix_symmetry(self, square):
         m = square.distance_matrix
         assert (m == m.T).all()
+
+    def test_distance_rows_read_python_ints(self, square):
+        rows = square.distance_rows
+        assert rows is square.distance_rows
+        assert [list(row) for row in rows] == square.distance_matrix.tolist()
+        assert type(rows[0][2]) is int
+
+    def test_pickles_after_distance_rows(self, square):
+        square.distance_rows
+        clone = pickle.loads(pickle.dumps(square))
+        assert clone.edges == square.edges
+        assert [list(row) for row in clone.distance_rows] == [
+            list(row) for row in square.distance_rows]
 
 
 def test_to_networkx_roundtrip(square):

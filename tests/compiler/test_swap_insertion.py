@@ -184,6 +184,8 @@ def drive_cycles(arch, problem, mapping, noise, matching, pick):
             pending[a].discard(b)
             pending[b].discard(a)
             busy.update((u, v))
+        # The scan's live width is the longest pending row, at least 1.
+        assert fast.width == max(1, max(map(len, fast.pending)))
         if not remaining:
             return cycle
         want = reference_select_swaps(arch, mapping, pending, busy,

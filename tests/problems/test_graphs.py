@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.problems import (ProblemGraph, clique, random_problem_graph,
                             regular_for_density, regular_problem_graph)
+from repro.problems.graphs import edge_components
 
 
 class TestProblemGraph:
@@ -37,6 +38,34 @@ class TestProblemGraph:
     def test_isolated_vertices_excluded_from_components(self):
         g = ProblemGraph(5, [(0, 1)])
         assert g.connected_components() == [frozenset({0, 1})]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_components_come_in_first_appearance_order(self, seed):
+        """Components are listed, and filled, in the order their
+        vertices first appear in the edges, as the dict-based union-find
+        range detection used before listed them."""
+        edges = random_problem_graph(40, 0.04, seed=seed).edges
+        parent = {}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in edges:
+            parent.setdefault(u, u)
+            parent.setdefault(v, v)
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+        groups = {}
+        for vertex in parent:
+            groups.setdefault(find(vertex), set()).add(vertex)
+        expected = [frozenset(g) for g in groups.values()]
+        assert len(expected) > 1
+        got = edge_components(40, edges)
+        assert [list(c) for c in got] == [list(c) for c in expected]
 
 
 class TestClique:
