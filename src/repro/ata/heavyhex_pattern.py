@@ -105,7 +105,7 @@ class HeavyHexPattern(AtaPattern):
     def restrict(self, qubits) -> "HeavyHexPattern":
         """Narrow to a path segment when no off-path qubit is involved."""
         wanted = set(qubits)
-        if wanted & set(self.off_path):
+        if not self.off_path.keys().isdisjoint(wanted):
             return self
         index = getattr(self, "_position_index", None)
         if index is None:

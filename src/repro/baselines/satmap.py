@@ -12,14 +12,31 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import islice
+from typing import Iterator
 
 from ..arch.coupling import CouplingGraph
 from ..compiler.greedy import greedy_compile
 from ..compiler.mapping import degree_placement, trivial_placement
 from ..compiler.result import CompiledResult
+from ..exceptions import SpecificationError
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
 from .twoqan import quadratic_initial_mapping
+
+
+def _placements(coupling: CouplingGraph, problem: ProblemGraph,
+                seed: int) -> Iterator[Mapping]:
+    """The restarts' placements in order: trivial, degree, 2QAN's, then
+    random ones drawn from ``seed``."""
+    yield trivial_placement(coupling, problem)
+    yield degree_placement(coupling, problem)
+    yield quadratic_initial_mapping(coupling, problem, seed=seed)
+    rng = random.Random(seed)
+    sites = list(range(coupling.n_qubits))
+    while True:
+        yield Mapping(rng.sample(sites, problem.n_vertices),
+                      coupling.n_qubits)
 
 
 def compile_satmap(
@@ -29,22 +46,18 @@ def compile_satmap(
     restarts: int = 8,
     seed: int = 0,
 ) -> CompiledResult:
-    """Gate-count-minimising multi-restart compilation."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    placements = [
-        trivial_placement(coupling, problem),
-        degree_placement(coupling, problem),
-        quadratic_initial_mapping(coupling, problem, seed=seed),
-    ]
-    n = problem.n_vertices
-    sites = list(range(coupling.n_qubits))
-    for _ in range(max(0, restarts - len(placements))):
-        chosen = rng.sample(sites, n)
-        placements.append(Mapping(chosen, coupling.n_qubits))
+    """Gate-count-minimising multi-restart compilation.
 
+    Routes each of the first ``restarts`` placements of
+    :func:`_placements` and keeps the circuit with the fewest CX gates.
+    """
+    if (isinstance(restarts, bool) or not isinstance(restarts, int)
+            or restarts < 1):
+        raise SpecificationError(
+            f"restarts must be a positive int, got {restarts!r}")
+    start = time.perf_counter()
     best = None
-    for placement in placements:
+    for placement in islice(_placements(coupling, problem, seed), restarts):
         trace = greedy_compile(coupling, problem, placement, gamma=gamma,
                                unify_swaps=True,
                                gate_selection="greedy")

@@ -7,10 +7,11 @@ forked workers.  Two classes of today's code become incidents there:
   ``fork`` start method every worker inherits a snapshot of parent
   globals; mutations after the fork diverge silently between processes
   (and race under threads).  The *designated* memo-cache registries —
-  ``arch/coupling.py`` and ``ata/registry.py`` — are exempt: they are
-  process-local caches by design, with hit/miss telemetry and documented
-  fork semantics.  Everything else must either move its state into a
-  designated registry or carry a reviewed baseline entry.
+  ``arch/coupling.py``, ``ata/registry.py`` and ``compiler/mapping.py``
+  — are exempt: they are process-local caches by design, with hit/miss
+  telemetry and documented fork semantics.  Everything else must either
+  move its state into a designated registry or carry a reviewed
+  baseline entry.
 
 * **CK011** — unpicklable constructs reaching a process boundary.
   Lambdas and locally-defined functions cannot cross ``pool.submit``,
@@ -31,7 +32,8 @@ from .base import CheckerRule, ModuleContext, RuleVisitor, checker
 #: Modules allowed to mutate module-level state: the process-local memo
 #: caches whose fork/clear semantics are documented and telemetered.
 DESIGNATED_STATE_MODULES: Tuple[str, ...] = (
-    "repro/arch/coupling.py", "repro/ata/registry.py")
+    "repro/arch/coupling.py", "repro/ata/registry.py",
+    "repro/compiler/mapping.py")
 
 #: Method calls that mutate their receiver in place.
 MUTATOR_METHODS = frozenset({
@@ -59,8 +61,9 @@ def _is_mutable_literal(node: ast.AST) -> bool:
     "outside the designated memo-cache registries; fork-inherited "
     "workers and threads will disagree about its value.",
     "move the state into a designated registry "
-    "(arch/coupling.py, ata/registry.py), or add a baseline entry "
-    "justifying why the mutation is import-time-only or process-safe")
+    "(arch/coupling.py, ata/registry.py, compiler/mapping.py), or add "
+    "a baseline entry justifying why the mutation is import-time-only "
+    "or process-safe")
 class ModuleStateVisitor(RuleVisitor):
     """Two-phase: collect module globals and mutation sites during the
     walk, judge in :meth:`finish` (a mutating function may precede the

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.arch import architecture_for, grid, heavyhex, line
-from repro.ata import (ata_suffix, execute_pattern, get_pattern,
+from repro.ata import (GridCliquePattern, OptimizedGridPattern,
+                       ata_suffix, execute_pattern, get_pattern,
                        greedy_completion)
 from repro.ir.circuit import Circuit
 from repro.ir.gates import CPHASE, SWAP
@@ -218,6 +219,29 @@ class TestRestriction:
         sub = pattern.restrict(qubits)
         assert sub.region >= set(qubits)
         assert len(sub.region) == 4
+
+    @pytest.mark.parametrize("cls", [OptimizedGridPattern,
+                                     GridCliquePattern])
+    def test_grid_restrict_is_the_bounding_box(self, cls):
+        # Unit qubits 0-4, 10-14, 20-24 and 30-34; draws from 0-59 also
+        # hit qubits outside the units, which restrict ignores.
+        units = [[10 * r + c for c in range(5)] for r in range(4)]
+        pattern = cls(units)
+        rng = random.Random(5)
+        for _ in range(60):
+            qubits = rng.sample(range(60), rng.randint(0, 8))
+            cells = [(r, c) for r, unit in enumerate(units)
+                     for c, q in enumerate(unit) if q in qubits]
+            sub = pattern.restrict(qubits)
+            if not cells:
+                assert sub is pattern
+                continue
+            rows, cols = zip(*cells)
+            box = {units[r][c] for r in range(min(rows), max(rows) + 1)
+                   for c in range(min(cols), max(cols) + 1)}
+            assert type(sub) is cls
+            assert sub.region == box
+            assert sub is pattern.restrict(set(qubits))
 
     def test_grid_restricted_execution(self):
         coupling = grid(5, 5)

@@ -1,13 +1,18 @@
 """Correctness and behavioural tests for all baseline compilers."""
 
+from unittest import mock
+
 import pytest
 
+import repro.baselines.satmap as satmap_module
 from repro.arch import grid, heavyhex, line, sycamore
 from repro.baselines import (compile_olsq, compile_paulihedral, compile_qaim,
                              compile_satmap, compile_twoqan,
                              mapping_cost, matching_layers,
                              quadratic_initial_mapping)
 from repro.compiler import compile_qaoa
+from repro.compiler.mapping import trivial_placement
+from repro.exceptions import SpecificationError
 from repro.problems import (ProblemGraph, clique, random_problem_graph)
 
 BASELINES = {
@@ -90,6 +95,35 @@ class TestTwoQan:
         twoqan = compile_twoqan(coupling, problem)
         plain = compile_qaoa(coupling, problem, method="greedy")
         assert twoqan.gate_count <= plain.gate_count
+
+
+class TestSatmapRestarts:
+    """``restarts`` is the number of placements routed, in a fixed order."""
+
+    COUPLING = grid(4, 4)
+    PROBLEM = random_problem_graph(12, 0.3, seed=2)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 5])
+    def test_routes_exactly_the_requested_placements(self, restarts):
+        with mock.patch.object(satmap_module, "greedy_compile",
+                               wraps=satmap_module.greedy_compile) as spy:
+            compile_satmap(self.COUPLING, self.PROBLEM, restarts=restarts)
+        assert spy.call_count == restarts
+
+    def test_one_restart_is_the_trivial_placement(self):
+        result = compile_satmap(self.COUPLING, self.PROBLEM, restarts=1)
+        assert result.initial_mapping == trivial_placement(self.COUPLING,
+                                                           self.PROBLEM)
+
+    @pytest.mark.parametrize("restarts", [0, -5, True, 2.0, "3"])
+    def test_rejects_a_non_positive_count(self, restarts):
+        with pytest.raises(SpecificationError, match="restarts"):
+            compile_satmap(self.COUPLING, self.PROBLEM, restarts=restarts)
+
+    def test_compile_rejects_a_non_positive_count(self):
+        with pytest.raises(SpecificationError, match="restarts"):
+            compile_qaoa(self.COUPLING, self.PROBLEM, method="satmap",
+                         restarts=0)
 
 
 class TestBehaviouralOrdering:

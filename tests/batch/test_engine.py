@@ -48,6 +48,19 @@ class TestSerialEngine:
         assert totals["distance_matrix"]["hits"] == 12
         assert totals["pattern"]["hits"] > 0
 
+    def test_methods_on_one_instance_share_placement_searches(self):
+        # hybrid, greedy and ata run one default-budget search; 2qan and
+        # satmap (its third restart) one at 2QAN's budget.
+        clear_caches()
+        jobs = [BatchJob(arch="grid", n_qubits=12, density=0.3, seed=3,
+                         method=method)
+                for method in ("hybrid", "greedy", "ata", "2qan",
+                               "satmap")]
+        report = compile_many(jobs, executor="serial")
+        assert not report.failures
+        assert report.cache_totals()["placement"] == {"hits": 3,
+                                                      "misses": 2}
+
     def test_failing_job_is_captured_not_fatal(self):
         jobs = mixed_jobs()[:3] + [BatchJob(arch="mumbai", n_qubits=100)]
         report = compile_many(jobs, executor="serial")
