@@ -38,7 +38,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Union
 
@@ -121,11 +121,10 @@ def canonical_job_spec(job: BatchJob) -> Dict[str, object]:
     changes how a job is *named*, never what gets compiled, so it must
     not force a store miss.
     """
-    spec = asdict(job)
-    del spec["label"]
-    del spec["options"]
-    canonical = {key: _canonical_value(value)
-                 for key, value in spec.items()}
+    # Fields are read directly: ``asdict`` would deep-copy every value
+    # on each store probe only to canonicalize the copies.
+    canonical = {f.name: _canonical_value(getattr(job, f.name))
+                 for f in fields(job) if f.name not in ("label", "options")}
     canonical["options"] = _canonical_value(dict(job.options))
     return canonical
 

@@ -120,3 +120,19 @@ class TestSpecFingerprint:
                             FINGERPRINT_VERSION + 1000)
         assert spec_fingerprint(job()) != before
 
+    def test_fingerprints_stay_pinned(self):
+        """Stores written earlier must still hit: the digest of a spec
+        does not move when canonicalization is reimplemented."""
+        plain = job()
+        full = BatchJob(
+            arch="heavyhex", n_qubits=20, workload="rand", density=0.5,
+            seed=3, method="hybrid", gamma=-0.0, layers=2, mixer="none",
+            use_noise=True, validate=False, lint=True, label="x",
+        ).with_options(restarts=2, weights=(1, 2.0),
+                       knobs={"b": 1, "a": [0.5]})
+        assert spec_fingerprint(plain) == (
+            "8848e6ab77787fa251ee0510aae66dce"
+            "e4d323e85c4cc7a6cb1bbf0fa7887b67")
+        assert spec_fingerprint(full) == (
+            "4253bce9712e9a691d155c13244928423"
+            "d28c63a9120af42f0fddd25120818ab")
