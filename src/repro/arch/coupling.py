@@ -9,6 +9,7 @@ metadata they guarantee.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -25,9 +26,18 @@ _UNREACHABLE = np.iinfo(np.int32).max
 #: frozen read-only so instances can share it safely.
 _DISTANCE_CACHE: Dict[tuple, np.ndarray] = {}
 _DISTANCE_CACHE_CAP = 128
+#: Held to evict, insert or clear: ``thread``-executor jobs share the memo.
+_DISTANCE_LOCK = threading.Lock()
+
+
+def _clear_distances() -> None:
+    with _DISTANCE_LOCK:
+        _DISTANCE_CACHE.clear()
+
+
 _DISTANCE_COUNTER = register_cache(
     "distance_matrix", CacheCounter("distance_matrix"),
-    lambda: len(_DISTANCE_CACHE), lambda: _DISTANCE_CACHE.clear())
+    lambda: len(_DISTANCE_CACHE), _clear_distances)
 
 
 def distance_cache_info() -> Dict[str, int]:
@@ -39,7 +49,7 @@ def distance_cache_info() -> Dict[str, int]:
 
 def clear_distance_cache() -> None:
     """Drop every memoized distance matrix and zero the counters."""
-    _DISTANCE_CACHE.clear()
+    _clear_distances()
     _DISTANCE_COUNTER.reset()
 
 
@@ -141,9 +151,11 @@ class CouplingGraph:
                 _DISTANCE_COUNTER.miss()
                 cached = self._bfs_all_pairs()
                 cached.setflags(write=False)
-                if len(_DISTANCE_CACHE) >= _DISTANCE_CACHE_CAP:
-                    _DISTANCE_CACHE.pop(next(iter(_DISTANCE_CACHE)))
-                _DISTANCE_CACHE[key] = cached
+                with _DISTANCE_LOCK:
+                    if key not in _DISTANCE_CACHE:
+                        if len(_DISTANCE_CACHE) >= _DISTANCE_CACHE_CAP:
+                            _DISTANCE_CACHE.pop(next(iter(_DISTANCE_CACHE)))
+                        _DISTANCE_CACHE[key] = cached
             else:
                 _DISTANCE_COUNTER.hit()
             self._distances = cached

@@ -20,6 +20,7 @@ it, and caches each instance's cycles in the walk's compact form.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from itertools import zip_longest
 from typing import FrozenSet, Iterable, Iterator, List, Tuple
@@ -28,6 +29,10 @@ Action = Tuple[str, int, int]
 
 GATE = "gate"
 SWAP = "swap"
+
+#: Held to evict from or insert into any pattern's restrict memo; not on
+#: the instance, since patterns are pickled to pool workers.
+_RESTRICT_LOCK = threading.Lock()
 
 
 class AtaPattern(ABC):
@@ -67,10 +72,12 @@ class AtaPattern(ABC):
             self._restrict_memo = memo
         sub = memo.get(key)
         if sub is None:
-            if len(memo) >= 256:
-                memo.pop(next(iter(memo)))
             sub = build()
-            memo[key] = sub
+            with _RESTRICT_LOCK:
+                if key not in memo:
+                    if len(memo) >= 256:
+                        memo.pop(next(iter(memo)))
+                    memo[key] = sub
         return sub
 
 

@@ -11,6 +11,8 @@ edges remain, so trailing pattern cycles cost nothing.
 Any residual edges a pattern could not cover (possible only for heavy-hex
 on irregular devices) are finished with plain shortest-path SWAPs,
 keeping the overall compilation unconditionally correct.
+:meth:`Walk.complete` is the one such router; Paulihedral and
+:func:`greedy_completion` use it too.
 
 :func:`ata_suffix` is the ATA-prediction component of Section 6.3, built
 on those two:
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..ir.circuit import Circuit
-from ..ir.gates import Op, canonical_edge, canonical_edges
+from ..ir.gates import Op, canonical_edges
 from ..ir.mapping import Mapping
 from ..problems.graphs import edge_components
 from .base import GATE, Action, AtaPattern
@@ -199,9 +201,9 @@ class Walk:
     def complete(self, coupling: CouplingGraph,
                  residual: Iterable[Tuple[int, int]], feed2: Feed,
                  stop: Optional[Callable[[], bool]] = None) -> bool:
-        """Route each residual pair with shortest-path SWAPs, as
-        :func:`route_and_execute` does; True once ``stop`` fires after a
-        completed pair."""
+        """Route each pair ``(lu, lv)``: ``lv`` walks a shortest path to
+        ``lu`` with SWAPs, then the gate runs, as the per-gate baselines
+        do.  True once ``stop`` fires after a completed pair."""
         p2l = self.p2l
         l2p = {logical: physical for physical, logical in enumerate(p2l)
                if logical >= 0}
@@ -269,29 +271,6 @@ def execute_pattern(
     return circuit, walk.mapping(), set(residual)
 
 
-def route_and_execute(
-    coupling: CouplingGraph,
-    circuit: Circuit,
-    mapping: Mapping,
-    pair: Tuple[int, int],
-    gamma: float = 0.0,
-) -> None:
-    """Bring a logical pair together with shortest-path SWAPs, run the gate.
-
-    The endpoint with more routing freedom is not analysed — one endpoint
-    simply walks to the other, which is what the non-regularity-aware
-    baselines do per gate.  Mutates ``circuit`` and ``mapping``.
-    """
-    lu, lv = pair
-    pu, pv = mapping.physical(lu), mapping.physical(lv)
-    path = coupling.shortest_path(pu, pv)
-    for k in range(len(path) - 1, 1, -1):
-        circuit.append(Op.swap(path[k], path[k - 1]))
-        mapping.swap_physical(path[k], path[k - 1])
-    circuit.append(Op.cphase(path[0], path[1], gamma,
-                             tag=canonical_edge(lu, lv)))
-
-
 def greedy_completion(
     coupling: CouplingGraph,
     circuit: Circuit,
@@ -301,12 +280,16 @@ def greedy_completion(
 ) -> None:
     """Route any residual logical pairs with plain shortest-path SWAPs.
 
-    Mutates ``circuit`` and ``mapping`` in place.  Intended for the rare
-    leftovers of the heavy-hex two-pass schedule; correctness matters here,
+    Mutates ``circuit`` and ``mapping`` in place and clears ``residual``.
+    Intended for the rare leftovers of the heavy-hex two-pass schedule
+    and for the per-gate baselines' fallbacks; correctness matters here,
     not optimality.
     """
-    for pair in sorted(residual):
-        route_and_execute(coupling, circuit, mapping, pair, gamma)
+    walk = Walk(mapping, residual)
+    walk.complete(coupling, sorted(residual), walk.sink(circuit, gamma))
+    final = walk.mapping()
+    mapping.log_to_phys[:] = final.log_to_phys
+    mapping.phys_to_log[:] = final.phys_to_log
     residual.clear()
 
 

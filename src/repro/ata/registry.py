@@ -12,6 +12,7 @@ this cache; counters are exposed through
 
 from __future__ import annotations
 
+import threading
 from typing import Dict
 
 from .._telemetry import CacheCounter, register_cache
@@ -26,9 +27,18 @@ from .paired_units import HexagonPattern, SycamorePattern
 
 _PATTERN_CACHE: Dict[tuple, AtaPattern] = {}
 _PATTERN_CACHE_CAP = 128
+#: Held to evict, insert or clear: ``thread``-executor jobs share the cache.
+_PATTERN_LOCK = threading.Lock()
+
+
+def _clear_patterns() -> None:
+    with _PATTERN_LOCK:
+        _PATTERN_CACHE.clear()
+
+
 _PATTERN_COUNTER = register_cache(
     "pattern", CacheCounter("pattern"),
-    lambda: len(_PATTERN_CACHE), lambda: _PATTERN_CACHE.clear())
+    lambda: len(_PATTERN_CACHE), _clear_patterns)
 
 
 def _freeze(value):
@@ -56,7 +66,7 @@ def pattern_cache_info() -> Dict[str, int]:
 
 def clear_pattern_cache() -> None:
     """Drop every memoized pattern and zero the counters."""
-    _PATTERN_CACHE.clear()
+    _clear_patterns()
     _PATTERN_COUNTER.reset()
 
 
@@ -95,9 +105,11 @@ def get_pattern(coupling: CouplingGraph, cached: bool = True) -> AtaPattern:
     if pattern is None:
         _PATTERN_COUNTER.miss()
         pattern = _build_pattern(coupling)
-        if len(_PATTERN_CACHE) >= _PATTERN_CACHE_CAP:
-            _PATTERN_CACHE.pop(next(iter(_PATTERN_CACHE)))
-        _PATTERN_CACHE[key] = pattern
+        with _PATTERN_LOCK:
+            if key not in _PATTERN_CACHE:
+                if len(_PATTERN_CACHE) >= _PATTERN_CACHE_CAP:
+                    _PATTERN_CACHE.pop(next(iter(_PATTERN_CACHE)))
+                _PATTERN_CACHE[key] = pattern
     else:
         _PATTERN_COUNTER.hit()
     return pattern

@@ -13,7 +13,6 @@ The "greedy" and "solver" bars of Fig 17 are
 from .olsq import compile_olsq
 from .paulihedral import compile_paulihedral
 from .qaim import compile_qaim
-from .routing import mapping_cost, matching_layers, route_and_execute
 from .sabre import compile_sabre
 from .satmap import compile_satmap
 from .twoqan import compile_twoqan, quadratic_initial_mapping
@@ -26,7 +25,4 @@ __all__ = [
     "compile_olsq",
     "compile_satmap",
     "quadratic_initial_mapping",
-    "matching_layers",
-    "route_and_execute",
-    "mapping_cost",
 ]

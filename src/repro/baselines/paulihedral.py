@@ -18,15 +18,38 @@ those of the structured compiler on dense inputs.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import List, Optional, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
+from ..ata.executor import Walk
 from ..compiler.mapping import degree_placement
 from ..compiler.result import CompiledResult
 from ..ir.circuit import Circuit
 from ..ir.mapping import Mapping
 from ..problems.graphs import ProblemGraph
-from .routing import matching_layers, route_and_execute
+
+
+def matching_layers(problem: ProblemGraph) -> List[List[Tuple[int, int]]]:
+    """Partition problem edges into maximal-matching layers.
+
+    This models Pauli-string blocking: each layer is a set of mutually
+    disjoint interactions that could run simultaneously with unlimited
+    connectivity.
+    """
+    remaining: Set[Tuple[int, int]] = set(problem.edges)
+    layers: List[List[Tuple[int, int]]] = []
+    while remaining:
+        used: Set[int] = set()
+        layer: List[Tuple[int, int]] = []
+        for u, v in sorted(remaining):
+            if u in used or v in used:
+                continue
+            layer.append((u, v))
+            used.add(u)
+            used.add(v)
+        remaining -= set(layer)
+        layers.append(layer)
+    return layers
 
 
 def compile_paulihedral(
@@ -39,23 +62,23 @@ def compile_paulihedral(
     start = time.perf_counter()
     if initial_mapping is None:
         initial_mapping = degree_placement(coupling, problem)
-    mapping = initial_mapping.copy()
     circuit = Circuit(coupling.n_qubits)
+    walk = Walk(initial_mapping, problem.edges)
+    sink = walk.sink(circuit, gamma)
 
     for layer in matching_layers(problem):
         # Within a block, adjacent gates run first (they parallelise under
         # ASAP layering); distant gates are then routed one by one.
+        placement = walk.mapping()
         adjacent = []
         distant = []
         for u, v in layer:
-            if coupling.has_edge(mapping.physical(u), mapping.physical(v)):
+            if coupling.has_edge(placement.physical(u),
+                                 placement.physical(v)):
                 adjacent.append((u, v))
             else:
                 distant.append((u, v))
-        for pair in adjacent:
-            route_and_execute(coupling, circuit, mapping, pair, gamma)
-        for pair in distant:
-            route_and_execute(coupling, circuit, mapping, pair, gamma)
+        walk.complete(coupling, adjacent + distant, sink)
 
     return CompiledResult(circuit, initial_mapping, "paulihedral",
                           time.perf_counter() - start)

@@ -180,6 +180,15 @@ def _sum_rows(distances: np.ndarray, log_to_phys: List[int],
                    for rows in users]
 
 
+def mapping_cost(coupling: CouplingGraph, mapping: Mapping,
+                 problem: ProblemGraph) -> int:
+    """Sum of physical distances over all problem edges: the objective
+    :func:`quadratic_placement` minimises (2QAN's)."""
+    dist = coupling.distance_matrix
+    return int(sum(dist[mapping.physical(u), mapping.physical(v)]
+                   for u, v in problem.edges))
+
+
 #: Searched placements as plain ``log_to_phys`` tuples; every call gets
 #: a fresh :class:`Mapping`, since callers may mutate theirs.
 _PLACEMENT_CACHE: Dict[tuple, Tuple[int, ...]] = {}

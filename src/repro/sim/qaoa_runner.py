@@ -23,7 +23,7 @@ from ..compiler.result import CompiledResult
 from ..ir.circuit import Circuit
 from ..ir.gates import CPHASE, SWAP, Op
 from ..ir.mapping import Mapping
-from ..ir.program import Program
+from ..ir.program import Program, layer_permutation
 from ..problems.qaoa import QaoaProblem
 from .noise import depolarized_probabilities, sample_counts, tvd
 from .statevector import probabilities, run_circuit
@@ -44,15 +44,6 @@ def logical_equivalent(circuit: Circuit, initial_mapping: Mapping,
         elif op.kind == SWAP:
             mapping.swap_physical(*op.qubits)
     return logical
-
-
-def final_mapping_of(circuit: Circuit, initial_mapping: Mapping) -> Mapping:
-    """The logical placement after all of a compiled circuit's SWAPs."""
-    mapping = initial_mapping.copy()
-    for op in circuit:
-        if op.kind == SWAP:
-            mapping.swap_physical(*op.qubits)
-    return mapping
 
 
 def qaoa_layer_circuit(problem: QaoaProblem, cost_block: Circuit,
@@ -236,8 +227,8 @@ class QaoaRunner:
             if self.program is not None:
                 final = self.program.final_mapping()
             else:
-                final = final_mapping_of(compiled.circuit,
-                                         compiled.initial_mapping)
+                final = layer_permutation(compiled.circuit,
+                                          compiled.initial_mapping)
             self.readout_rates = {
                 q: noise.readout_error[final.physical(q)]
                 for q in range(problem.n_qubits)}

@@ -11,9 +11,9 @@ from repro.ata import (GridCliquePattern, OptimizedGridPattern,
 from repro.ir.circuit import Circuit
 from repro.ir.gates import CPHASE, SWAP
 from repro.ir.mapping import Mapping
+from repro.ir.program import layer_permutation
 from repro.ir.validate import validate_compiled
 from repro.problems import clique, random_problem_graph
-from repro.sim.qaoa_runner import final_mapping_of
 
 
 class TestSparseSkipping:
@@ -190,7 +190,7 @@ class TestWalkState:
             coupling, get_pattern(coupling), mapping, edges,
             use_range_detection=use_range_detection)
         validate_compiled(circuit, coupling.edges, mapping, edges)
-        assert final == final_mapping_of(circuit, mapping)
+        assert final == layer_permutation(circuit, mapping)
 
     @pytest.mark.parametrize("kind", PATTERN_ARCHS)
     @pytest.mark.parametrize("shape", ["random", "cliques"])
@@ -208,7 +208,7 @@ class TestWalkState:
         emitted = [op.tag for op in circuit if op.kind == CPHASE]
         assert len(emitted) == len(set(emitted))
         assert residual == set(edges) - set(emitted)
-        assert final == final_mapping_of(circuit, mapping)
+        assert final == layer_permutation(circuit, mapping)
 
 
 class TestRestriction:

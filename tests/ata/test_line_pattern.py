@@ -1,5 +1,8 @@
 """Tests for the 1xUnit line pattern (Fig 6/7)."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +98,28 @@ class TestRestrict:
         pattern = LinePattern(list(range(10)))
         sub = pattern.restrict([3, 6, 4])
         assert sub.path == [3, 4, 5, 6]
+
+    def test_threads_restrict_past_the_memo_cap(self):
+        """Jobs on the thread executor share a pattern; concurrent
+        evictions from its restrict memo neither raise nor overfill it."""
+        pattern = LinePattern(list(range(40)))
+        boxes = [(lo, hi) for lo in range(40) for hi in range(lo + 1, 40)
+                 if (lo, hi) != (0, 39)]
+        assert len(boxes) > 256
+        calls = [boxes[k % len(boxes)] for k in range(40_000)]
+
+        def restrict(box):
+            return pattern.restrict(box).path
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                paths = list(pool.map(restrict, calls, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pattern._restrict_memo) <= 256
+        assert paths == [list(range(lo, hi + 1)) for lo, hi in calls]
 
     def test_restricted_coverage(self):
         sub = LinePattern(list(range(10))).restrict([2, 5])

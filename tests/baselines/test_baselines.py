@@ -8,10 +8,10 @@ import repro.baselines.satmap as satmap_module
 from repro.arch import grid, heavyhex, line, sycamore
 from repro.baselines import (compile_olsq, compile_paulihedral, compile_qaim,
                              compile_satmap, compile_twoqan,
-                             mapping_cost, matching_layers,
                              quadratic_initial_mapping)
+from repro.baselines.paulihedral import matching_layers
 from repro.compiler import compile_qaoa
-from repro.compiler.mapping import trivial_placement
+from repro.compiler.mapping import mapping_cost, trivial_placement
 from repro.exceptions import SpecificationError
 from repro.problems import (ProblemGraph, clique, random_problem_graph)
 

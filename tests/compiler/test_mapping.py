@@ -13,9 +13,9 @@ from repro._telemetry import cache_info, clear_caches
 from repro.arch import (CouplingGraph, NoiseModel, grid, heavyhex, line,
                         sycamore)
 from repro.baselines import quadratic_initial_mapping
-from repro.baselines.routing import mapping_cost
 from repro.compiler import mapping as placement_module
-from repro.compiler.mapping import (degree_placement, noise_aware_placement,
+from repro.compiler.mapping import (degree_placement, mapping_cost,
+                                    noise_aware_placement,
                                     quadratic_placement, trivial_placement)
 from repro.exceptions import SpecificationError
 from repro.ir.mapping import Mapping

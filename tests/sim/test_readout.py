@@ -5,10 +5,10 @@ import pytest
 
 from repro.arch import NoiseModel, line
 from repro.compiler import compile_qaoa
+from repro.ir.program import layer_permutation
 from repro.problems import QaoaProblem, random_problem_graph
 from repro.sim import QaoaRunner
 from repro.sim.noise import apply_readout_errors
-from repro.sim.qaoa_runner import final_mapping_of
 
 
 class TestReadoutChannel:
@@ -59,7 +59,7 @@ class TestRunnerIntegration:
 
     def test_final_mapping_helper(self, parts):
         problem, _, compiled = parts
-        final = final_mapping_of(compiled.circuit, compiled.initial_mapping)
+        final = layer_permutation(compiled.circuit, compiled.initial_mapping)
         report = compiled.validate(line(6), problem.graph)
         assert final.log_to_phys == report.final_mapping.log_to_phys
 

@@ -2,15 +2,19 @@
 
 These pin the paper-scale behaviour that the default suite cannot afford:
 the 1024-qubit heavy-hex ATA schedule whose depth (2 792) lands within 4%
-of the paper's own Table-2 "Ours" value (2 910), and the 512-qubit
+of the paper's own Table-2 "Ours" value (2 910), the 512-qubit
 heavy-hex hybrid compile — its exact circuit and its peak memory (its
-placement and greedy pass times are printed, not asserted).
+placement and greedy pass times are printed, not asserted) — and the
+512-qubit heavy-hex Paulihedral compile, about a million ops through the
+shortest-path router (its wall time is printed, not asserted).
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,3 +96,24 @@ def test_heavyhex_512_hybrid_circuit_and_peak_rss():
     # mapping and remaining-edge set per mapping change peaked at
     # ~850 MB here.
     assert report["rss_mb"] <= 300, report
+
+
+@slow
+def test_heavyhex_512_paulihedral_circuit():
+    from repro.arch import heavyhex_for
+    from repro.baselines import compile_paulihedral
+    from repro.ir.serialize import circuit_to_dict
+    from repro.problems import random_problem_graph
+
+    problem = random_problem_graph(512, 0.3, seed=0)
+    start = time.perf_counter()
+    result = compile_paulihedral(heavyhex_for(512), problem)
+    # Reported, not asserted: run with -s to see this line in the log.
+    print(json.dumps({"paulihedral_wall_s": time.perf_counter() - start,
+                      "ops": len(result.circuit)}))
+    payload = json.dumps(circuit_to_dict(result.circuit), sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    assert (result.circuit.depth(),
+            result.circuit.cx_count(unify=True)) == (189410, 2941771)
+    assert hashlib.sha256(payload).hexdigest() == (
+        "d69baa0e2fc1a35d4417c009ea0e1eecdd02bd8d3d94b9b533c2cc14adb876e4")
