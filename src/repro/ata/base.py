@@ -42,10 +42,15 @@ class AtaPattern(ABC):
     def cycles(self) -> Iterator[List[Action]]:
         """Yield the schedule, one cycle (parallel action list) at a time."""
 
-    @property
     @abstractmethod
+    def qubits(self) -> Iterable[int]:
+        """Physical qubits this pattern touches (and never leaves), each
+        once, in the pattern's own order; no set is built."""
+
+    @property
     def region(self) -> FrozenSet[int]:
-        """Physical qubits this pattern touches (and never leaves)."""
+        """:meth:`qubits` as a set."""
+        return frozenset(self.qubits())
 
     def restrict(self, qubits: Iterable[int]) -> "AtaPattern":
         """A pattern covering at least ``qubits`` on a smaller region.

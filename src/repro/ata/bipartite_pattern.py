@@ -18,7 +18,7 @@ crucially for the grid composition — no occupant ever leaves its row.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from .base import GATE, SWAP, Action, AtaPattern
 
@@ -39,9 +39,8 @@ class BipartitePattern(AtaPattern):
         self.row_a = list(row_a)
         self.row_b = list(row_b)
 
-    @property
-    def region(self) -> FrozenSet[int]:
-        return frozenset(self.row_a) | frozenset(self.row_b)
+    def qubits(self) -> List[int]:
+        return self.row_a + self.row_b
 
     def cycles(self) -> Iterator[List[Action]]:
         a, b = self.row_a, self.row_b

@@ -16,7 +16,7 @@ levels up.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Tuple
+from typing import List, Tuple
 
 from ..arch.cube import plane_snake
 from .paired_units import _UnitTranspositionPattern
@@ -32,10 +32,9 @@ class CubePattern(_UnitTranspositionPattern):
     def for_architecture(cls, coupling) -> "CubePattern":
         return cls(tuple(coupling.metadata["dims"]))
 
-    @property
-    def region(self) -> FrozenSet[int]:
+    def qubits(self) -> range:
         nx, ny, nz = self.dims
-        return frozenset(range(nx * ny * nz))
+        return range(nx * ny * nz)
 
     def _n_units(self) -> int:
         return self.dims[2]

@@ -1,8 +1,9 @@
 """Pattern executor: the one walk of an ATA schedule.
 
 A :class:`Walk` follows a pattern's cycles with a live logical<->physical
-placement and hands every action it keeps to a ``feed2(code, u, v)``
-callback.  It applies the executor rules of Section 5.2: a ``gate``
+placement and hands the actions it keeps to a ``feed(ops)`` callback, one
+call per cycle, each op a ``(code, u, v)`` triple on physical qubits.  It
+applies the executor rules of Section 5.2: a ``gate``
 opportunity whose logical pair does not need a CPHASE is skipped ("skip
 the gates that are not in the practical circuit"), a SWAP between two
 finished occupants is dropped, and the walk stops as soon as no needed
@@ -26,15 +27,25 @@ on those two:
   mapping, skipping absent gates and stopping at the last needed one.
 
 The same walk both scores and builds.  :mod:`repro.ata.simulate` feeds
-it to a ``MetricTracker`` to score a candidate without a circuit;
+it to ``MetricTracker.feed`` to score a candidate without a circuit;
 :func:`execute_pattern` and :func:`ata_suffix` feed it to
 :meth:`Walk.sink`, which appends the ops to a :class:`Circuit`.  A
 schedule therefore cannot score one way and materialise another.
+
+The walk is cycle-batched.  :func:`compiled_cycles` stores each cycle's
+actions as the ``(code, u, v)`` triples the consumers take, so a kept
+action is passed on as it is, and flags each cycle whose actions are all
+of one kind on pairwise disjoint qubits (every cycle of every pattern
+except heavy-hex's interleaves).  Such a cycle needs neither the
+first-come qubit stamps nor a per-action kind test.  Kept actions of
+one cycle never share a qubit, so a consumer that reads the placement
+when the batch arrives (the sink's CPHASE tags) reads what each action
+saw.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..ir.circuit import Circuit
@@ -43,24 +54,42 @@ from ..ir.mapping import Mapping
 from ..problems.graphs import edge_components
 from .base import GATE, Action, AtaPattern
 
-#: Op-kind codes a walk passes to ``feed2``.  The two kinds that can
-#: fuse take the lowest codes, so a tracker tests ``code <= K_SWAP``.
+#: Op-kind codes of the ``(code, u, v)`` triples a walk feeds.  The two
+#: kinds that can fuse take the lowest codes, so a tracker tests
+#: ``code <= K_SWAP``.
 K_CPHASE = 0
 K_SWAP = 1
 
-#: One pattern action as the walk reads it: ``(is_gate, u, v)``.
-CompiledCycle = Tuple[Tuple[bool, int, int], ...]
+#: The kind flag of a cycle that mixes kinds or reuses a qubit: the walk
+#: stamps qubits first come, first served and tests each action's kind.
+STAMPED = -1
 
-#: The per-action callback of a walk: ``feed2(code, u, v)``.
-Feed = Callable[[int, int, int], None]
+#: Two-qubit ops as a walk feeds them: ``(code, u, v)``.
+Ops = Sequence[Tuple[int, int, int]]
+
+#: One pattern cycle as the walk reads it: ``(flag, ops)``, ``flag`` being
+#: ``K_CPHASE`` or ``K_SWAP`` when every op is of that kind and no two
+#: share a qubit, else :data:`STAMPED`.
+CompiledCycle = Tuple[int, Tuple[Tuple[int, int, int], ...]]
+
+#: The consumer of a walk, called once per cycle or routed pair with the
+#: kept ops in order.
+Feed = Callable[[Ops], None]
 
 
 def _compile_cycle(cycle: Iterable[Action]) -> CompiledCycle:
-    return tuple((action == GATE, u, v) for action, u, v in cycle)
+    ops = tuple((K_CPHASE if action == GATE else K_SWAP, u, v)
+                for action, u, v in cycle)
+    codes = {code for code, _, _ in ops}
+    qubits = {q for _, u, v in ops for q in (u, v)}
+    if len(codes) > 1 or len(qubits) < 2 * len(ops):
+        return STAMPED, ops
+    # An empty cycle keeps nothing, whichever loop walks it.
+    return (codes.pop() if codes else K_SWAP), ops
 
 
 def compiled_cycles(pattern: AtaPattern) -> List[CompiledCycle]:
-    """The pattern's schedule as ``(is_gate, u, v)`` tuples, cached on it.
+    """The pattern's schedule as ``(flag, ops)`` cycles, cached on it.
 
     Memoised on the instance — combined with the restrict memo and the
     registry pattern cache, repeated walks of the same (sub-)pattern
@@ -130,68 +159,100 @@ class Walk:
         return Mapping(log_to_phys, len(self.p2l))
 
     def sink(self, circuit: Circuit, gamma: float) -> Feed:
-        """A ``feed2`` that appends each walked action to ``circuit``.
+        """A ``feed`` that appends each walked op to ``circuit``.
 
         A CPHASE is tagged with the canonical logical pair it runs, read
-        from ``p2l`` (a gate moves no qubit, so ``p2l`` holds the pair
-        when it is fed).
+        from ``p2l`` when its batch arrives: no op of the same batch
+        after it moves either of its qubits.
         """
         p2l = self.p2l
         append = circuit.append
 
-        def feed2(code: int, u: int, v: int) -> None:
-            if code == K_CPHASE:
-                a = p2l[u]
-                b = p2l[v]
-                append(Op.cphase(u, v, gamma,
-                                 tag=(a, b) if a < b else (b, a)))
-            else:
-                append(Op.swap(u, v))
-        return feed2
+        def feed(ops: Ops) -> None:
+            for code, u, v in ops:
+                if code == K_CPHASE:
+                    a = p2l[u]
+                    b = p2l[v]
+                    append(Op.cphase(u, v, gamma,
+                                     tag=(a, b) if a < b else (b, a)))
+                else:
+                    append(Op.swap(u, v))
+        return feed
 
     def region(self, pattern: AtaPattern, edges: Set[Tuple[int, int]],
-               feed2: Feed, stop: Optional[Callable[[], bool]] = None
+               feed: Feed, stop: Optional[Callable[[], bool]] = None
                ) -> Optional[List[Tuple[int, int]]]:
         """Walk one region's pattern until its ``edges`` are executed.
 
         Inside a cycle a qubit takes part in at most one action, first
-        come first served.  Returns the region's residual pairs in
-        sorted order (the order :meth:`complete` consumes them), or
-        ``None`` once ``stop`` fires after a cycle.
+        come first served; each cycle's kept actions go to ``feed`` in
+        one call.  Returns the region's residual pairs in sorted order
+        (the order :meth:`complete` consumes them), or ``None`` once
+        ``stop`` fires after a cycle.
         """
         count = len(edges)
         if not count:
             return []
         p2l = self.p2l
         needed = self.needed
+        discard = needed.discard
         degree = self.degree
         stride = self.stride
-        # ``used[q] == stamp`` while an action fed in the current cycle
-        # holds ``q``.
-        used = [0] * len(p2l)
+        # ``used[q] == stamp`` while an action kept in the current
+        # stamped cycle holds ``q``.
+        used: List[int] = []
         stamp = 0
-        for cycle in compiled_cycles(pattern):
-            stamp += 1
-            for is_gate, u, v in cycle:
-                lu = p2l[u]
-                lv = p2l[v]
-                if is_gate:
-                    if (lu * stride + lv not in needed
-                            or used[u] == stamp or used[v] == stamp):
-                        continue
-                    self.done(lu, lv)
-                    count -= 1
-                    feed2(K_CPHASE, u, v)
-                else:
+        for flag, cycle in compiled_cycles(pattern):
+            kept: List[Tuple[int, int, int]] = []
+            keep = kept.append
+            # Flagged cycles are single-kind on disjoint qubits: no stamps.
+            if flag == K_CPHASE:
+                for op in cycle:
+                    lu = p2l[op[1]]
+                    lv = p2l[op[2]]
+                    key = lu * stride + lv
+                    if key in needed:
+                        discard(key)
+                        discard(lv * stride + lu)
+                        degree[lu] -= 1
+                        degree[lv] -= 1
+                        keep(op)
+                count -= len(kept)
+            elif flag == K_SWAP:
+                for op in cycle:
+                    _, u, v = op
+                    lu = p2l[u]
+                    lv = p2l[v]
                     # Moving two finished occupants is a no-op: dropped.
-                    if (not (degree[lu] or degree[lv])
-                            or used[u] == stamp or used[v] == stamp):
+                    if degree[lu] or degree[lv]:
+                        p2l[u] = lv
+                        p2l[v] = lu
+                        keep(op)
+            else:
+                if not used:
+                    used = [0] * len(p2l)
+                stamp += 1
+                for op in cycle:
+                    code, u, v = op
+                    if used[u] == stamp or used[v] == stamp:
                         continue
-                    p2l[u] = lv
-                    p2l[v] = lu
-                    feed2(K_SWAP, u, v)
-                used[u] = stamp
-                used[v] = stamp
+                    lu = p2l[u]
+                    lv = p2l[v]
+                    if code == K_CPHASE:
+                        if lu * stride + lv not in needed:
+                            continue
+                        self.done(lu, lv)
+                        count -= 1
+                    else:
+                        if not (degree[lu] or degree[lv]):
+                            continue
+                        p2l[u] = lv
+                        p2l[v] = lu
+                    keep(op)
+                    used[u] = stamp
+                    used[v] = stamp
+            if kept:
+                feed(kept)
             if not count:
                 return []
             if stop is not None and stop():
@@ -199,33 +260,36 @@ class Walk:
         return sorted(e for e in edges if e[0] * stride + e[1] in needed)
 
     def complete(self, coupling: CouplingGraph,
-                 residual: Iterable[Tuple[int, int]], feed2: Feed,
+                 residual: Iterable[Tuple[int, int]], feed: Feed,
                  stop: Optional[Callable[[], bool]] = None) -> bool:
         """Route each pair ``(lu, lv)``: ``lv`` walks a shortest path to
         ``lu`` with SWAPs, then the gate runs, as the per-gate baselines
-        do.  True once ``stop`` fires after a completed pair."""
+        do.  Each pair's SWAPs and gate go to ``feed`` in one call.  True
+        once ``stop`` fires after a completed pair."""
         p2l = self.p2l
         l2p = {logical: physical for physical, logical in enumerate(p2l)
                if logical >= 0}
         for lu, lv in residual:
             path = coupling.shortest_path(l2p[lu], l2p[lv])
+            ops = []
             for k in range(len(path) - 1, 1, -1):
                 a, b = path[k], path[k - 1]
-                feed2(K_SWAP, a, b)
+                ops.append((K_SWAP, a, b))
                 la = p2l[a]
                 lb = p2l[b]
                 p2l[a] = lb
                 p2l[b] = la
                 l2p[la] = b
                 l2p[lb] = a
-            feed2(K_CPHASE, path[0], path[1])
+            ops.append((K_CPHASE, path[0], path[1]))
+            feed(ops)
             self.done(lu, lv)
             if stop is not None and stop():
                 return True
         return False
 
     def suffix(self, coupling: CouplingGraph, pattern: AtaPattern,
-               feed2: Feed, use_range_detection: bool = True,
+               feed: Feed, use_range_detection: bool = True,
                stop: Optional[Callable[[], bool]] = None) -> bool:
         """Walk :func:`ata_suffix`'s schedule for every pending edge.
 
@@ -242,10 +306,10 @@ class Walk:
         plan = (detect_ranges(pattern, self.initial, edges)
                 if use_range_detection else [(pattern, edges)])
         for region_pattern, group in plan:
-            residual = self.region(region_pattern, group, feed2, stop)
+            residual = self.region(region_pattern, group, feed, stop)
             if residual is None:
                 return True
-            if residual and self.complete(coupling, residual, feed2, stop):
+            if residual and self.complete(coupling, residual, feed, stop):
                 return True
         return False
 
@@ -336,7 +400,7 @@ def detect_ranges(
         for i in range(n):
             if find(i) != i:
                 continue
-            for q in regions[i].region:
+            for q in regions[i].qubits():
                 j = find(owner.setdefault(q, i))
                 if j != i:
                     # Keep the smaller original index as representative —

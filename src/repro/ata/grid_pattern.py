@@ -22,7 +22,7 @@ DESIGN.md.)
 from __future__ import annotations
 
 from itertools import chain
-from typing import FrozenSet, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from .base import GATE, SWAP, Action, AtaPattern, merge_parallel
 from .bipartite_pattern import BipartitePattern
@@ -38,9 +38,8 @@ class _RowUnitPattern(AtaPattern):
             raise ValueError("all grid units must have equal width")
         self.units = [list(u) for u in units]
 
-    @property
-    def region(self) -> FrozenSet[int]:
-        return frozenset(chain.from_iterable(self.units))
+    def qubits(self) -> Iterator[int]:
+        return chain.from_iterable(self.units)
 
     def restrict(self, qubits) -> "_RowUnitPattern":
         """Minimal sub-rectangle of units containing ``qubits``.
@@ -183,8 +182,8 @@ class OptimizedGridPattern(_RowUnitPattern):
     def _compiled_plan(self):
         """(distinct cycles, schedule indices) for the schedule walk.
 
-        ``repro.ata.executor.compiled_cycles`` converts each distinct
-        cycle to ``(is_gate, u, v)`` tuples once.
+        ``repro.ata.executor.compiled_cycles`` converts and flags each
+        distinct cycle once.
 
         Cycle content depends on ``k`` and the placement index only
         through ``k % 2``, so the whole ``ceil(R/2) * (3C + 2)`` schedule

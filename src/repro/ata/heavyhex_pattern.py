@@ -22,7 +22,8 @@ devices like Mumbai).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Sequence
+from itertools import chain
+from typing import Dict, Iterator, List, Sequence
 
 from .base import GATE, SWAP, Action, AtaPattern
 from .line_pattern import LinePattern
@@ -49,9 +50,8 @@ class HeavyHexPattern(AtaPattern):
     def for_architecture(cls, coupling) -> "HeavyHexPattern":
         return cls(coupling.metadata["path"], coupling.metadata["off_path"])
 
-    @property
-    def region(self) -> FrozenSet[int]:
-        return frozenset(self.path) | frozenset(self.off_path)
+    def qubits(self) -> Iterator[int]:
+        return chain(self.path, self.off_path)
 
     def _interleave(self) -> List[Action]:
         return [(GATE, node, anchor)
@@ -81,8 +81,8 @@ class HeavyHexPattern(AtaPattern):
     def _compiled_plan(self):
         """(distinct cycles, schedule indices) for the schedule walk.
 
-        ``repro.ata.executor.compiled_cycles`` converts each distinct
-        cycle to ``(is_gate, u, v)`` tuples once.
+        ``repro.ata.executor.compiled_cycles`` converts and flags each
+        distinct cycle once.
 
         Both passes replay the line pattern's four distinct cycles; the
         interleave and exchange cycles are constant, so six distinct

@@ -16,7 +16,7 @@ mechanism behind the Sycamore and hexagon compositions.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from .base import GATE, SWAP, Action, AtaPattern
 
@@ -36,9 +36,8 @@ class LinePattern(AtaPattern):
             raise ValueError("line pattern path revisits a qubit")
         self.path = list(path)
 
-    @property
-    def region(self) -> FrozenSet[int]:
-        return frozenset(self.path)
+    def qubits(self) -> List[int]:
+        return self.path
 
     @property
     def reverses(self) -> bool:
@@ -60,8 +59,8 @@ class LinePattern(AtaPattern):
     def _compiled_plan(self):
         """(distinct cycles, schedule indices) for the schedule walk.
 
-        ``repro.ata.executor.compiled_cycles`` converts each distinct
-        cycle to ``(is_gate, u, v)`` tuples once.
+        ``repro.ata.executor.compiled_cycles`` converts and flags each
+        distinct cycle once.
 
         The schedule is one four-cycle block repeated ``ceil(m/2)`` times,
         so only four distinct cycles exist.

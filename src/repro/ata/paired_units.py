@@ -21,7 +21,7 @@ linear; the paper's hand-optimised Sycamore schedule (Appendix B) reaches
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from .base import Action, AtaPattern, merge_parallel
 from .line_pattern import LinePattern
@@ -82,13 +82,12 @@ class SycamorePattern(_UnitTranspositionPattern):
     def _node(self, r: int, c: int) -> int:
         return r * self.cols + c
 
-    @property
-    def region(self) -> FrozenSet[int]:
+    def qubits(self) -> Iterator[int]:
         r0, r1 = self.row_range
         c0, c1 = self.col_range
-        return frozenset(self._node(r, c)
-                         for r in range(r0, r1 + 1)
-                         for c in range(c0, c1 + 1))
+        return (self._node(r, c)
+                for r in range(r0, r1 + 1)
+                for c in range(c0, c1 + 1))
 
     def _n_units(self) -> int:
         return self.row_range[1] - self.row_range[0] + 1
@@ -156,13 +155,12 @@ class HexagonPattern(_UnitTranspositionPattern):
     def _node(self, r: int, c: int) -> int:
         return c * self.rows + r
 
-    @property
-    def region(self) -> FrozenSet[int]:
+    def qubits(self) -> Iterator[int]:
         c0, c1 = self.col_range
         r0, r1 = self.row_range
-        return frozenset(self._node(r, c)
-                         for c in range(c0, c1 + 1)
-                         for r in range(r0, r1 + 1))
+        return (self._node(r, c)
+                for c in range(c0, c1 + 1)
+                for r in range(r0, r1 + 1))
 
     def _n_units(self) -> int:
         return self.col_range[1] - self.col_range[0] + 1

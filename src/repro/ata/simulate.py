@@ -16,19 +16,23 @@ reproduces the three selector inputs exactly:
   product of ``NoiseModel.esp``: an exactly rounded ``math.fsum`` over
   per-coupling CX tallies, so it does not depend on accumulation order.
 
-The walk replays each pattern's cached ``(is_gate, u, v)`` cycles
+The walk replays each pattern's cached ``(code, u, v)`` cycles
 (:func:`repro.ata.executor.compiled_cycles`) and calls
-:meth:`MetricTracker.feed2` once per kept action.  The replay is
-scalar: at 64 and 256 qubits a cycle emits a median of 14-35 ops, too
-few for array dispatch to pay.  At 1024 qubits cycles are wide enough
-that it would; docs/performance.md measures that cost.
+:meth:`MetricTracker.feed` once per cycle with the actions it kept,
+which the tracker folds in one loop over local variables.  The fold is
+plain Python: at 64 and 256 qubits a cycle keeps a median of 14-35
+ops, too few for array dispatch to pay (docs/performance.md measures
+the per-cycle batching and the array question).
+
+:func:`circuit_metrics` runs the same tracker over a whole circuit; the
+candidate pass takes the finished greedy circuit's metrics from it.
 
 A scoring can also stop early.  Depth and fused CX count never
 decrease as ops stream in, so a caller's ``stop`` predicate over the
 running tracker may end a suffix as soon as its candidate provably
 cannot win; ``stop`` is checked after every pattern cycle and every
-completed residual pair, and :func:`candidate_metrics` then returns
-``None``.
+completed residual pair (after each batch the tracker is fed), and
+:func:`candidate_metrics` then returns ``None``.
 
 The selected candidate is materialised afterwards by the same walk fed
 to a circuit, so its metrics are the scored ones; the golden fixtures
@@ -43,10 +47,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
+from ..ir.circuit import Circuit
 from ..ir.gates import CPHASE, CX, SWAP, Op
 from ..ir.mapping import Mapping
 from .base import AtaPattern
-from .executor import K_CPHASE, K_SWAP, Walk
+from .executor import K_CPHASE, K_SWAP, Ops, Walk
 
 #: Op-kind codes past the walk's two (CPHASE and SWAP, the kinds that
 #: can fuse, hold the lowest codes: ``code <= K_SWAP`` tests it).
@@ -102,62 +107,76 @@ class MetricTracker:
             clone.edge_cx = self.edge_cx[:]
         return clone
 
-    def feed2(self, code: int, u: int, v: int) -> None:
-        """A two-qubit op on physical qubits ``(u, v)``."""
+    def feed(self, ops: Ops) -> None:
+        """Two-qubit ops ``(code, u, v)`` on physical qubits, in order."""
         busy = self.busy
-        bu = busy[u]
-        bv = busy[v]
-        end = (bu if bu >= bv else bv) + 1
-        busy[u] = end
-        busy[v] = end
-        if end > self.depth:
-            self.depth = end
-
         held = self.held_partner
         kind = self.held_kind
-        held_u = held[u]
-        if held_u == v and kind[u] != code and code <= K_SWAP:
-            n_cx = 3 - _STANDALONE_CX[kind[u]]
-            held[u] = -1
-            held[v] = -1
-        else:
-            if held_u >= 0:
-                held[held_u] = -1
-            held_v = held[v]
-            if held_v >= 0:
-                held[held_v] = -1
-            n_cx = _STANDALONE_CX[code]
-            if code <= K_SWAP:
-                held[u] = v
-                held[v] = u
-                kind[u] = code
-                kind[v] = code
-            else:
+        standalone = _STANDALONE_CX
+        edge_cx = self.edge_cx
+        edge_index = self.edge_index if edge_cx is not None else None
+        depth = self.depth
+        cx = self.cx
+        for code, u, v in ops:
+            bu = busy[u]
+            bv = busy[v]
+            end = (bu if bu >= bv else bv) + 1
+            busy[u] = end
+            busy[v] = end
+            if end > depth:
+                depth = end
+            held_u = held[u]
+            if held_u == v and kind[u] != code and code <= K_SWAP:
+                n_cx = 3 - standalone[kind[u]]
                 held[u] = -1
                 held[v] = -1
-        self.cx += n_cx
-        if self.edge_cx is not None:
-            self.edge_cx[self.edge_index[(u, v) if u < v else (v, u)]] += n_cx
+            else:
+                if held_u >= 0:
+                    held[held_u] = -1
+                held_v = held[v]
+                if held_v >= 0:
+                    held[held_v] = -1
+                n_cx = standalone[code]
+                if code <= K_SWAP:
+                    held[u] = v
+                    held[v] = u
+                    kind[u] = code
+                    kind[v] = code
+                else:
+                    held[u] = -1
+                    held[v] = -1
+            cx += n_cx
+            if edge_cx is not None:
+                edge_cx[edge_index[(u, v) if u < v else (v, u)]] += n_cx
+        self.depth = depth
+        self.cx = cx
 
-    def feed_op(self, op: Op) -> None:
-        """An arbitrary prefix op (greedy prefixes hold CPHASE/SWAP only)."""
-        qubits = op.qubits
-        if len(qubits) == 2:
-            self.feed2(_KIND_CODE.get(op.kind, K_OTHER),
-                       qubits[0], qubits[1])
-            return
-        busy = self.busy
-        held = self.held_partner
-        end = max(busy[q] for q in qubits) + 1
-        if end > self.depth:
-            self.depth = end
-        for q in qubits:
-            busy[q] = end
-            if held[q] >= 0:
-                held[held[q]] = -1
-                held[q] = -1
-        if len(qubits) == 1:
-            self.n_single += 1
+    def feed_ops(self, ops: Iterable[Op]) -> None:
+        """Arbitrary ops in order (greedy circuits hold CPHASE/SWAP only)."""
+        batch: List[Tuple[int, int, int]] = []
+        for op in ops:
+            qubits = op.qubits
+            if len(qubits) == 2:
+                batch.append((_KIND_CODE.get(op.kind, K_OTHER),
+                              qubits[0], qubits[1]))
+                continue
+            if batch:
+                self.feed(batch)
+                batch = []
+            busy = self.busy
+            held = self.held_partner
+            end = max(busy[q] for q in qubits) + 1
+            if end > self.depth:
+                self.depth = end
+            for q in qubits:
+                busy[q] = end
+                if held[q] >= 0:
+                    held[held[q]] = -1
+                    held[q] = -1
+            if len(qubits) == 1:
+                self.n_single += 1
+        if batch:
+            self.feed(batch)
 
     def finalize(self) -> Tuple[int, int, Optional[float]]:
         """(depth, cx_count, esp) — non-destructive, fork-safe."""
@@ -189,7 +208,17 @@ def candidate_metrics(
     """
     tracker = (prefix_tracker if prefix_tracker is not None
                else MetricTracker(coupling.n_qubits, noise))
-    if Walk(mapping, remaining).suffix(coupling, pattern, tracker.feed2,
+    if Walk(mapping, remaining).suffix(coupling, pattern, tracker.feed,
                                        use_range_detection, stop):
         return None
+    return tracker.finalize()
+
+
+def circuit_metrics(circuit: Circuit, noise: Optional[NoiseModel] = None
+                    ) -> Tuple[int, int, Optional[float]]:
+    """(depth, cx_count, esp) of ``circuit`` from one tracker pass: the
+    values of ``circuit.depth()``, ``circuit.cx_count(unify=True)`` and
+    ``noise.esp(circuit)`` (``None`` without a noise model)."""
+    tracker = MetricTracker(circuit.n_qubits, noise)
+    tracker.feed_ops(circuit.ops)
     return tracker.finalize()

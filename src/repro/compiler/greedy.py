@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Callable, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+                    Sequence, Set, Tuple)
 
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
@@ -55,7 +55,7 @@ def replay_snapshots(
     initial_mapping: Mapping,
     edges: Iterable[Tuple[int, int]],
     snapshots: Iterable[Snapshot],
-    feed: Optional[Callable[[Op], None]] = None,
+    feed: Optional[Callable[[Sequence[Op]], None]] = None,
 ) -> Iterator[Tuple[Snapshot, Mapping, FrozenSet[Tuple[int, int]]]]:
     """Rebuild the engine's state at each snapshot in one walk of ``circuit``.
 
@@ -64,22 +64,23 @@ def replay_snapshots(
     plus the prefix's SWAPs — and the remaining edges — the canonical
     problem ``edges``, inserted in order, minus the prefix's CPHASE
     tags — exactly as :func:`greedy_compile` held them at that point.
-    ``feed``, when given, is called with every walked op in order.
+    ``feed``, when given, is called once per snapshot with the ops
+    walked since the previous one, in order.
     """
     mapping = initial_mapping.copy()
     remaining = _pending_pairs(edges)
     ops = circuit.ops
     walked = 0
     for snapshot in snapshots:
-        while walked < snapshot.op_count:
-            op = ops[walked]
+        step = ops[walked:snapshot.op_count]
+        for op in step:
             if op.kind == SWAP:
                 mapping.swap_physical(*op.qubits)
             elif op.kind == CPHASE:
                 remaining.discard(op.tag)
-            if feed is not None:
-                feed(op)
-            walked += 1
+        if feed is not None:
+            feed(step)
+        walked += len(step)
         yield snapshot, mapping.copy(), frozenset(remaining)
 
 

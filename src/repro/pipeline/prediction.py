@@ -14,12 +14,12 @@ from functools import partial
 from typing import List, Sequence
 
 from ..ata.executor import ata_suffix
-from ..ata.simulate import MetricTracker, candidate_metrics
+from ..ata.simulate import MetricTracker, candidate_metrics, circuit_metrics
 from ..compiler.greedy import replay_snapshots
 from ..ir.circuit import Circuit
 from .base import Pass
 from .context import Candidate, CompilationContext
-from .selection import cost_f, f_lower_bound, normalisers
+from .selection import check_alpha, cost_f, f_lower_bound, normalisers
 
 
 def sample_snapshots(snapshots: Sequence, max_predictions: int) -> List:
@@ -109,17 +109,21 @@ class CandidatePass(Pass):
         context.require("trace", "mapping", "pattern")
         trace = context.trace
         if not trace.remaining:
-            circuit, noise = trace.circuit, context.noise
+            # One tracker pass gives the greedy circuit's depth, fused CX
+            # count and ESP; a separate pass from the snapshot replay
+            # below, so no snapshot's tracker state is held to wait for
+            # the greedy metrics that pruning needs first.
+            depth, gates, esp = circuit_metrics(trace.circuit, context.noise)
             context.candidates.append(Candidate(
-                label="greedy", circuit=circuit, depth=circuit.depth(),
-                gate_count=circuit.cx_count(unify=True),
-                esp=noise.esp(circuit) if noise is not None else None))
+                label="greedy", circuit=trace.circuit, depth=depth,
+                gate_count=gates, esp=esp))
         sampled = sample_snapshots(trace.snapshots,
                                    context.knob("max_predictions", 24))
         coupling, pattern = context.coupling, context.pattern
         gamma = context.gamma
         urd = context.knob("use_range_detection", True)
         alpha = context.knob("alpha", 0.5)
+        check_alpha(alpha)  # once: ``cannot_win`` runs after every cycle
         noisy = context.noise is not None
         norm_depth, norm_gates = normalisers(context)
         best = min(cost_f(c.depth, c.gate_count, norm_depth, norm_gates,
@@ -139,7 +143,7 @@ class CandidatePass(Pass):
         ops = trace.circuit.ops
         for snapshot, mapping, remaining in replay_snapshots(
                 trace.circuit, context.mapping, context.problem.edges,
-                sampled, feed=tracker.feed_op):
+                sampled, feed=tracker.feed_ops):
             if not remaining or snapshot.op_count == 0:
                 continue  # snapshot 0 duplicates the pure ATA candidate
             fork = tracker.copy()

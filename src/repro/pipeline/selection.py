@@ -49,6 +49,12 @@ def cost_f(
 ) -> float:
     """The selector cost F (smaller is better)."""
     check_alpha(alpha)
+    return _cost_f(depth, gate_count, greedy_depth, greedy_gates, esp, alpha)
+
+
+def _cost_f(depth: int, gate_count: int, greedy_depth: int,
+            greedy_gates: int, esp: Optional[float], alpha: float) -> float:
+    """F for an ``alpha`` already checked by :func:`check_alpha`."""
     depth_term = depth / max(greedy_depth, 1)
     if esp is not None and gate_count > 0:
         quality = 1.0 - esp ** (1.0 / gate_count)
@@ -72,9 +78,12 @@ def f_lower_bound(
     ESP quality term ``1 - esp^(1/g)`` can fall as gates are added but
     is never negative, so the bound is the depth term alone — F with no
     gates, computed by the same float operations as :func:`cost_f`.
+
+    ``alpha`` is not checked here: the caller checks it once where it
+    reads it, since the bound runs after every walked cycle.
     """
-    return cost_f(depth, 0 if noisy else gate_count, norm_depth,
-                  norm_gates, None, alpha)
+    return _cost_f(depth, 0 if noisy else gate_count, norm_depth,
+                   norm_gates, None, alpha)
 
 
 def normalisers(context: CompilationContext) -> Tuple[int, int]:
@@ -113,10 +122,11 @@ def score_candidates(
     """Attach scores and return the best candidate (stable on ties)."""
     if not candidates:
         raise SpecificationError("no candidates to select from")
+    check_alpha(alpha)
     for candidate in candidates:
-        candidate.score = cost_f(candidate.depth, candidate.gate_count,
-                                 greedy_depth, greedy_gates,
-                                 candidate.esp, alpha=alpha)
+        candidate.score = _cost_f(candidate.depth, candidate.gate_count,
+                                  greedy_depth, greedy_gates,
+                                  candidate.esp, alpha)
     return min(candidates, key=lambda c: c.score)
 
 

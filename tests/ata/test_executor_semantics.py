@@ -12,14 +12,13 @@ class ScriptedPattern(AtaPattern):
 
     def __init__(self, script, region):
         self._script = script
-        self._region = frozenset(region)
+        self._qubits = list(region)
 
     def cycles(self):
         return iter(self._script)
 
-    @property
-    def region(self):
-        return self._region
+    def qubits(self):
+        return self._qubits
 
 
 class TestGateSkipping:

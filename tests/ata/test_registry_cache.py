@@ -2,7 +2,7 @@
 
 from repro.arch import grid, heavyhex, line
 from repro.ata.base import GATE
-from repro.ata.executor import compiled_cycles
+from repro.ata.executor import K_CPHASE, K_SWAP, compiled_cycles
 from repro.ata.registry import (clear_pattern_cache, get_pattern,
                                 pattern_cache_info, pattern_cache_key)
 
@@ -34,9 +34,10 @@ class TestPatternCache:
         coupling = grid(3, 3)
         cached = get_pattern(coupling)
         fresh = get_pattern(coupling, cached=False)
-        generated = [tuple((action == GATE, u, v) for action, u, v in cycle)
+        generated = [tuple((K_CPHASE if action == GATE else K_SWAP, u, v)
+                           for action, u, v in cycle)
                      for cycle in fresh.cycles()]
-        assert compiled_cycles(cached) == generated
+        assert [ops for _, ops in compiled_cycles(cached)] == generated
         # The registry hands back the instance, and with it the cached
         # cycle list.
         assert compiled_cycles(get_pattern(coupling)) is \

@@ -93,7 +93,7 @@ def test_prefix_fork_metrics_match(make_coupling, n_logical, with_noise,
     checked = 0
     for snapshot, at, remaining in replay_snapshots(
             trace.circuit, mapping, problem.edges, trace.snapshots,
-            feed=tracker.feed_op):
+            feed=tracker.feed_ops):
         if not remaining or snapshot.op_count == 0:
             continue
         simulated = candidate_metrics(
@@ -260,7 +260,7 @@ def test_running_depth_is_max_busy(ops, with_noise):
     for kind, q in ops:
         op = (Op.rx(q, 0.3) if kind == "rx"
               else getattr(Op, kind)(q, q + 1))
-        tracker.feed_op(op)
+        tracker.feed_ops([op])
         assert tracker.depth == max(tracker.busy)
     assert tracker.finalize()[0] == max(tracker.busy)
 

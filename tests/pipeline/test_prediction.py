@@ -1,6 +1,8 @@
-"""Snapshot sampling, and candidate pruning checked against an unpruned
-re-scoring of the same pool."""
+"""Snapshot sampling, candidate pruning checked against an unpruned
+re-scoring of the same pool, the greedy candidate's tracker metrics, and
+the ``alpha`` check that pruning no longer repeats."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +10,9 @@ from repro.arch import NoiseModel, architecture_for
 from repro.ata.simulate import MetricTracker, candidate_metrics
 from repro.compiler import compile_qaoa
 from repro.compiler.greedy import replay_snapshots
-from repro.pipeline.prediction import sample_snapshots
-from repro.pipeline.selection import cost_f
+from repro.exceptions import SpecificationError
+from repro.pipeline.prediction import CandidatePass, sample_snapshots
+from repro.pipeline.selection import SelectionPass, cost_f
 from repro.problems import random_problem_graph
 
 SNAPSHOTS = list(range(10))
@@ -54,7 +57,7 @@ def unpruned_pool(context, max_predictions):
     for snapshot, mapping, remaining in replay_snapshots(
             trace.circuit, context.mapping, context.problem.edges,
             sample_snapshots(trace.snapshots, max_predictions),
-            feed=tracker.feed_op):
+            feed=tracker.feed_ops):
         if remaining and snapshot.op_count:
             pool.append((f"hybrid@{snapshot.cycle}", candidate_metrics(
                 coupling, context.pattern, mapping, remaining,
@@ -117,3 +120,57 @@ def test_pruning_never_changes_metrics_or_selection(
     assert position == len(kept)
     first_argmin = min(range(len(pool)), key=scores.__getitem__)
     assert result.extra["selected"] == pool[first_argmin][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arch=st.sampled_from(["line", "grid", "heavyhex", "sycamore",
+                             "hexagon", "cube"]),
+       n=st.integers(4, 24),
+       density=st.floats(0.1, 1.0),
+       seed=st.integers(0, 2**16),
+       noisy=st.booleans(),
+       unify_swaps=st.booleans())
+def test_greedy_candidate_metrics_equal_circuit_measures(
+        arch, n, density, seed, noisy, unify_swaps):
+    """The greedy candidate's metrics come from one tracker pass; they
+    are the circuit's own depth, fused CX count and ESP."""
+    coupling = architecture_for(arch, n)
+    problem = random_problem_graph(n, density, seed=seed)
+    noise = NoiseModel(coupling, seed=seed) if noisy else None
+    seen = {}
+
+    def observe(pass_, context, record):
+        if pass_.name == "candidates":
+            seen["greedy"] = next(c for c in context.candidates
+                                  if c.label == "greedy")
+
+    compile_qaoa(coupling, problem, method="hybrid", noise=noise,
+                 gamma=0.3, unify_swaps=unify_swaps, on_pass_end=observe)
+    greedy = seen["greedy"]
+    circuit = greedy.circuit
+    assert (greedy.depth, greedy.gate_count, greedy.esp) == (
+        circuit.depth(), circuit.cx_count(unify=True),
+        noise.esp(circuit) if noise is not None else None)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), "0.5"])
+def test_bad_alpha_raises_from_compile_and_from_passes(alpha):
+    """Pruning reads ``alpha`` unchecked after every cycle, so the check
+    happens where ``alpha`` is read: at compile_qaoa's knob check and in
+    the candidate and selection passes run on their own."""
+    coupling = architecture_for("grid", 12)
+    problem = random_problem_graph(12, 0.4, seed=3)
+    with pytest.raises(SpecificationError, match="alpha"):
+        compile_qaoa(coupling, problem, method="hybrid", alpha=alpha)
+    seen = {}
+
+    def keep(pass_, context, record):
+        seen[pass_.name] = context
+
+    compile_qaoa(coupling, problem, method="hybrid", on_pass_end=keep)
+    context = seen["selection"]
+    context.knobs["alpha"] = alpha
+    with pytest.raises(SpecificationError, match="alpha"):
+        SelectionPass().run(context)
+    with pytest.raises(SpecificationError, match="alpha"):
+        CandidatePass().run(context)
