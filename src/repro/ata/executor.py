@@ -45,27 +45,19 @@ saw.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..ir.circuit import Circuit
 from ..ir.gates import Op, canonical_edges
 from ..ir.mapping import Mapping
+from ..ir.tracker import K_CPHASE, K_SWAP, Ops
 from ..problems.graphs import edge_components
 from .base import GATE, Action, AtaPattern
-
-#: Op-kind codes of the ``(code, u, v)`` triples a walk feeds.  The two
-#: kinds that can fuse take the lowest codes, so a tracker tests
-#: ``code <= K_SWAP``.
-K_CPHASE = 0
-K_SWAP = 1
 
 #: The kind flag of a cycle that mixes kinds or reuses a qubit: the walk
 #: stamps qubits first come, first served and tests each action's kind.
 STAMPED = -1
-
-#: Two-qubit ops as a walk feeds them: ``(code, u, v)``.
-Ops = Sequence[Tuple[int, int, int]]
 
 #: One pattern cycle as the walk reads it: ``(flag, ops)``, ``flag`` being
 #: ``K_CPHASE`` or ``K_SWAP`` when every op is of that kind and no two

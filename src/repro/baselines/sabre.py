@@ -21,7 +21,9 @@ baseline's circuits are defined by this behaviour, so it stays.
 
 Each candidate SWAP is scored from the layer sums of the current mapping
 plus the distance change of the gates on its two occupants, which is
-the same integer as re-summing every gate under a trial mapping.
+the same integer as re-summing every gate under a trial mapping.  The
+window and the sums are built once per front layer: a SWAP does not
+change the front, and the chosen candidate's sums are the new ones.
 """
 
 from __future__ import annotations
@@ -96,19 +98,29 @@ def compile_sabre(
             frontier = nxt
         return window
 
-    def layer_sum(layer: Iterable[int],
-                  partners: Dict[int, List[Tuple[int, int]]]) -> int:
-        """Total distance of ``layer``; fills each logical qubit's
-        ``(partner, partner position)`` list."""
+    def layer_sum(layer: Iterable[int]) -> Tuple[int, List[List[int]]]:
+        """Total distance of ``layer`` and, at each physical qubit, the
+        logical partners of its occupant's gates (none at a spare)."""
         total = 0
+        partners: List[List[int]] = [[] for _ in range(n_physical)]
         for g in layer:
             u, v = gates[g]
             pu, pv = log_to_phys[u], log_to_phys[v]
             total += rows[pu][pv]
-            partners.setdefault(u, []).append((v, pv))
-            partners.setdefault(v, []).append((u, pu))
-        return total
+            partners[pu].append(v)
+            partners[pv].append(u)
+        return total, partners
 
+    # The lookahead window, the partner lists and the layer sums depend
+    # on the front layer alone, and SWAPs leave it as it is: they are
+    # rebuilt only after gates execute (``window is None``).  A SWAP
+    # moves its occupants' partner lists with them, and the sums become
+    # the chosen candidate's.
+    n_physical = coupling.n_qubits
+    window: Optional[List[int]] = None
+    front_partners: List[List[int]] = []
+    window_partners: List[List[int]] = []
+    front_sum = window_sum = n_window = 0
     guard = 0
     guard_limit = 60 * coupling.n_qubits + 10 * len(gates) + 200
     while front:
@@ -126,6 +138,7 @@ def compile_sabre(
                     if indegree[s] == 0:
                         front.add(s)
             decay = [1.0] * coupling.n_qubits
+            window = None
             continue
 
         if guard > guard_limit:
@@ -138,51 +151,63 @@ def compile_sabre(
             front.clear()
             break
 
+        if window is None:
+            window = lookahead(front)
+            n_window = len(window)
+            front_sum, front_partners = layer_sum(front)
+            window_sum, window_partners = layer_sum(window)
         # A SWAP of (pu, pv) moves only the gates on its two occupants:
         # the layer sums change by those gates' distance changes.  The
         # gate between the two occupants keeps its length and is skipped.
-        window = lookahead(front)
-        front_partners: Dict[int, List[Tuple[int, int]]] = {}
-        window_partners: Dict[int, List[Tuple[int, int]]] = {}
-        front_sum = layer_sum(front, front_partners)
-        window_sum = layer_sum(window, window_partners)
         best_swap, best_score = None, None
+        best_sums = (front_sum, window_sum)
         candidate_qubits = {log_to_phys[q] for g in front for q in gates[g]}
         for pu in sorted(candidate_qubits):
             lu = phys_to_log[pu]
             row_u = rows[pu]
-            lu_front = front_partners.get(lu, ())
-            lu_window = window_partners.get(lu, ())
+            lu_front = front_partners[pu]
+            lu_window = window_partners[pu]
+            decay_u = decay[pu]
             for pv in coupling.neighbors(pu):
                 lv = phys_to_log[pv]
                 row_v = rows[pv]
                 front_after = front_sum
                 window_after = window_sum
-                for q, pq in lu_front:
+                for q in lu_front:
                     if q != lv:
+                        pq = log_to_phys[q]
                         front_after += row_v[pq] - row_u[pq]
-                for q, pq in lu_window:
+                for q in lu_window:
                     if q != lv:
+                        pq = log_to_phys[q]
                         window_after += row_v[pq] - row_u[pq]
-                # A spare pv (lv None) has no partners.
-                for q, pq in front_partners.get(lv, ()):
+                for q in front_partners[pv]:
                     if q != lu:
+                        pq = log_to_phys[q]
                         front_after += row_u[pq] - row_v[pq]
-                for q, pq in window_partners.get(lv, ()):
+                for q in window_partners[pv]:
                     if q != lu:
+                        pq = log_to_phys[q]
                         window_after += row_u[pq] - row_v[pq]
                 score = front_after
-                if window:
+                if n_window:
                     score += (_LOOKAHEAD_WEIGHT * window_after
-                              / len(window))
-                score *= max(decay[pu], decay[pv])
+                              / n_window)
+                decay_v = decay[pv]
+                score *= decay_u if decay_u >= decay_v else decay_v
                 key = (score, pu, pv)
                 if best_score is None or key < best_score:
                     best_score = key
                     best_swap = (pu, pv)
+                    best_sums = (front_after, window_after)
         pu, pv = best_swap
         circuit.append(Op.swap(pu, pv))
         mapping.swap_physical(pu, pv)
+        front_sum, window_sum = best_sums
+        front_partners[pu], front_partners[pv] = (front_partners[pv],
+                                                  front_partners[pu])
+        window_partners[pu], window_partners[pv] = (window_partners[pv],
+                                                    window_partners[pu])
         decay[pu] += _DECAY
         decay[pv] += _DECAY
 

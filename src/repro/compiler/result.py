@@ -11,6 +11,7 @@ from ..arch.noise import NoiseModel
 from ..ir.circuit import Circuit
 from ..ir.mapping import Mapping
 from ..ir.program import Program
+from ..ir.tracker import scan_circuit
 from ..ir.validate import (ValidationReport, blocking_lint,
                            validate_lint_report)
 from ..problems.graphs import ProblemGraph
@@ -66,12 +67,14 @@ class CompiledResult:
     def to_record(self) -> dict:
         """Plain-data summary (metrics + telemetry, no circuit) safe to
         pickle across processes or dump as JSON — the batch engine's
-        per-job payload."""
+        per-job payload.  Depth, fused CX and SWAP count come from one
+        :func:`~repro.ir.tracker.scan_circuit` pass."""
+        metrics = scan_circuit(self.circuit)
         return {
             "method": self.method,
-            "depth": self.depth(),
-            "cx": self.gate_count,
-            "swaps": self.swap_count,
+            "depth": metrics.depth,
+            "cx": metrics.cx,
+            "swaps": metrics.n_swap,
             "ops": len(self.circuit),
             "wall_time_s": self.wall_time_s,
             "extra": self.extra,

@@ -31,12 +31,16 @@ from typing import Dict, Iterator, List, Tuple
 
 from .circuit import Circuit
 from .gates import CPHASE, CX, SWAP, Op, canonical_edge
+from .tracker import scan_circuit
 
 #: A decomposition unit: either a standalone op or a fused (cphase, swap) pair.
 _Unit = Tuple[str, List[Op]]
 
 _STANDALONE = "standalone"
 _FUSED = "fused"
+
+#: CX count of each two-qubit kind decomposed on its own.
+_UNFUSED_CX: Dict[str, int] = {CPHASE: 2, SWAP: 3, CX: 1}
 
 
 def fusion_units(circuit: Circuit) -> Iterator[_Unit]:
@@ -91,20 +95,15 @@ def fusion_units(circuit: Circuit) -> Iterator[_Unit]:
 
 
 def count_cx(circuit: Circuit, unify: bool = True) -> int:
-    """CX gates in the decomposed circuit without materialising it."""
-    total = 0
-    for unit_kind, ops in fusion_units(circuit):
-        if unit_kind == _FUSED:
-            total += 3 if unify else 5
-        else:
-            op = ops[0]
-            if op.kind == CPHASE:
-                total += 2
-            elif op.kind == SWAP:
-                total += 3
-            elif op.kind == CX:
-                total += 1
-    return total
+    """CX gates in the decomposed circuit without materialising it.
+
+    The fused count is :class:`~repro.ir.tracker.MetricTracker`'s, from
+    one pass; without ``unify`` a fused pair costs its two gates' 2 + 3,
+    so the count is a plain sum over the ops.
+    """
+    if unify:
+        return scan_circuit(circuit).cx
+    return sum(_UNFUSED_CX.get(op.kind, 0) for op in circuit.ops)
 
 
 def decompose_to_cx(circuit: Circuit, unify: bool = True) -> Circuit:

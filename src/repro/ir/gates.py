@@ -145,4 +145,4 @@ def canonical_edge(u: int, v: int) -> Tuple[int, int]:
 
 def canonical_edges(edges: Iterable[Tuple[int, int]]) -> frozenset:
     """Canonicalise an iterable of undirected edges into a frozenset."""
-    return frozenset(canonical_edge(u, v) for u, v in edges)
+    return frozenset([(u, v) if u <= v else (v, u) for u, v in edges])

@@ -8,12 +8,14 @@ The format is a versioned plain-JSON document.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import TYPE_CHECKING, Dict
 
 from .circuit import Circuit
 from .gates import OP_KINDS, Op
 from .mapping import Mapping
 from .program import Program, ProgramLayer
+from .tracker import scan_circuit
 
 if TYPE_CHECKING:  # heavier layers; imported lazily at runtime
     from ..compiler.result import CompiledResult
@@ -45,22 +47,37 @@ def circuit_from_dict(data: Dict, check: bool = True) -> Circuit:
     ``check=False`` skips the per-op qubit-range/duplication checks so a
     corrupt document still loads — the lint subsystem (:mod:`repro.lint`)
     uses this to report such ops as diagnostics rather than failing at
-    parse time.  Unknown op kinds and version mismatches always raise.
+    parse time.  Unknown op kinds, version mismatches, qubit indices that
+    are not integers and tags that are not two integers always raise
+    ``ValueError`` (naming the op index for the last two).
     """
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported circuit format {data.get('version')}")
     ops = []
-    for entry in data["ops"]:
+    for index, entry in enumerate(data["ops"]):
         kind = entry["kind"]
         if kind not in OP_KINDS:
             raise ValueError(f"unknown op kind {kind!r}")
+        qubits = entry["qubits"]
+        if not _int_list(qubits):
+            raise ValueError(f"op#{index}: qubit indices {qubits!r} are "
+                             "not all integers")
         tag = entry.get("tag")
-        ops.append(Op(kind, tuple(entry["qubits"]),
-                      entry.get("param"),
+        if tag is not None and not (_int_list(tag) and len(tag) == 2):
+            raise ValueError(f"op#{index}: tag {tag!r} is not a pair of "
+                             "integer logical qubits")
+        ops.append(Op(kind, tuple(qubits), entry.get("param"),
                       tuple(tag) if tag is not None else None))
     if check:
         return Circuit(data["n_qubits"], ops)
     return Circuit.from_ops_unchecked(data["n_qubits"], ops)
+
+
+def _int_list(value: object) -> bool:
+    """Whether ``value`` is a list of integers (``bool`` excluded)."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(item, numbers.Integral) and not isinstance(item, bool)
+        for item in value)
 
 
 def mapping_to_dict(mapping: Mapping) -> Dict:
@@ -145,16 +162,18 @@ def compiled_result_to_dict(result: "CompiledResult") -> Dict:
     time; loaders never need it (everything recomputes from the circuit)
     but out-of-process consumers read it without decompressing the op
     list, and ``repro lint`` cross-checks it against recomputation
-    (rule RL021).
+    (rule RL021).  Depth, CX and SWAP count come from one
+    :func:`~repro.ir.tracker.scan_circuit` pass.
     """
+    metrics = scan_circuit(result.circuit)
     document = {
         "version": FORMAT_VERSION,
         "method": result.method,
         "wall_time_s": result.wall_time_s,
         "metrics": {
-            "depth": result.depth(),
-            "cx": result.gate_count,
-            "swaps": result.swap_count,
+            "depth": metrics.depth,
+            "cx": metrics.cx,
+            "swaps": metrics.n_swap,
             "ops": len(result.circuit),
         },
         "circuit": circuit_to_dict(result.circuit),

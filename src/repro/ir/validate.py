@@ -59,7 +59,7 @@ def validate_lint_report(report: "LintReport") -> ValidationReport:
     context = report.contexts[0]
     return ValidationReport(
         n_cphase=sum(len(ops) for ops in context.executed.values()),
-        n_swap=context.circuit.swap_count,
+        n_swap=context.n_swap,
         executed_edges=set(context.executed),
         final_mapping=context.final_mapping)
 

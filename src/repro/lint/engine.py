@@ -1,11 +1,14 @@
 """The lint engine: one tolerant scan, then every registered rule.
 
-The engine makes **one** pass over the circuit building a
-:class:`LintContext` — per-op ASAP cycle, the logical occupants each
-CPHASE touches under the tracked mapping, the executed-edge index,
-per-cycle activity — and each rule then reads those precomputed tables,
-so a full multi-rule lint stays ``O(ops)``.  Semantic validation
-(:mod:`repro.ir.validate`) is this scan plus the blocking rules.
+The engine makes **one** flat pass over the circuit building a
+:class:`LintContext`: the per-op ASAP cycle and per-cycle activity, the
+executed-edge index under the mapping tracked through every SWAP, the
+SWAP count, and a list of the findings each rule needs (uncoupled
+pairs, spare-qubit CPHASEs, tag disagreements, cancelling SWAP pairs).
+The scan allocates nothing per op beyond a cycle number, so the rules
+stay ``O(findings)`` over it and a whole lint run ``O(ops)``.  Semantic
+validation (:mod:`repro.ir.validate`) is this scan plus the blocking
+rules.
 
 Unlike :class:`repro.ir.circuit.Circuit` construction, the scan is
 *tolerant*: out-of-range or duplicated qubit indices (a corrupted or
@@ -17,17 +20,32 @@ strict constructors would refuse to build.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, List, Mapping as TypingMapping,
                     Optional, Sequence, Set, Tuple)
 
 from ..ir.circuit import Circuit
-from ..ir.gates import CPHASE, SWAP, Op, canonical_edges
+from ..ir.gates import CPHASE, SWAP, TWO_QUBIT_KINDS, Op, canonical_edges
 from ..ir.mapping import Mapping
 from ..ir.program import Program
 from .diagnostics import Diagnostic, LintReport
 from .rules import resolve_rules
 
 Edge = Tuple[int, int]
+
+
+class _EdgeSet(FrozenSet[Edge]):
+    """An edge set this module canonicalised.  :func:`build_context`
+    takes one as it is, so the layer scans of a program share the sets
+    :func:`program_contexts` built instead of rebuilding them."""
+
+    __slots__ = ()
+
+
+def _canonical(edges: Iterable[Edge]) -> FrozenSet[Edge]:
+    if isinstance(edges, _EdgeSet):
+        return edges
+    return _EdgeSet(canonical_edges(edges))
 
 
 @dataclass(slots=True)
@@ -69,16 +87,30 @@ class LintContext:
     #: Recorded metrics (``depth``/``cx``/``swaps``/``ops``) to cross-check
     #: against recomputation — the batch/serialisation accounting rule.
     expected: Optional[TypingMapping[str, float]] = None
-    views: List[OpView] = field(default_factory=list)
+    #: ASAP cycle of each op, in program order.
+    cycles: List[int] = field(default_factory=list)
     #: The views of malformed ops (out-of-range or duplicated qubits).
     malformed: List[OpView] = field(default_factory=list)
     #: Problem-or-not logical edge -> op indices of the CPHASEs that
     #: implemented it, in program order.
     executed: Dict[Edge, List[int]] = field(default_factory=dict)
-    #: Canonical physical pairs of the well-formed two-qubit ops.
-    pairs: Set[Edge] = field(default_factory=set)
     #: Number of distinct in-range qubits busy in each cycle.
     cycle_active: List[int] = field(default_factory=list)
+    #: Number of SWAP ops, malformed ones included.
+    n_swap: int = 0
+    #: Op indices of the well-formed two-qubit-kind ops on a physical
+    #: pair the coupling graph lacks (RL001).
+    uncoupled: List[int] = field(default_factory=list)
+    #: ``(op index, lu, lv)`` of each CPHASE touching a physical qubit
+    #: that holds no logical qubit (RL010).
+    spare: List[Tuple[int, Optional[int], Optional[int]]] = field(
+        default_factory=list)
+    #: ``(op index, logical edge)`` of each CPHASE whose tag names
+    #: another logical pair than the tracked one (RL014).
+    tag_mismatches: List[Tuple[int, Edge]] = field(default_factory=list)
+    #: ``(op index, earlier op index)`` of each SWAP whose pair's last
+    #: op was a SWAP on the same pair (RL020).
+    cancelling: List[Tuple[int, int]] = field(default_factory=list)
     #: Set by :func:`program_contexts`: the layered program being linted
     #: and the index of the layer this context covers.  Plain
     #: single-circuit runs leave both ``None``, which is what keeps the
@@ -98,6 +130,34 @@ class LintContext:
         """The problem edges no CPHASE executed, sorted."""
         return sorted(self.problem_edges - self.executed.keys())
 
+    @cached_property
+    def views(self) -> List[OpView]:
+        """One :class:`OpView` per op, rebuilt on first read by replaying
+        the mapping from ``initial_mapping``: an inspection aid, which
+        no rule reads."""
+        n_qubits = self.circuit.n_qubits
+        mapping = self.initial_mapping.copy()
+        phys_to_log = mapping.phys_to_log
+        phys_to_log.extend([None] * (n_qubits - len(phys_to_log)))
+        malformed = {view.index: view for view in self.malformed}
+        views: List[OpView] = []
+        for index, op in enumerate(self.circuit.ops):
+            if index in malformed:
+                views.append(malformed[index])
+                continue
+            view = OpView(index, op, self.cycles[index])
+            if len(op.qubits) == 2:
+                u, v = op.qubits
+                if op.kind == CPHASE:
+                    lu, lv = phys_to_log[u], phys_to_log[v]
+                    view.logical = (lu, lv)
+                    if lu is not None and lv is not None:
+                        view.logical_edge = (lu, lv) if lu <= lv else (lv, lu)
+                elif op.kind == SWAP:
+                    mapping.swap_physical(u, v)
+            views.append(view)
+        return views
+
 
 def build_context(
     circuit: Circuit,
@@ -110,54 +170,120 @@ def build_context(
 ) -> LintContext:
     """One tolerant scan of ``circuit`` into a :class:`LintContext`."""
     mapping = initial_mapping.copy()
+    hardware = _canonical(coupling_edges)
     context = LintContext(
         circuit=circuit,
-        hardware=canonical_edges(coupling_edges),
-        problem_edges=canonical_edges(problem_edges),
+        hardware=hardware,
+        problem_edges=_canonical(problem_edges),
         initial_mapping=initial_mapping,
         final_mapping=mapping,
         allow_repeats=allow_repeats,
         require_all_edges=require_all_edges,
         expected=expected,
     )
+    ops = circuit.ops
     n_qubits = circuit.n_qubits
+    log_to_phys = mapping.log_to_phys
     phys_to_log = mapping.phys_to_log
     # Physical qubits the mapping does not cover hold no logical qubit.
     phys_to_log.extend([None] * (n_qubits - len(phys_to_log)))
+    # Coupled pairs as ``u * n_qubits + v`` in both orientations; pairs
+    # outside the register never match a well-formed op.
+    coupled: Set[int] = set()
+    for u, v in hardware:
+        if 0 <= u < n_qubits and 0 <= v < n_qubits:
+            coupled.add(u * n_qubits + v)
+            coupled.add(v * n_qubits + u)
     # ASAP bookkeeping: in-range qubits in a list, the rest (only ever
-    # named by malformed ops) in a dict.
+    # named by malformed ops) in a dict; ``depth`` is
+    # ``len(cycle_active)``.  ``swap_at[q]`` is the index of the latest
+    # well-formed SWAP on in-range qubit ``q``: still the latest op on
+    # ``q`` while ``busy[q]`` is that SWAP's cycle plus one, since every
+    # op on ``q`` raises ``busy[q]``.
     busy = [0] * n_qubits
     busy_out: Dict[int, int] = {}
+    swap_at = [-1] * n_qubits
+    depth = 0
+    cycles = context.cycles
+    add_cycle = cycles.append
     cycle_active = context.cycle_active
     executed = context.executed
-    add_pair = context.pairs.add
-    add_view = context.views.append
+    uncoupled = context.uncoupled
+    n_swap = 0
 
-    for index, op in enumerate(circuit.ops):
+    for index, op in enumerate(ops):
         qubits = op.qubits
         if len(qubits) == 2:  # fast path: a well-formed two-qubit op
             u, v = qubits
             if u != v and 0 <= u < n_qubits and 0 <= v < n_qubits:
-                start = busy[u] if busy[u] >= busy[v] else busy[v]
+                bu = busy[u]
+                bv = busy[v]
+                start = bu if bu >= bv else bv
                 busy[u] = busy[v] = start + 1
-                if start == len(cycle_active):
+                add_cycle(start)
+                if start == depth:
                     cycle_active.append(2)
+                    depth += 1
                 else:
                     cycle_active[start] += 2
-                add_pair((u, v) if u < v else (v, u))
-                if op.kind == CPHASE:
-                    lu, lv = phys_to_log[u], phys_to_log[v]
-                    edge: Optional[Edge] = None
-                    if lu is not None and lv is not None:
+                kind = op.kind
+                if kind == CPHASE:
+                    if u * n_qubits + v not in coupled:
+                        uncoupled.append(index)
+                    lu = phys_to_log[u]
+                    lv = phys_to_log[v]
+                    if lu is None or lv is None:
+                        context.spare.append((index, lu, lv))
+                    else:
                         edge = (lu, lv) if lu <= lv else (lv, lu)
-                        executed.setdefault(edge, []).append(index)
-                    add_view(OpView(index, op, start, (), (), (lu, lv), edge))
-                    continue
+                        indices = executed.get(edge)
+                        if indices is None:
+                            executed[edge] = [index]
+                        else:
+                            indices.append(index)
+                        tag = op.tag
+                        if tag is not None and tag != edge:
+                            a, b = tag
+                            if (a, b) != edge and (b, a) != edge:
+                                context.tag_mismatches.append((index, edge))
+                elif kind == SWAP:
+                    n_swap += 1
+                    if u * n_qubits + v not in coupled:
+                        uncoupled.append(index)
+                    prev = swap_at[u]
+                    if (prev >= 0 and prev == swap_at[v] and bu == bv
+                            and bu == cycles[prev] + 1):
+                        context.cancelling.append((index, prev))
+                    swap_at[u] = swap_at[v] = index
+                    lu = phys_to_log[u]
+                    lv = phys_to_log[v]
+                    phys_to_log[u] = lv
+                    phys_to_log[v] = lu
+                    if lu is not None:
+                        log_to_phys[lu] = v
+                    if lv is not None:
+                        log_to_phys[lv] = u
+                elif (kind in TWO_QUBIT_KINDS
+                      and u * n_qubits + v not in coupled):
+                    uncoupled.append(index)
+                continue
+        elif len(qubits) == 1:  # fast path: a well-formed one-qubit op
+            q = qubits[0]
+            if 0 <= q < n_qubits:
+                start = busy[q]
+                busy[q] = start + 1
+                add_cycle(start)
+                if start == depth:
+                    cycle_active.append(1)
+                    depth += 1
+                else:
+                    cycle_active[start] += 1
                 if op.kind == SWAP:
-                    mapping.swap_physical(u, v)
-                add_view(OpView(index, op, start))
+                    n_swap += 1
                 continue
 
+        if op.kind == SWAP:
+            n_swap += 1
         # Any other op never moves the mapping or runs a problem gate.
         seen: List[int] = []
         duplicated: List[int] = []
@@ -171,13 +297,15 @@ def build_context(
             busy[q] = start + 1
         for q in out_of_range:
             busy_out[q] = start + 1
-        if start == len(cycle_active):
+        add_cycle(start)
+        if start == depth:
             cycle_active.append(0)
+            depth += 1
         cycle_active[start] += len(in_range)
-        view = OpView(index, op, start, out_of_range, tuple(duplicated))
-        add_view(view)
-        if view.malformed:
-            context.malformed.append(view)
+        if out_of_range or duplicated:
+            context.malformed.append(OpView(
+                index, op, start, out_of_range, tuple(duplicated)))
+    context.n_swap = n_swap
     return context
 
 
@@ -191,8 +319,8 @@ def program_contexts(
     input mapping; mixer walls are exempt from the all-edges requirement.
     Layers sharing a circuit object and input mapping (the cost layers of
     a cancelled program) share one scan."""
-    hardware = canonical_edges(coupling_edges)
-    problem = canonical_edges(problem_edges)
+    hardware = _canonical(coupling_edges)
+    problem = _canonical(problem_edges)
     scanned: Dict[Tuple[int, Tuple[int, ...], bool], LintContext] = {}
     contexts = []
     for index, layer in enumerate(program.layers):
@@ -242,7 +370,11 @@ def run_rules(contexts: Sequence[LintContext],
         for lint_rule in rules:
             for diagnostic in lint_rule.check(context):
                 if layer is not None and diagnostic.layer is None:
-                    diagnostic = replace(diagnostic, layer=layer)
+                    # Rebuilt from its fields: ``dataclasses.replace``
+                    # costs several times more, and one layer can
+                    # report hundreds of findings.
+                    diagnostic = Diagnostic(**{**vars(diagnostic),
+                                               "layer": layer})
                 diagnostics.append(diagnostic)
     diagnostics.sort(key=Diagnostic.sort_key)
     return LintReport(diagnostics=diagnostics, contexts=list(contexts))

@@ -14,7 +14,9 @@ catalogue with examples):
 raises on.
 
 Each rule is a pure function over the precomputed
-:class:`~repro.lint.engine.LintContext`; registering one is a
+:class:`~repro.lint.engine.LintContext`: it reads the scan's flat lists
+(per-op cycles, the executed-edge index, the per-rule finding lists) and
+builds a :class:`Diagnostic` only for a finding.  Registering one is a
 :func:`rule` decoration, after which it participates in
 :func:`~repro.lint.engine.lint_circuit`, the batch engine's
 ``lint=True`` and the ``repro lint`` CLI with no further wiring.
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List
 from typing import Optional, Sequence, Tuple
 
-from ..ir.gates import CPHASE, SWAP, canonical_edge
+from ..ir.decompose import count_cx
+from ..ir.gates import canonical_edge
 from .diagnostics import ERROR, INFO, SEVERITIES, WARNING, Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -137,20 +140,16 @@ def resolve_rules(select: Optional[Sequence[str]] = None,
       "a two-qubit op acts on a physical pair the coupling graph lacks")
 def check_uncoupled_pair(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_uncoupled_pair.rule  # type: ignore[attr-defined]
-    if context.pairs <= context.hardware:
-        return
-    for view in context.views:
-        op = view.op
-        if not op.is_two_qubit or view.malformed or len(op.qubits) != 2:
-            continue
+    ops = context.circuit.ops
+    for index in context.uncoupled:
+        op = ops[index]
         pair = canonical_edge(*op.qubits)
-        if pair not in context.hardware:
-            yield this.diagnostic(
-                f"{op.kind} acts on uncoupled physical pair {pair}",
-                op_index=view.index, cycle=view.cycle, qubits=pair,
-                hint="route the pair adjacent with SWAPs along coupled "
-                     "edges, or fix the coupling graph passed to the "
-                     "linter")
+        yield this.diagnostic(
+            f"{op.kind} acts on uncoupled physical pair {pair}",
+            op_index=index, cycle=context.cycles[index], qubits=pair,
+            hint="route the pair adjacent with SWAPs along coupled "
+                 "edges, or fix the coupling graph passed to the "
+                 "linter")
 
 
 @rule("RL002", "cycle-qubit-conflict", ERROR,
@@ -190,36 +189,30 @@ def check_qubit_range(context: "LintContext") -> Iterator[Diagnostic]:
       "a CPHASE touches a physical qubit holding no logical qubit")
 def check_spare_qubit(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_spare_qubit.rule  # type: ignore[attr-defined]
-    for view in context.views:
-        if view.op.kind != CPHASE or view.logical is None:
-            continue
-        lu, lv = view.logical
-        if lu is None or lv is None:
-            spares = tuple(q for q, occupant
-                           in zip(view.op.qubits, view.logical)
-                           if occupant is None)
-            yield this.diagnostic(
-                f"cphase touches spare physical qubit(s) {spares} "
-                f"(logical occupants: {lu}, {lv})",
-                op_index=view.index, cycle=view.cycle,
-                qubits=tuple(view.op.qubits),
-                hint="problem gates must act on two mapped qubits; "
-                     "check the initial mapping and the SWAP history")
+    ops = context.circuit.ops
+    for index, lu, lv in context.spare:
+        qubits = tuple(ops[index].qubits)
+        spares = tuple(q for q, occupant in zip(qubits, (lu, lv))
+                       if occupant is None)
+        yield this.diagnostic(
+            f"cphase touches spare physical qubit(s) {spares} "
+            f"(logical occupants: {lu}, {lv})",
+            op_index=index, cycle=context.cycles[index], qubits=qubits,
+            hint="problem gates must act on two mapped qubits; "
+                 "check the initial mapping and the SWAP history")
 
 
 @rule("RL011", "non-problem-edge", ERROR,
       "a CPHASE implements a logical pair that is not a problem edge")
 def check_non_problem_edge(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_non_problem_edge.rule  # type: ignore[attr-defined]
-    for view in context.views:
-        if view.logical_edge is None:
-            continue
-        if view.logical_edge not in context.problem_edges:
+    ops = context.circuit.ops
+    for edge in context.executed.keys() - context.problem_edges:
+        for index in context.executed[edge]:
             yield this.diagnostic(
-                f"cphase implements {view.logical_edge}, which is not a "
-                f"problem edge",
-                op_index=view.index, cycle=view.cycle,
-                qubits=tuple(view.op.qubits), logical=view.logical_edge,
+                f"cphase implements {edge}, which is not a problem edge",
+                op_index=index, cycle=context.cycles[index],
+                qubits=tuple(ops[index].qubits), logical=edge,
                 hint="the compiler scheduled a gate the program never "
                      "asked for; the mapping trace and the gate list "
                      "disagree")
@@ -229,7 +222,9 @@ def check_non_problem_edge(context: "LintContext") -> Iterator[Diagnostic]:
       "a problem edge receives more than one CPHASE")
 def check_repeated_edge(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_repeated_edge.rule  # type: ignore[attr-defined]
-    if context.allow_repeats:
+    executed = context.executed
+    if context.allow_repeats or sum(map(len, executed.values())) == len(
+            executed):  # no edge ran twice
         return
     repeated = sorted(edge for edge, indices in context.executed.items()
                       if len(indices) > 1 and edge in context.problem_edges)
@@ -237,12 +232,12 @@ def check_repeated_edge(context: "LintContext") -> Iterator[Diagnostic]:
         indices = context.executed[edge]
         first = indices[0]
         for index in indices[1:]:
-            view = context.views[index]
             yield this.diagnostic(
                 f"cphase repeats problem edge {edge} (first executed at "
                 f"op#{first})",
-                op_index=index, cycle=view.cycle,
-                qubits=tuple(view.op.qubits), logical=edge,
+                op_index=index, cycle=context.cycles[index],
+                qubits=tuple(context.circuit.ops[index].qubits),
+                logical=edge,
                 hint="each problem edge must execute exactly once; pass "
                      "allow_repeats=True only for patterns that revisit "
                      "pairs deliberately")
@@ -274,20 +269,18 @@ def check_missing_edges(context: "LintContext") -> Iterator[Diagnostic]:
       "a CPHASE's logical tag disagrees with the tracked mapping")
 def check_tag_mismatch(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_tag_mismatch.rule  # type: ignore[attr-defined]
-    for view in context.views:
-        op = view.op
-        if (op.kind != CPHASE or op.tag is None
-                or view.logical_edge is None):
-            continue
+    ops = context.circuit.ops
+    for index, edge in context.tag_mismatches:
+        op = ops[index]
+        assert op.tag is not None  # the scan lists tagged CPHASEs only
         tagged = canonical_edge(*op.tag)
-        if tagged != view.logical_edge:
-            yield this.diagnostic(
-                f"cphase tag {tagged} disagrees with tracked logical "
-                f"pair {view.logical_edge}",
-                op_index=view.index, cycle=view.cycle,
-                qubits=tuple(op.qubits), logical=view.logical_edge,
-                hint="either the tag or the SWAP bookkeeping of the "
-                     "producing compiler is wrong")
+        yield this.diagnostic(
+            f"cphase tag {tagged} disagrees with tracked logical "
+            f"pair {edge}",
+            op_index=index, cycle=context.cycles[index],
+            qubits=tuple(op.qubits), logical=edge,
+            hint="either the tag or the SWAP bookkeeping of the "
+                 "producing compiler is wrong")
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +291,15 @@ def check_tag_mismatch(context: "LintContext") -> Iterator[Diagnostic]:
       "two adjacent SWAPs on the same pair cancel to the identity")
 def check_cancelling_swaps(context: "LintContext") -> Iterator[Diagnostic]:
     this = check_cancelling_swaps.rule  # type: ignore[attr-defined]
-    last_touch: Dict[int, int] = {}
-    for view in context.views:
-        op = view.op
-        if op.kind == SWAP and not view.malformed and len(op.qubits) == 2:
-            u, v = op.qubits
-            prev_u = last_touch.get(u)
-            prev_v = last_touch.get(v)
-            if prev_u is not None and prev_u == prev_v:
-                prev = context.views[prev_u].op
-                if (prev.kind == SWAP
-                        and canonical_edge(*prev.qubits)
-                        == canonical_edge(u, v)):
-                    yield this.diagnostic(
-                        f"swap on {canonical_edge(u, v)} immediately "
-                        f"cancels the swap at op#{prev_u}",
-                        op_index=view.index, cycle=view.cycle,
-                        qubits=tuple(op.qubits),
-                        hint="delete both SWAPs; they compose to the "
-                             "identity and waste two cycles")
-        for q in op.qubits:
-            last_touch[q] = view.index
+    ops = context.circuit.ops
+    for index, earlier in context.cancelling:
+        qubits = tuple(ops[index].qubits)
+        yield this.diagnostic(
+            f"swap on {canonical_edge(*qubits)} immediately "
+            f"cancels the swap at op#{earlier}",
+            op_index=index, cycle=context.cycles[index], qubits=qubits,
+            hint="delete both SWAPs; they compose to the "
+                 "identity and waste two cycles")
 
 
 @rule("RL021", "metric-mismatch", WARNING,
@@ -329,12 +310,12 @@ def check_metric_mismatch(context: "LintContext") -> Iterator[Diagnostic]:
         return
     circuit = context.circuit
     recomputed: Dict[str, int] = {
-        "depth": circuit.depth(),
-        "swaps": circuit.swap_count,
+        "depth": context.n_cycles,
+        "swaps": context.n_swap,
         "ops": len(circuit),
     }
     if "cx" in context.expected:
-        recomputed["cx"] = circuit.cx_count(unify=True)
+        recomputed["cx"] = count_cx(circuit, unify=True)
     for key in sorted(recomputed):
         if key not in context.expected:
             continue

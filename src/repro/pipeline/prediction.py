@@ -14,9 +14,10 @@ from functools import partial
 from typing import List, Sequence
 
 from ..ata.executor import ata_suffix
-from ..ata.simulate import MetricTracker, candidate_metrics, circuit_metrics
+from ..ata.simulate import candidate_metrics
 from ..compiler.greedy import replay_snapshots
 from ..ir.circuit import Circuit
+from ..ir.tracker import MetricTracker, scan_circuit
 from .base import Pass
 from .context import Candidate, CompilationContext
 from .selection import check_alpha, cost_f, f_lower_bound, normalisers
@@ -113,7 +114,8 @@ class CandidatePass(Pass):
             # count and ESP; a separate pass from the snapshot replay
             # below, so no snapshot's tracker state is held to wait for
             # the greedy metrics that pruning needs first.
-            depth, gates, esp = circuit_metrics(trace.circuit, context.noise)
+            depth, gates, esp = scan_circuit(trace.circuit,
+                                             context.noise).finalize()
             context.candidates.append(Candidate(
                 label="greedy", circuit=trace.circuit, depth=depth,
                 gate_count=gates, esp=esp))

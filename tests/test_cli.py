@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import _ARCH_CHOICES, main
-from repro.pipeline.registry import available_methods
+from repro.pipeline.registry import available_methods, get_method
 
 
 def run_cli(capsys, argv):
@@ -214,6 +214,57 @@ class TestLint:
                      "--qubits", "6"])
         assert code == 2
         assert "no-such-file.json" in capsys.readouterr().err
+
+    @pytest.fixture
+    def grid9_result(self, tmp_path):
+        """A grid-9 hybrid result document and its problem file."""
+        from repro.arch import architecture_for
+        from repro.ir.serialize import compiled_result_to_dict, \
+            problem_to_dict
+        from repro.problems import random_problem_graph
+
+        coupling = architecture_for("grid", 9)
+        problem = random_problem_graph(9, 0.4, seed=0)
+        document = compiled_result_to_dict(
+            get_method("hybrid").compile(coupling, problem))
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps(problem_to_dict(problem)))
+        return document, str(problem_path)
+
+    def _lint_document(self, capsys, tmp_path, document, problem_path):
+        target = tmp_path / "doc.json"
+        target.write_text(json.dumps(document))
+        code = main(["lint", str(target), "--arch", "grid",
+                     "--problem", problem_path])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("field,value", [
+        ("qubits", [1.0, 1]), ("qubits", ["a", 1]), ("tag", [1, 2, 3]),
+        ("tag", [1]), ("tag", ["a", 1])])
+    def test_malformed_op_field_exits_2(self, capsys, tmp_path,
+                                        grid9_result, field, value):
+        document, problem_path = grid9_result
+        ops = document["circuit"]["ops"]
+        index = next(i for i, op in enumerate(ops) if "tag" in op)
+        ops[index][field] = value
+        code, captured = self._lint_document(capsys, tmp_path, document,
+                                             problem_path)
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {tmp_path / 'doc.json'}: "
+                                       f"op#{index}: ")
+        assert repr(value) in captured.err
+
+    @pytest.mark.parametrize("qubits,code_", [([0, 99], "RL003"),
+                                              ([2, 2], "RL002")])
+    def test_integer_qubit_faults_stay_diagnostics(
+            self, capsys, tmp_path, grid9_result, qubits, code_):
+        document, problem_path = grid9_result
+        document["circuit"]["ops"][0]["qubits"] = qubits
+        code, captured = self._lint_document(capsys, tmp_path, document,
+                                             problem_path)
+        assert code == 1
+        assert code_ in captured.out
 
     def test_json_reporter_schema(self, capsys):
         import json
