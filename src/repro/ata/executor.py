@@ -22,9 +22,16 @@ on those two:
   problem graph into connected components, map each to the minimal
   structured sub-region of the architecture (via ``pattern.restrict``),
   and merge regions that overlap.  Disjoint regions run their patterns
-  in parallel (ASAP layering overlaps them automatically).
+  in parallel (ASAP layering overlaps them automatically).  The
+  candidate pass hands it each snapshot's components as labels
+  (:func:`label_components`) instead of running a union-find per
+  candidate.
 * **Pattern generator** — walk each region's pattern from the current
   mapping, skipping absent gates and stopping at the last needed one.
+
+A candidate's walk starts from a state the snapshot replay keeps up to
+date (:meth:`Walk.follow`, :meth:`Walk.resume`): three copies instead of
+a rebuild of the pending pairs from the remaining edges.
 
 The same walk both scores and builds.  :mod:`repro.ata.simulate` feeds
 it to ``MetricTracker.feed`` to score a candidate without a circuit;
@@ -45,11 +52,12 @@ saw.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..arch.coupling import CouplingGraph
 from ..ir.circuit import Circuit
-from ..ir.gates import Op, canonical_edges
+from ..ir.gates import CPHASE, SWAP, Op, canonical_edges
 from ..ir.mapping import Mapping
 from ..ir.tracker import K_CPHASE, K_SWAP, Ops
 from ..problems.graphs import edge_components
@@ -114,8 +122,12 @@ class Walk:
     extra slot that stays 0, so ``degree[-1]`` reads a spare as
     finished.  A spare never matches a key either: a product with a -1
     factor is negative, and ``a*stride - 1`` names the non-logical
-    ``n_log`` as its partner.
+    ``n_log`` as its partner.  ``labels``, when set, are the components
+    of ``edges`` as :func:`repro.compiler.greedy.snapshot_labels` gives
+    them, and range detection reads them instead of a union-find.
     """
+
+    labels: Optional[Sequence[int]] = None
 
     def __init__(self, mapping: Mapping,
                  edges: Iterable[Tuple[int, int]]) -> None:
@@ -127,13 +139,39 @@ class Walk:
         self.p2l = [-1] * mapping.n_physical
         for logical, physical in enumerate(mapping.log_to_phys):
             self.p2l[physical] = logical
-        self.needed: Set[int] = set()
-        self.degree = [0] * stride
-        for a, b in self.edges:  # det: ok — counts only
-            self.needed.add(a * stride + b)
-            self.needed.add(b * stride + a)
-            self.degree[a] += 1
-            self.degree[b] += 1
+        edges = self.edges
+        needed = {a * stride + b for a, b in edges}  # det: ok — a set
+        needed.update([b * stride + a for a, b in edges])  # det: ok — a set
+        self.needed: Set[int] = needed
+        self.degree = degree = [0] * stride
+        for a, b in edges:  # det: ok — counts only
+            degree[a] += 1
+            degree[b] += 1
+
+    @classmethod
+    def resume(cls, state: "Walk", mapping: Mapping,
+               edges: FrozenSet[Tuple[int, int]],
+               labels: Optional[Sequence[int]] = None) -> "Walk":
+        """``Walk(mapping, edges)`` from a walk already in that state.
+
+        ``state`` holds ``mapping``'s placement with exactly the
+        canonical ``edges`` pending (a walk over the initial placement
+        and problem edges that :meth:`follow` kept up to date); its
+        placement, pending keys and degrees are copied, not rebuilt.
+        ``labels`` name the components of ``edges``.
+        """
+        walk = cls.__new__(cls)
+        walk.initial = mapping
+        # The set ``canonical_edges`` builds from canonical pairs, copied
+        # as ``__init__`` copies it: the same construction, so the same
+        # iteration order, which fixes range detection's region order.
+        walk.edges = set(frozenset(list(edges)))
+        walk.stride = state.stride
+        walk.p2l = state.p2l.copy()
+        walk.needed = state.needed.copy()
+        walk.degree = state.degree.copy()
+        walk.labels = labels
+        return walk
 
     def done(self, a: int, b: int) -> None:
         """Mark the pair ``(a, b)`` executed."""
@@ -141,6 +179,26 @@ class Walk:
         self.needed.discard(b * self.stride + a)
         self.degree[a] -= 1
         self.degree[b] -= 1
+
+    def follow(self, ops: Sequence[Op]) -> None:
+        """Apply a stretch of a compiled circuit to the walk's state: a
+        SWAP exchanges its qubits' occupants and a CPHASE marks its
+        tag, a canonical logical pair, executed."""
+        p2l = self.p2l
+        needed = self.needed
+        degree = self.degree
+        stride = self.stride
+        for op in ops:
+            kind = op.kind
+            if kind == SWAP:
+                u, v = op.qubits
+                p2l[u], p2l[v] = p2l[v], p2l[u]
+            elif kind == CPHASE:
+                a, b = op.tag
+                needed.discard(a * stride + b)
+                needed.discard(b * stride + a)
+                degree[a] -= 1
+                degree[b] -= 1
 
     def mapping(self) -> Mapping:
         """The walk's current placement."""
@@ -295,7 +353,7 @@ class Walk:
             return False
         if stop is not None and stop():
             return True
-        plan = (detect_ranges(pattern, self.initial, edges)
+        plan = (detect_ranges(pattern, self.initial, edges, self.labels)
                 if use_range_detection else [(pattern, edges)])
         for region_pattern, group in plan:
             residual = self.region(region_pattern, group, feed, stop)
@@ -349,10 +407,40 @@ def greedy_completion(
     residual.clear()
 
 
+def label_components(labels: Sequence[int],
+                     edges: Iterable[Tuple[int, int]]) -> List[Set[int]]:
+    """The components ``labels`` name, in :func:`detect_ranges`'s order.
+
+    ``labels[v]`` is vertex ``v``'s component label, or -1 when no edge
+    of ``edges`` touches it.  The result equals
+    ``edge_components(len(labels), frozenset(list(edges)))``: components
+    in the order their first edge appears in that frozenset.  Only a
+    graph of several components builds the frozenset, and its scan stops
+    once every label has been seen.
+    """
+    groups: Dict[int, Set[int]] = {}
+    for vertex, label in enumerate(labels):
+        if label >= 0:
+            group = groups.get(label)
+            if group is None:
+                groups[label] = {vertex}
+            else:
+                group.add(vertex)
+    if len(groups) < 2:
+        return list(groups.values())
+    order: Dict[int, None] = {}
+    for u, _ in frozenset(list(edges)):  # det: ok — edge_components' order
+        order.setdefault(labels[u])
+        if len(order) == len(groups):
+            break
+    return [groups[label] for label in order]
+
+
 def detect_ranges(
     pattern: AtaPattern,
     mapping: Mapping,
     remaining: Iterable[Tuple[int, int]],
+    labels: Optional[Sequence[int]] = None,
 ) -> List[Tuple[AtaPattern, Set[Tuple[int, int]]]]:
     """Regions (restricted patterns) with their edge groups, Fig 19 style.
 
@@ -363,19 +451,25 @@ def detect_ranges(
     under union, so any overlap persists until merged — the result is
     the same least fixpoint the quadratic restart-on-every-merge loop
     computed, with final regions never re-restricted.  ``remaining``
-    holds canonical logical pairs.
+    holds canonical logical pairs; ``labels``, when given, are their
+    components as :func:`label_components` reads them, and ``remaining``
+    must then be a collection.
     """
-    remaining = list(remaining)
-    if not remaining:
+    if labels is None:
+        remaining = list(remaining)
+        # Iterating a frozenset of the pairs gives the component order
+        # that ``ProblemGraph(n, remaining).connected_components()``
+        # gives.
+        groups: List[Set[int]] = [set(c) for c in edge_components(
+            mapping.n_logical, frozenset(remaining))]
+    else:
+        groups = label_components(labels, remaining)
+    if not groups:
         return []
-    # Iterating a frozenset of the pairs gives the component order that
-    # ``ProblemGraph(n, remaining).connected_components()`` gives.
-    components = edge_components(mapping.n_logical, frozenset(remaining))
 
-    groups: List[Set[int]] = [set(c) for c in components]
+    l2p = mapping.log_to_phys
     regions: List[AtaPattern] = [
-        pattern.restrict({mapping.physical(v) for v in group})
-        for group in groups]
+        pattern.restrict({l2p[v] for v in group}) for group in groups]
 
     n = len(regions)
     parent = list(range(n))
@@ -386,7 +480,7 @@ def detect_ranges(
             x = parent[x]
         return x
 
-    while True:
+    while n > 1:  # a lone region has nothing to merge with
         owner: dict = {}
         grew: Set[int] = set()
         for i in range(n):
@@ -407,14 +501,16 @@ def detect_ranges(
             break
         for i in sorted(grew):
             if find(i) == i:
-                regions[i] = pattern.restrict(
-                    {mapping.physical(v) for v in groups[i]})
+                regions[i] = pattern.restrict({l2p[v] for v in groups[i]})
 
     order = [i for i in range(n) if find(i) == i]
-    edge_groups: List[Set[Tuple[int, int]]] = []
-    for i in order:
-        group = groups[i]
-        edge_groups.append({e for e in remaining if e[0] in group})
+    if len(order) == 1:
+        return [(regions[order[0]], set(remaining))]
+    # Each pair lies inside one merged group: file it by its first qubit.
+    slot = {v: k for k, i in enumerate(order) for v in groups[i]}
+    edge_groups: List[Set[Tuple[int, int]]] = [set() for _ in order]
+    for edge in remaining:
+        edge_groups[slot[edge[0]]].add(edge)
     return [(regions[i], edge_group)
             for i, edge_group in zip(order, edge_groups)]
 

@@ -43,7 +43,7 @@ equality.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
@@ -61,17 +61,24 @@ def candidate_metrics(
     use_range_detection: bool = True,
     prefix_tracker: Optional[MetricTracker] = None,
     stop: Optional[Callable[[], bool]] = None,
+    state: Optional[Walk] = None,
+    labels: Optional[Sequence[int]] = None,
 ) -> Optional[Tuple[int, int, Optional[float]]]:
     """(depth, cx_count, esp) of prefix + ATA suffix, without a circuit.
 
     ``prefix_tracker`` carries the already-streamed greedy prefix (fork
     it per candidate); omitted, the suffix is scored from scratch — the
-    pure-ATA candidate ``cc0``.  ``None`` when ``stop`` fired and the
-    suffix was abandoned.
+    pure-ATA candidate ``cc0``.  ``state``, when given, is a walk
+    already at ``mapping`` with exactly the canonical ``remaining``
+    pending, whose components ``labels`` name; the suffix's walk
+    resumes from a copy of it (:meth:`Walk.resume`).  ``None`` when
+    ``stop`` fired and the suffix was abandoned.
     """
     tracker = (prefix_tracker if prefix_tracker is not None
                else MetricTracker(coupling.n_qubits, noise))
-    if Walk(mapping, remaining).suffix(coupling, pattern, tracker.feed,
-                                       use_range_detection, stop):
+    walk = (Walk(mapping, remaining) if state is None
+            else Walk.resume(state, mapping, remaining, labels))
+    if walk.suffix(coupling, pattern, tracker.feed, use_range_detection,
+                   stop):
         return None
     return tracker.finalize()

@@ -6,7 +6,8 @@ matching), logging a snapshot — the cycle and the circuit's op count —
 whenever the qubit mapping changes so the ATA-prediction component can
 later splice a structured suffix at any point (Section 6.3).
 :func:`replay_snapshots` rebuilds the mapping and remaining edges at the
-logged points from the circuit itself.
+logged points from the circuit itself, and :func:`snapshot_labels` gives
+the connected components of the remaining edges at each of them.
 
 A forced-progress rule guarantees termination: if a cycle schedules no gate
 and finds no beneficial SWAP, the closest pending pair is moved one step
@@ -16,8 +17,8 @@ along its shortest path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 from ..arch.coupling import CouplingGraph
 from ..arch.noise import NoiseModel
@@ -65,7 +66,9 @@ def replay_snapshots(
     problem ``edges``, inserted in order, minus the prefix's CPHASE
     tags — exactly as :func:`greedy_compile` held them at that point.
     ``feed``, when given, is called once per snapshot with the ops
-    walked since the previous one, in order.
+    walked since the previous one, in order, before the yield: the
+    candidate pass keeps its walk state with it
+    (:meth:`repro.ata.executor.Walk.follow`).
     """
     mapping = initial_mapping.copy()
     remaining = _pending_pairs(edges)
@@ -82,6 +85,65 @@ def replay_snapshots(
             feed(step)
         walked += len(step)
         yield snapshot, mapping.copy(), frozenset(remaining)
+
+
+def snapshot_labels(
+    circuit: Circuit,
+    n_logical: int,
+    remaining: Iterable[Tuple[int, int]],
+    snapshots: Sequence[Snapshot],
+) -> List[List[int]]:
+    """Connected components of the remaining edges at each snapshot.
+
+    ``remaining`` holds the canonical pairs still pending after the
+    last op of ``circuit``; ``snapshots`` are in emission order.  One
+    disjoint-set pass runs backwards from the end of the circuit and
+    adds back the CPHASE tags walked between consecutive snapshots:
+    going backwards a snapshot's remaining edges are a superset of the
+    next one's, so no merge is ever undone.  For each snapshot it records
+    one label per logical qubit — a name of its component, or -1 when
+    no remaining edge touches it — and no edge set.
+    """
+    # ``label[v]`` is -1 until an edge touches ``v``; a merge relabels
+    # the smaller component, so each pair that lands inside one
+    # component (most of them) costs two reads.
+    label = [-1] * n_logical
+    members: Dict[int, List[int]] = {}
+
+    def join(pairs: Iterable[Tuple[int, int]]) -> None:
+        for u, v in pairs:
+            lu = label[u]
+            lv = label[v]
+            if lu == lv >= 0:
+                continue
+            if lu < 0 and lv < 0:
+                label[u] = label[v] = u
+                members[u] = [u, v]
+            elif lu < 0:
+                label[u] = lv
+                members[lv].append(u)
+            elif lv < 0:
+                label[v] = lu
+                members[lu].append(v)
+            else:
+                if len(members[lu]) < len(members[lv]):
+                    lu, lv = lv, lu
+                moved = members.pop(lv)
+                for w in moved:
+                    label[w] = lu
+                members[lu].extend(moved)
+
+    join(remaining)
+    ops = circuit.ops
+    end = len(ops)
+    labels: List[List[int]] = []
+    for snapshot in reversed(snapshots):
+        join([op.tag for op in ops[snapshot.op_count:end]
+              if op.kind == CPHASE])
+        end = snapshot.op_count
+        labels.append(label[:])
+    labels.reverse()
+    return labels
 
 
 def greedy_compile(
@@ -175,9 +237,10 @@ def greedy_compile(
         if swaps:
             trace.snapshots.append(Snapshot(cycle, len(circuit)))
 
-    if remaining:
+    if remaining and trace.snapshots[-1].op_count != len(circuit):
         # Terminal snapshot so the hybrid framework can splice an ATA
-        # suffix after a capped greedy run.
+        # suffix after a capped greedy run, unless the last cycle's
+        # SWAPs already logged this point.
         trace.snapshots.append(Snapshot(cycle, len(circuit)))
     trace.final_mapping = mapping
     trace.cycles = cycle
@@ -192,10 +255,7 @@ def _pending_pairs(edges: Iterable[Tuple[int, int]]) -> Set[Tuple[int, int]]:
     """The canonical pairs, inserted in ``edges`` order — one construction
     for the engine and :func:`replay_snapshots`, so both sets iterate
     alike."""
-    pairs: Set[Tuple[int, int]] = set()
-    for u, v in edges:
-        pairs.add(canonical_edge(u, v))
-    return pairs
+    return {(u, v) if u <= v else (v, u) for u, v in edges}
 
 
 def _first_come(executable):

@@ -13,11 +13,11 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Sequence
 
-from ..ata.executor import ata_suffix
+from ..ata.executor import Walk, ata_suffix
 from ..ata.simulate import candidate_metrics
-from ..compiler.greedy import replay_snapshots
+from ..compiler.greedy import replay_snapshots, snapshot_labels
 from ..ir.circuit import Circuit
-from ..ir.tracker import MetricTracker, scan_circuit
+from ..ir.tracker import MetricTracker
 from .base import Pass
 from .context import Candidate, CompilationContext
 from .selection import check_alpha, cost_f, f_lower_bound, normalisers
@@ -109,19 +109,29 @@ class CandidatePass(Pass):
     def run(self, context: CompilationContext):
         context.require("trace", "mapping", "pattern")
         trace = context.trace
+        coupling, pattern = context.coupling, context.pattern
+        sampled = sample_snapshots(trace.snapshots,
+                                   context.knob("max_predictions", 24))
+        # Snapshot 0 duplicates the pure ATA candidate.
+        scored = [snapshot for snapshot in sampled if snapshot.op_count]
+        # One tracker pass over the greedy circuit, forked at each scored
+        # snapshot (a candidate's prefix metrics) and, when the engine
+        # finished, run to the end for the greedy candidate's depth,
+        # fused CX count and ESP, which pruning needs first.
+        ops = trace.circuit.ops
+        tracker = MetricTracker(coupling.n_qubits, context.noise)
+        prefixes: List[MetricTracker] = []
+        walked = 0
+        for snapshot in scored:
+            tracker.feed_ops(ops[walked:snapshot.op_count])
+            walked = snapshot.op_count
+            prefixes.append(tracker.copy())
         if not trace.remaining:
-            # One tracker pass gives the greedy circuit's depth, fused CX
-            # count and ESP; a separate pass from the snapshot replay
-            # below, so no snapshot's tracker state is held to wait for
-            # the greedy metrics that pruning needs first.
-            depth, gates, esp = scan_circuit(trace.circuit,
-                                             context.noise).finalize()
+            tracker.feed_ops(ops[walked:])
+            depth, gates, esp = tracker.finalize()
             context.candidates.append(Candidate(
                 label="greedy", circuit=trace.circuit, depth=depth,
                 gate_count=gates, esp=esp))
-        sampled = sample_snapshots(trace.snapshots,
-                                   context.knob("max_predictions", 24))
-        coupling, pattern = context.coupling, context.pattern
         gamma = context.gamma
         urd = context.knob("use_range_detection", True)
         alpha = context.knob("alpha", 0.5)
@@ -136,23 +146,29 @@ class CandidatePass(Pass):
             return f_lower_bound(fork.depth, fork.cx, norm_depth,
                                  norm_gates, noisy, alpha) >= best
 
-        # One streaming walk of the greedy circuit rebuilds the mapping
-        # and remaining edges at each sampled snapshot and feeds the
-        # tracker up to its op count; the tracker is forked there, so
-        # scoring all candidates costs one prefix pass plus one simulated
-        # suffix each — no intermediate circuits are built.
-        tracker = MetricTracker(coupling.n_qubits, context.noise)
-        ops = trace.circuit.ops
-        for snapshot, mapping, remaining in replay_snapshots(
-                trace.circuit, context.mapping, context.problem.edges,
-                sampled, feed=tracker.feed_ops):
-            if not remaining or snapshot.op_count == 0:
-                continue  # snapshot 0 duplicates the pure ATA candidate
-            fork = tracker.copy()
+        # One walk of the greedy prefix rebuilds the mapping and
+        # remaining edges at each scored snapshot and keeps one walk
+        # state (placement, pending pairs, degrees) up to date.  Each
+        # candidate's walk resumes from a copy of that state, reads the
+        # snapshot's components from one backward pass, and feeds that
+        # snapshot's prefix fork.  Scoring all candidates thus costs one
+        # prefix pass plus one simulated suffix each — no intermediate
+        # circuits are built.
+        labels = snapshot_labels(trace.circuit, context.mapping.n_logical,
+                                 trace.remaining, scored)
+        state = Walk(context.mapping, context.problem.edges)
+        for (snapshot, mapping, remaining), fork, components in zip(
+                replay_snapshots(trace.circuit, context.mapping,
+                                 context.problem.edges, scored,
+                                 feed=state.follow),
+                prefixes, labels):
+            if not remaining:
+                continue
             metrics = candidate_metrics(
                 coupling, pattern, mapping, remaining,
                 noise=context.noise, use_range_detection=urd,
-                prefix_tracker=fork, stop=partial(cannot_win, fork))
+                prefix_tracker=fork, stop=partial(cannot_win, fork),
+                state=state, labels=components)
             if metrics is None:
                 pruned += 1
                 continue

@@ -1,11 +1,17 @@
 """Tests for analysis metrics and table formatting."""
 
+import random
+
 import pytest
 
 from repro.analysis import (format_table, geometric_mean, normalize,
                             reduction, result_metrics)
-from repro.arch import NoiseModel, line
+from repro.arch import NoiseModel, grid, line
 from repro.compiler import compile_qaoa
+from repro.compiler.result import CompiledResult
+from repro.ir.circuit import Circuit
+from repro.ir.gates import OP_KINDS, TWO_QUBIT_KINDS, Op
+from repro.ir.mapping import Mapping
 from repro.problems import clique
 
 
@@ -60,6 +66,40 @@ class TestResultMetrics:
         result = compile_qaoa(coupling, clique(5), noise=noise)
         metrics = result_metrics(result, noise)
         assert 0 < metrics["esp"] < 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_scan_equals_the_separate_walks(self, seed):
+        """Random circuits of every op kind on coupled pairs, repeated
+        pairs included so SWAP/CPHASE fusion occurs: the one-pass row
+        equals the four separate walks, ESP bit for bit."""
+        rng = random.Random(seed)
+        coupling = grid(3, 3)
+        edges = sorted(coupling.edges)
+        kinds = sorted(OP_KINDS)
+        ops = []
+        for _ in range(rng.randrange(0, 80)):
+            kind = rng.choice(kinds)
+            if kind in TWO_QUBIT_KINDS:
+                u, v = rng.choice(edges)
+                if rng.random() < 0.5:
+                    u, v = v, u
+                ops.append(Op(kind, (u, v), 0.3))
+                if rng.random() < 0.3:
+                    ops.append(Op(rng.choice(sorted(TWO_QUBIT_KINDS)),
+                                  (v, u), 0.3))
+            else:
+                ops.append(Op(kind, (rng.randrange(coupling.n_qubits),),
+                              0.3))
+        result = CompiledResult(Circuit(coupling.n_qubits, ops),
+                                Mapping.trivial(coupling.n_qubits),
+                                "random", wall_time_s=0.25)
+        noise = NoiseModel(coupling, seed=seed)
+        expected = {"depth": result.depth(), "cx": result.gate_count,
+                    "swaps": result.swap_count, "time_s": 0.25}
+        assert result_metrics(result) == expected
+        noisy = result_metrics(result, noise)
+        assert noisy == dict(expected, esp=result.esp(noise))
+        assert noisy["esp"].hex() == result.esp(noise).hex()
 
 
 class TestFormatTable:

@@ -3,10 +3,11 @@
 These pin the paper-scale behaviour that the default suite cannot afford:
 the 1024-qubit heavy-hex ATA schedule whose depth (2 792) lands within 4%
 of the paper's own Table-2 "Ours" value (2 910), the 512-qubit
-heavy-hex hybrid compile — its exact circuit and its peak memory (its
-placement and greedy pass times are printed, not asserted) — and the
-512-qubit heavy-hex Paulihedral compile, about a million ops through the
-shortest-path router (its wall time is printed, not asserted).
+heavy-hex hybrid compile — its exact circuit, candidate pool and peak
+memory (its placement, greedy and candidate pass times are printed, not
+asserted) — and the 512-qubit heavy-hex Paulihedral compile, about a
+million ops through the shortest-path router (its wall time is printed,
+not asserted).
 """
 
 import hashlib
@@ -74,6 +75,9 @@ print(json.dumps({
     "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "placement_wall_s": wall_s["placement"],
     "greedy_wall_s": wall_s["greedy"],
+    "candidates_wall_s": wall_s["candidates"],
+    "candidates": result.extra["candidates"],
+    "selected": result.extra["selected"],
 }))
 """
 
@@ -85,11 +89,17 @@ def test_heavyhex_512_hybrid_circuit_and_peak_rss():
     out = subprocess.run([sys.executable, "-c", _HYBRID_512], env=env,
                          check=True, capture_output=True, text=True)
     line = out.stdout.strip().splitlines()[-1]
-    # The placement and greedy passes' wall times are reported, not
-    # asserted: run with -s to see this line in the log.
+    # The placement, greedy and candidate passes' wall times are
+    # reported, not asserted: run with -s to see this line in the log.
     print(line)
     report = json.loads(line)
     assert (report["depth"], report["cx"]) == (1357, 348598)
+    # The pool the shared candidate set-up scored: 24 sampled snapshots,
+    # 22 pruned, the greedy circuit selected.
+    assert report["candidates"] == {
+        "count": 3, "pruned": 22, "snapshots_total": 1410,
+        "snapshots_sampled": 24, "greedy_finished": True}
+    assert report["selected"] == "greedy"
     assert report["sha256"] == (
         "cd3a05152c59ac1a5a79a3f959c3efe9a46a69b632551368d9c6fd10509fe6f8")
     # Greedy snapshots must not copy the whole compilation state: one
