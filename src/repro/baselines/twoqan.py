@@ -7,7 +7,7 @@
   search evaluates ``iterations`` swap moves, each costing
   O(min(deg, n - 1 - deg)) for each of the two logical qubits it
   exchanges (a dense vertex is scored through its non-neighbours), or
-  O(1) for a long sum once the search settles (see
+  one popcount of a site bitmask when some vertex has a long sum (see
   :func:`~repro.compiler.mapping.quadratic_placement`).  The
   real 2QAN becomes intractable beyond ~128 qubits because its search
   grows quadratically with the qubit count; our default budget of

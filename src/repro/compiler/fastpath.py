@@ -9,16 +9,19 @@ re-validates the matched SWAPs one at a time in plain Python.
 Authoritative state, mutated in place as the engine runs:
 
 * the engine's one :class:`~repro.ir.mapping.Mapping` (``log_to_phys`` /
-  ``phys_to_log``), shared with the caller: ``select_swaps`` applies each
-  kept SWAP to it directly;
+  ``phys_to_log``), shared with the caller: every SWAP the engine keeps
+  is applied to it through :meth:`GreedyFastPath.move`;
 * ``pending`` — each logical qubit's pending partners, as a list, which
   :meth:`GreedyFastPath.mark_done` shrinks as pairs are emitted.
 
 Derived numpy state, read only by the two scans:
 
-* ``p2l`` / ``l2p`` — index arrays of the mapping, rebuilt from the
-  ``Mapping`` by each scan, with ``-1`` / a sentinel index for spare
-  physical qubits so every gather stays branch-free;
+* ``p2l`` / ``l2p`` — index arrays of the mapping, with ``-1`` / a
+  sentinel index for spare physical qubits so every gather stays
+  branch-free, and each edge's two occupants gathered from ``p2l``:
+  rebuilt from the ``Mapping`` by the first scan after
+  :meth:`GreedyFastPath.move` (a cycle's gate and SWAP scans share
+  them, since gates move no qubit);
 * ``rem`` — a boolean matrix of the still-pending logical pairs;
 * ``partners`` — ``pending`` as a fixed-width matrix, row for row in the
   same order, padded with a sentinel logical qubit whose "position" is a
@@ -63,8 +66,8 @@ class GreedyFastPath:
     """Gate and SWAP scans plus SWAP re-validation for one engine run.
 
     ``mapping`` is held, not copied: it is the engine's mapping, and
-    ``select_swaps`` applies the SWAPs it keeps to it.  Call
-    :meth:`mark_done` whenever a pending pair is emitted.
+    each SWAP the engine keeps is applied to it through :meth:`move`.
+    Call :meth:`mark_done` whenever a pending pair is emitted.
     """
 
     def __init__(self, coupling: CouplingGraph, problem: ProblemGraph,
@@ -104,6 +107,7 @@ class GreedyFastPath:
         self.p2l = np.full(n_phys, -1, dtype=np.int64)
         self.l2p = np.full(n_log + 1, n_phys, dtype=np.int64)
         self.logicals = np.arange(n_log, dtype=np.int64)
+        self._occupants: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         # Pending pairs as per-logical partner lists, a symmetric boolean
         # matrix and a fixed-width partner matrix (row n_log is the
@@ -180,20 +184,34 @@ class GreedyFastPath:
 
     # -- per-cycle scans ----------------------------------------------------
 
-    def _index_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``p2l`` and ``l2p``, rebuilt from the mapping's lists."""
-        l2p = self.l2p
-        l2p[:self.n_log] = self.mapping.log_to_phys
-        p2l = self.p2l
-        p2l.fill(-1)
-        p2l[l2p[:self.n_log]] = self.logicals
-        return p2l, l2p
+    def move(self, u: int, v: int) -> None:
+        """Swap the occupants of physical ``u`` and ``v`` in the mapping.
+
+        Every SWAP the engine keeps goes through here, so the scans know
+        their derived arrays went stale.
+        """
+        self.mapping.swap_physical(u, v)
+        self._occupants = None
+
+    def _edge_occupants(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each edge's logical occupants (``-1`` for a spare qubit).
+
+        ``p2l``, ``l2p`` and these are rebuilt from the mapping's lists
+        only after :meth:`move`: gates do not move qubits, so a cycle's
+        SWAP scan reuses what its gate scan built.
+        """
+        if self._occupants is None:
+            l2p = self.l2p
+            l2p[:self.n_log] = self.mapping.log_to_phys
+            p2l = self.p2l
+            p2l.fill(-1)
+            p2l[l2p[:self.n_log]] = self.logicals
+            self._occupants = (p2l[self.edges_u], p2l[self.edges_v])
+        return self._occupants
 
     def executable(self) -> List[Tuple[int, int, Tuple[int, int]]]:
         """Hardware-compliant pending gates, in captured edge order."""
-        p2l, _ = self._index_arrays()
-        lu = p2l[self.edges_u]
-        lv = p2l[self.edges_v]
+        lu, lv = self._edge_occupants()
         valid = (lu >= 0) & (lv >= 0)
         hits = np.nonzero(valid)[0]
         if hits.size:
@@ -221,17 +239,20 @@ class GreedyFastPath:
         indices = np.nonzero(idle)[0]
         if not indices.size:
             return []
-        p2l, l2p = self._index_arrays()
+        edge_u, edge_v = self._edge_occupants()
         us = self.edges_u[indices]
         vs = self.edges_v[indices]
         # -1 (spare qubit) resolves to the sentinel row: all partners
         # are the sentinel logical at distance BIG, contributing
         # BIG - BIG = 0 exactly as the scalar loop's `continue` does.
-        lu = np.where(p2l[us] >= 0, p2l[us], self.n_log)
-        lv = np.where(p2l[vs] >= 0, p2l[vs], self.n_log)
+        # Fancy indexing copies, so the shared occupants stay intact.
+        lu = edge_u[indices]
+        lu[lu < 0] = self.n_log
+        lv = edge_v[indices]
+        lv[lv < 0] = self.n_log
         partners = self.partners[:, :self.width]
-        pos_u = l2p[partners[lu]]
-        pos_v = l2p[partners[lv]]
+        pos_u = self.l2p[partners[lu]]
+        pos_v = self.l2p[partners[lv]]
         benefit = (
             self.dist_ext[us[:, None], pos_u].min(axis=1)
             - self.dist_ext[vs[:, None], pos_u].min(axis=1)

@@ -221,7 +221,7 @@ def greedy_compile(
         swaps = select_swaps(fast, busy, matching)
         if not scheduled and not swaps:
             swaps = [_forced_step(coupling, mapping, remaining)]
-            mapping.swap_physical(*swaps[0])
+            fast.move(*swaps[0])
         for u, v in swaps:
             if unify_swaps:
                 # The SWAPs are disjoint, so (u, v) holds the same two

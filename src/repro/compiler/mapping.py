@@ -15,7 +15,8 @@ import random
 import threading
 from array import array
 from collections import deque
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -143,41 +144,39 @@ def noise_aware_placement(coupling: CouplingGraph,
     return Mapping(log_to_phys, coupling.n_qubits)
 
 
-#: Proposals between two checks of whether the placement search has
-#: settled enough to score from distance-sum rows.
-_WINDOW = 2048
-#: Rows engage once a window's accepted moves times the device's qubit
-#: count falls below this.  A proposal scored from rows saves a Python
-#: addition per term, but an accept rewrites a whole row (one entry per
-#: qubit) per term holding a mover, so rows pay off only once fewer than
-#: about 16 in every ``n_qubits`` proposals are accepted.
-_ROW_BOUND = 16 * _WINDOW
-#: Only a vertex with more terms than this gets a row; a shorter list is
-#: cheaper to sum directly than to keep up to date.
-_ROW_TERMS = 8
+#: A search in which some vertex has more terms than this scores moves
+#: from site masks; when every list is this short, summing it directly
+#: is cheaper than keeping masks up to date.
+_MASK_TERMS = 8
 
 
-def _sum_rows(distances: np.ndarray, log_to_phys: List[int],
-              terms: Sequence[Sequence[int]], vertices: Sequence[int],
-              ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
-    """Distance-sum rows of ``vertices`` and their inverse index.
+def _move_masks(distances: np.ndarray, couplings: List[Tuple[int, ...]],
+                ) -> List[Tuple[Tuple[int, int, int, int], ...]]:
+    """Per-site move records ``(pb, far, level, flip)``, in coupling order.
 
-    ``table[r][s]`` is the sum of d(s, p(w)) over ``terms[vertices[r]]``
-    and ``users[w]`` indexes the rows whose term list holds ``w`` (None
-    when none does).
+    For a move from ``pa`` to the coupled site ``pb``, each site ``q``
+    gets ``d(pb, q) - d(pa, q)`` in {-1, 0, +1}: ``far`` holds the bits of
+    the sites at +1 and ``level`` those at 0 (an odd cycle or another
+    component), so a set ``S`` of occupied sites sums to
+    ``2 * |S & far| + |S & level| - |S|``.  ``flip`` is the bit pair a
+    move toggles.  All are built in one vectorised pass.
     """
-    # occupied[w] = d(p(w), .), so a row is a sum of occupied rows.  A
-    # float64 matrix product would start BLAS worker threads, which cost
-    # placement at heavy-hex-512 more than the product saves.
-    occupied = distances[log_to_phys]
-    table = np.empty((len(vertices), distances.shape[0]), dtype=np.int64)
-    users: List[List[int]] = [[] for _ in terms]
-    for r, v in enumerate(vertices):
-        occupied[terms[v]].sum(axis=0, dtype=np.int64, out=table[r])
-        for w in terms[v]:
-            users[w].append(r)
-    return table, [np.array(rows, dtype=np.intp) if rows else None
-                   for rows in users]
+    sources = [pa for pa, sites in enumerate(couplings) for _ in sites]
+    targets = [pb for sites in couplings for pb in sites]
+    step = distances[targets] - distances[sources]
+    width = (distances.shape[0] + 7) // 8
+
+    def as_ints(bits: np.ndarray) -> List[int]:
+        packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        return [int.from_bytes(packed[r:r + width], "little")
+                for r in range(0, len(packed), width)]
+
+    fars = as_ints(step > 0)
+    levels = as_ints(step == 0)
+    records = iter(zip(targets, fars, levels))
+    return [tuple((pb, far, level, 1 << pa | 1 << pb)
+                  for pb, far, level in islice(records, len(sites)))
+            for pa, sites in enumerate(couplings)]
 
 
 def mapping_cost(coupling: CouplingGraph, mapping: Mapping,
@@ -239,11 +238,13 @@ def quadratic_placement(
     integer cost change and kept iff that change is not positive.  A
     vertex adjacent to more than half of the others is scored through
     its non-neighbours instead, so an endpoint sums min(deg, n - 1 -
-    deg) terms.  Once a window of proposals accepts few moves, each
-    endpoint with more than a few terms is scored in O(1) from a kept
-    row of distance sums, and an accepted move updates the rows that
-    read its movers.  The default budget is capped so the search stays
-    effectively linear at large scale.
+    deg) terms.  When some vertex has more than a few terms, every
+    endpoint is instead scored with a popcount: a move changes each
+    site's distance by -1, 0 or +1, so the sum is read from a bitmask
+    of the sites the endpoint's neighbours occupy, and an accepted move
+    toggles two bits in the masks that hold its movers.  The default
+    budget is capped so the search stays effectively linear at large
+    scale.
 
     Searches are memoized per process (see the module docstring), so a
     repeated call returns the same mapping without searching again.
@@ -302,11 +303,6 @@ def _quadratic_search(coupling: CouplingGraph, problem: ProblemGraph,
     terms = [[w for w in range(n) if w != v and w not in adjacent[v]]
              if complement[v] else adjacency[v] for v in range(n)]
     log_to_phys, phys_to_log = mapping.log_to_phys, mapping.phys_to_log
-    # reach[s] = sum of d(s, q) over the occupied sites q, kept only
-    # when some vertex uses its complement (empty otherwise).
-    reach: List[int] = []
-    if any(complement):
-        reach = distances[:, log_to_phys].sum(axis=1, dtype="int64").tolist()
     # The draws inline CPython's randrange(width) / choice(seq): take
     # width.bit_length() bits and redraw while the value is >= width
     # (Random._randbelow_with_getrandbits), so the stream is the same.
@@ -318,22 +314,21 @@ def _quadratic_search(coupling: CouplingGraph, problem: ProblemGraph,
     couplings = [coupling.neighbors(q) for q in range(coupling.n_qubits)]
     widths = [len(sites) or 1 for sites in couplings]
     bits = [len(sites).bit_length() for sites in couplings]
-    # steps[pa][i][q] = d(pb, q) - d(pa, q) for pb = couplings[pa][i]:
-    # how much farther site q is after a move from pa to the coupled
-    # site pb.  Each row is built on first use as a plain list, ~10x
-    # faster than numpy scalar indexing in the tight loop below.
-    steps: List[List[Optional[List[int]]]] = [
-        [None] * len(sites) for sites in couplings]
-    # Without a vertex that could get a row, the search is one window.
-    long_terms = [v for v in range(n) if len(terms[v]) > _ROW_TERMS]
-    window = _WINDOW if long_terms else iterations
-    left = iterations
 
-    while left:
-        count = min(window, left)
-        left -= count
-        accepted = 0
-        for _ in range(count):
+    if all(len(vertex_terms) <= _MASK_TERMS for vertex_terms in terms):
+        # reach[s] = sum of d(s, q) over the occupied sites q, kept only
+        # when some vertex uses its complement (empty otherwise).
+        reach: List[int] = []
+        if any(complement):
+            reach = distances[:, log_to_phys].sum(axis=1,
+                                                  dtype="int64").tolist()
+        # steps[pa][i][q] = d(pb, q) - d(pa, q) for pb = couplings[pa][i]:
+        # how much farther site q is after a move from pa to the coupled
+        # site pb.  Each row is built on first use as a plain list, ~10x
+        # faster than numpy scalar indexing in the tight loop below.
+        steps: List[List[Optional[List[int]]]] = [
+            [None] * len(sites) for sites in couplings]
+        for _ in range(iterations):
             a = getrandbits(n_bits)
             while a >= n:
                 a = getrandbits(n_bits)
@@ -368,7 +363,6 @@ def _quadratic_search(coupling: CouplingGraph, problem: ProblemGraph,
                 if b in adjacent[a]:
                     delta += 2
             if delta <= 0:
-                accepted += 1
                 log_to_phys[a] = pb
                 phys_to_log[pb] = a
                 phys_to_log[pa] = b
@@ -378,25 +372,27 @@ def _quadratic_search(coupling: CouplingGraph, problem: ProblemGraph,
                     # pa emptied and pb filled: every site's reach moves
                     # by d(s, pb) - d(s, pa) = step[s].
                     reach = [r + d for r, d in zip(reach, step)]
-        if accepted * coupling.n_qubits < _ROW_BOUND:
-            break
-    if not left:
         return mapping
 
-    # The search has settled.  A long-term endpoint's sum over its terms
-    # is rows[v][pb] - rows[v][pa], the same integer as above; a short
-    # one still sums directly, reading the distance rows.  An accepted
-    # move shifts the rows whose term lists hold a by d(pb, .) - d(pa, .)
-    # and those holding b by the negation, as it shifts reach when b is
-    # a spare site.
-    table, users = _sum_rows(distances, log_to_phys, terms, long_terms)
-    rows: List[Optional[memoryview]] = [None] * n
-    for r, v in enumerate(long_terms):
-        rows[v] = memoryview(table[r])
-    site_rows = coupling.distance_rows
-    reach_sums = np.array(reach, dtype=np.int64)
-    reach_row = memoryview(reach_sums)
-    for _ in range(left):
+    # The same search, scoring each endpoint from a mask of its
+    # neighbours' sites: with a move's ``far`` and ``level`` masks (see
+    # _move_masks), the sum the direct loop adds up is
+    # 2 * |mask & far| + |mask & level| - degree.  A vertex keeps the
+    # mask of its terms' sites, so a complement vertex's neighbours are
+    # the occupied sites less that mask and its own site.  An accepted
+    # move toggles the movers' two sites in every mask holding one of
+    # them (a mask holding both keeps both), and in ``occupied`` when
+    # the target site was spare.
+    masks = [sum(1 << log_to_phys[w] for w in vertex_terms)
+             for vertex_terms in terms]
+    users: List[List[int]] = [[] for _ in range(n)]
+    for v, vertex_terms in enumerate(terms):
+        for w in vertex_terms:
+            users[w].append(v)
+    degrees = [len(nbrs) for nbrs in adjacency]
+    occupied = sum(1 << q for q in log_to_phys)
+    moves = _move_masks(distances, couplings)
+    for _ in range(iterations):
         a = getrandbits(n_bits)
         while a >= n:
             a = getrandbits(n_bits)
@@ -405,45 +401,35 @@ def _quadratic_search(coupling: CouplingGraph, problem: ProblemGraph,
         i = getrandbits(k)
         while i >= width:
             i = getrandbits(k)
-        pb = couplings[pa][i]
+        pb, far, level, flip = moves[pa][i]
         b = phys_to_log[pb]
-        row = rows[a]
-        if row is not None:
-            delta = row[pb] - row[pa]
-        else:
-            near, far = site_rows[pb], site_rows[pa]
-            delta = 0
-            for w in terms[a]:
-                q = log_to_phys[w]
-                delta += near[q] - far[q]
+        mask = masks[a]
         if complement[a]:
-            delta = reach_row[pb] - reach_row[pa] - 1 - delta
+            mask ^= occupied ^ 1 << pa
+        delta = 2 * (mask & far).bit_count() - degrees[a]
+        if level:
+            delta += (mask & level).bit_count()
         if b is not None:
-            row = rows[b]
-            if row is not None:
-                other = row[pb] - row[pa]
-            else:
-                near, far = site_rows[pb], site_rows[pa]
-                other = 0
-                for w in terms[b]:
-                    q = log_to_phys[w]
-                    other += near[q] - far[q]
+            mask = masks[b]
             if complement[b]:
-                other = reach_row[pb] - reach_row[pa] + 1 - other
-            delta -= other
+                # b's own site, pb, comes one step nearer: its bit is in
+                # neither ``far`` nor ``level``, so it may stay set.
+                mask ^= occupied
+            delta -= 2 * (mask & far).bit_count() - degrees[b]
+            if level:
+                delta -= (mask & level).bit_count()
             if b in adjacent[a]:
                 delta += 2
         if delta <= 0:
             log_to_phys[a] = pb
             phys_to_log[pb] = a
             phys_to_log[pa] = b
-            shift = distances[pb] - distances[pa]
-            if users[a] is not None:
-                table[users[a]] += shift
+            for v in users[a]:
+                masks[v] ^= flip
             if b is not None:
                 log_to_phys[b] = pa
-                if users[b] is not None:
-                    table[users[b]] -= shift
-            elif reach:
-                reach_sums += shift
+                for v in users[b]:
+                    masks[v] ^= flip
+            else:
+                occupied ^= flip
     return mapping

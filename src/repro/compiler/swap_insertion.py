@@ -62,12 +62,11 @@ def select_swaps(
         chosen = _exact_matching(candidates)
     else:
         chosen = _greedy_matching(candidates)
-    mapping = fast.mapping
     kept: List[Tuple[int, int]] = []
     for u, v in chosen:
         if fast.benefit(u, v) > 0:
             kept.append((u, v))
-            mapping.swap_physical(u, v)
+            fast.move(u, v)
     return kept
 
 

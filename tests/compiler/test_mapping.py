@@ -3,15 +3,14 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._telemetry import cache_info, clear_caches
-from repro.arch import (CouplingGraph, NoiseModel, grid, heavyhex, line,
-                        sycamore)
+from repro.arch import (CouplingGraph, NoiseModel, cube, grid, heavyhex,
+                        hexagon, line, mumbai, sycamore)
 from repro.baselines import quadratic_initial_mapping
 from repro.compiler import mapping as placement_module
 from repro.compiler.mapping import (degree_placement, mapping_cost,
@@ -291,34 +290,32 @@ class TestQuadraticMatchesReference:
 
 
 # Devices of 36-70 qubits: problems of 30 or more vertices at density
-# 0.3-0.6 give most vertices more terms than ``_ROW_TERMS``, so the
-# settled search scores them from distance-sum rows.
-ROW_ARCHITECTURES = [grid(6, 6), grid(7, 8), heavyhex(3, 10),
-                     heavyhex(4, 14), sycamore(6, 8), sycamore(8, 8)]
-WINDOW = placement_module._WINDOW
+# 0.3-0.6 give most vertices more than ``_MASK_TERMS`` terms, so the
+# search scores moves from site masks.
+MASK_ARCHITECTURES = [grid(6, 6), grid(7, 8), heavyhex(3, 10),
+                      heavyhex(4, 14), sycamore(6, 8), sycamore(8, 8)]
 
 
-def place_counting_rows(place, coupling, problem, **kwargs):
-    """``place``'s mapping and how many times it built distance-sum rows.
+def ring(n):
+    """A cycle of ``n`` qubits; odd ``n`` makes it non-bipartite."""
+    return CouplingGraph(n, [(q, (q + 1) % n) for q in range(n)])
 
-    The placement memo is cleared first, so the search always runs.
-    """
-    clear_caches()
-    with mock.patch.object(placement_module, "_sum_rows",
-                           wraps=placement_module._sum_rows) as spy:
-        mapping = place(coupling, problem, **kwargs)
-    return mapping, spy.call_count
+
+def two_grids():
+    """Two uncoupled 4x5 grids: no path joins their sites."""
+    edges = list(grid(4, 5).edges)
+    return CouplingGraph(40, edges + [(u + 20, v + 20) for u, v in edges])
 
 
 def row_mixed_problem():
-    """44 vertices of every kind the settled search scores.
+    """44 vertices of every kind the mask search scores.
 
-    A 24-vertex clique sums its non-neighbours from rows, a hub adjacent
-    to all but eight vertices sums its few non-neighbours directly,
-    vertices 24-29 (11 neighbours each) sum their neighbours from rows
-    and a sparse tail sums its neighbours directly.  The tail ends in
-    four isolated vertices: every move of one onto a spare site is
-    kept, so the settled search keeps changing ``reach``.
+    A 24-vertex clique reads its neighbours through a mask of its
+    non-neighbours (more than ``_MASK_TERMS``), a hub adjacent to all
+    but eight vertices through a short complement mask, vertices 24-29
+    (11 neighbours each) and a sparse tail through masks of their
+    neighbours.  The tail ends in four isolated vertices: every move of
+    one onto a spare site is kept, so ``occupied`` keeps changing.
     """
     core = [(u, v) for u in range(24) for v in range(u + 1, 24)]
     hub = [(0, v) for v in range(24, 36)]
@@ -328,27 +325,37 @@ def row_mixed_problem():
 
 
 def vertex_kinds(problem):
-    """The (complement, row) kind of each vertex, as the search picks it."""
+    """The (complement, long) kind of each vertex, as the search picks it."""
     n = problem.n_vertices
     degrees = problem.degrees()
     kinds = []
     for v in range(n):
         complement = degrees[v] > (n - 1) // 2
         terms = n - 1 - degrees[v] if complement else degrees[v]
-        kinds.append((complement, terms > placement_module._ROW_TERMS))
+        kinds.append((complement, terms > placement_module._MASK_TERMS))
     return kinds
 
 
+def uses_masks(problem):
+    return any(long for _, long in vertex_kinds(problem))
+
+
+def place_fresh(place, coupling, problem, **kwargs):
+    """``place``'s mapping with the placement memo cleared first."""
+    clear_caches()
+    return place(coupling, problem, **kwargs)
+
+
 class TestRowsMatchReference:
-    """Scores read from distance-sum rows give the reference's mapping."""
+    """Moves scored from site masks give the reference's mapping."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(),
-           arch=st.sampled_from(ROW_ARCHITECTURES),
+           arch=st.sampled_from(MASK_ARCHITECTURES),
            density=st.floats(0.3, 0.6),
            graph_seed=st.integers(0, 2**16),
            seed=st.integers(0, 2**32),
-           iterations=st.sampled_from([WINDOW + 1, 2 * WINDOW + 7, None]),
+           iterations=st.sampled_from([25, 2049, 4103, None]),
            with_initial=st.booleans())
     def test_identical_mapping(self, data, arch, density, graph_seed, seed,
                                iterations, with_initial):
@@ -360,17 +367,15 @@ class TestRowsMatchReference:
                               label="sites")
             initial = Mapping(sites[:n], arch.n_qubits)
 
-        got, builds = place_counting_rows(
-            quadratic_placement, arch, problem, iterations=iterations,
-            seed=seed, initial=initial)
+        got = place_fresh(quadratic_placement, arch, problem,
+                          iterations=iterations, seed=seed, initial=initial)
         want = reference_quadratic_placement(
             arch, problem, iterations=iterations, seed=seed, initial=initial)
-        assert builds == 1
         assert got.log_to_phys == want.log_to_phys
         assert got.phys_to_log == want.phys_to_log
 
     # Spare sites (fewer vertices than qubits) move vertices onto empty
-    # sites, which updates ``reach`` once rows are kept.
+    # sites, which updates ``occupied``.
     @pytest.mark.parametrize("coupling, problem", [
         (grid(6, 6), random_problem_graph(36, 0.3, seed=1)),
         (grid(7, 8), random_problem_graph(50, 0.6, seed=2)),
@@ -381,17 +386,36 @@ class TestRowsMatchReference:
     ], ids=["grid-6x6-rand-0.3", "grid-7x8-rand-0.6-spare",
             "heavyhex-4x14-rand-0.45-spare", "sycamore-8x8-rand-0.5",
             "sycamore-6x8-row-mixed-spare", "grid-8x8-row-mixed-spare"])
-    @pytest.mark.parametrize("iterations, rows", [
-        (WINDOW, 0), (WINDOW + 1, 1), (None, 1)],
-        ids=["ends-at-switch", "one-past-switch", "default-budget"])
-    def test_identical_either_side_of_switch(self, coupling, problem,
-                                             iterations, rows):
-        got, builds = place_counting_rows(
-            quadratic_placement, coupling, problem, iterations=iterations,
-            seed=5)
+    @pytest.mark.parametrize("iterations", [2048, 2049, None],
+                             ids=["2048", "2049", "default-budget"])
+    def test_identical_at_budget(self, coupling, problem, iterations):
+        assert uses_masks(problem)
+        got = place_fresh(quadratic_placement, coupling, problem,
+                          iterations=iterations, seed=5)
         want = reference_quadratic_placement(
             coupling, problem, iterations=iterations, seed=5)
-        assert builds == rows
+        assert got == want
+
+    # No registered device has a ``level`` site (all are bipartite and
+    # connected): an odd ring has one at its far side for every move,
+    # and two uncoupled grids have the whole other grid.
+    @pytest.mark.parametrize("coupling, problem", [
+        (ring(45), random_problem_graph(45, 0.4, seed=1)),
+        (ring(51), random_problem_graph(40, 0.5, seed=2)),
+        (ring(47), row_mixed_problem()),
+        (two_grids(), random_problem_graph(40, 0.4, seed=3)),
+        (two_grids(), random_problem_graph(30, 0.5, seed=4)),
+    ], ids=["ring-45-rand-0.4", "ring-51-rand-0.5-spare", "ring-47-row-mixed-spare",
+            "two-grids-rand-0.4", "two-grids-rand-0.5-spare"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_identical_with_level_sites(self, coupling, problem, seed):
+        assert uses_masks(problem)
+        moves = placement_module._move_masks(
+            coupling.distance_matrix,
+            [coupling.neighbors(q) for q in range(coupling.n_qubits)])
+        assert all(level for site in moves for _, _, level, _ in site)
+        got = place_fresh(quadratic_placement, coupling, problem, seed=seed)
+        want = reference_quadratic_placement(coupling, problem, seed=seed)
         assert got == want
 
     def test_identical_from_initial_mapping(self):
@@ -399,11 +423,10 @@ class TestRowsMatchReference:
         sites = list(range(coupling.n_qubits))
         random.Random(8).shuffle(sites)
         initial = Mapping(sites[:problem.n_vertices], coupling.n_qubits)
-        got, builds = place_counting_rows(
-            quadratic_placement, coupling, problem, seed=2, initial=initial)
+        got = place_fresh(quadratic_placement, coupling, problem, seed=2,
+                          initial=initial)
         want = reference_quadratic_placement(coupling, problem, seed=2,
                                              initial=initial)
-        assert builds == 1
         assert got == want
 
     def test_row_mixed_problem_is_mixed(self):
@@ -417,12 +440,48 @@ class TestRowsMatchReference:
     ], ids=["heavyhex-3x10-rand-0.4", "grid-7x8-row-mixed"])
     def test_identical_at_2qan_budget(self, coupling, problem):
         n = problem.n_vertices
-        got, builds = place_counting_rows(
-            quadratic_initial_mapping, coupling, problem, seed=9)
+        got = place_fresh(quadratic_initial_mapping, coupling, problem,
+                          seed=9)
         want = reference_quadratic_placement(
             coupling, problem, iterations=min(20 * n * n, 200_000), seed=9)
-        assert builds == 1
         assert got == want
+
+
+class TestMoveMasks:
+    """``far`` and ``level`` hold the sites a move takes one step farther
+    and leaves level; every other site comes one step nearer."""
+
+    @pytest.mark.parametrize("coupling", [
+        grid(3, 4), heavyhex(2, 6), sycamore(4, 4), line(7), ring(9),
+        two_grids(), CouplingGraph(4, [(0, 1), (1, 2)])],
+        ids=["grid", "heavyhex", "sycamore", "line", "ring-9",
+             "two-grids", "isolated-site"])
+    def test_masks_match_distance_rows(self, coupling):
+        dist = coupling.distance_matrix.tolist()
+        couplings = [coupling.neighbors(q) for q in range(coupling.n_qubits)]
+        moves = placement_module._move_masks(coupling.distance_matrix,
+                                             couplings)
+        assert [[pb for pb, *_ in site] for site in moves] \
+            == [list(sites) for sites in couplings]
+        for pa, site in enumerate(moves):
+            for pb, far, level, flip in site:
+                assert flip == 1 << pa | 1 << pb
+                for q in range(coupling.n_qubits):
+                    step = dist[pb][q] - dist[pa][q]
+                    assert step in (-1, 0, 1)
+                    assert (far >> q & 1, level >> q & 1) \
+                        == (step == 1, step == 0)
+
+    @pytest.mark.parametrize("coupling", [
+        grid(4, 4), heavyhex(2, 6), sycamore(4, 4), line(8), hexagon(4, 4),
+        cube(2, 3, 2), mumbai()],
+        ids=["grid", "heavyhex", "sycamore", "line", "hexagon", "cube",
+             "mumbai"])
+    def test_registered_devices_have_no_level_sites(self, coupling):
+        moves = placement_module._move_masks(
+            coupling.distance_matrix,
+            [coupling.neighbors(q) for q in range(coupling.n_qubits)])
+        assert not any(level for site in moves for _, _, level, _ in site)
 
 
 def placement_counts():

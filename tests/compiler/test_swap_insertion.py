@@ -196,7 +196,7 @@ def drive_cycles(arch, problem, mapping, noise, matching, pick):
         assert select_swaps(fast, busy, matching) == want, f"cycle {cycle}"
         assert mapping == after, f"cycle {cycle}"
         if not emitted and not want:
-            mapping.swap_physical(*_forced_step(arch, mapping, remaining))
+            fast.move(*_forced_step(arch, mapping, remaining))
     return CYCLES
 
 
